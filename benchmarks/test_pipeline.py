@@ -1,8 +1,7 @@
-"""Benchmark: the pipelined loop and the persistent worker pool.
+"""Benchmark: the persistent worker pool.
 
-Two A/Bs, folded into ``benchmarks/out/BENCH_parallel.json`` under the
-``"pipeline"`` key (the artifact the CI smoke job uploads and asserts
-on):
+Folded into ``benchmarks/out/BENCH_parallel.json`` under the
+``"pipeline"`` key (the artifact the CI smoke job uploads):
 
 * **Pool amortization** — two consecutive batches over the shared
   :class:`~repro.parallel.WorkerPool` must pay at most one worker
@@ -10,49 +9,23 @@ on):
   respawn), versus one spin-up *per batch* with per-batch private
   pools.  The recorded ``spinup_reduction`` is the overhead the
   persistent pool removes.
-
-* **Speculation accounting** — the pipelined loop run under a simulated
-  production wait must produce byte-identical outcomes to the
-  sequential loop while reporting how much speculative solver work it
-  overlapped with the wait (``overlap_seconds``) and what fraction of
-  speculative verdicts the strict commit rule could keep
-  (``speculation_hit_rate``).  The hit rate is honest, not tuned:
-  assignments over raw input bytes are unpredictable and discard.
 """
 
 import json
 
-from repro import telemetry
 from repro.parallel import close_pool, get_pool, private_pool, run_batch
 
 #: enough work to exercise several reconstruction iterations each
 WORKLOADS = ["php-2012-2386", "sqlite-7be932d"]
 POOL_WIDTH = 2
-#: simulated wait between failure reoccurrences (the paper's
-#: deployments take minutes-to-hours; 0.25 s keeps the bench fast)
-REOCCURRENCE_DELAY = 0.25
 
 
-def _outcomes(result):
-    return [(item.workload, item.success, item.verified,
-             item.occurrences) for item in result.items]
-
-
-def _merged_counters(result):
-    merged = telemetry.merge_snapshots(
-        [item.telemetry for item in result.items])
-    return merged.get("counters", {}), merged.get("histograms", {})
-
-
-def test_pool_amortization_and_speculation(artifact_dir):
-    # -- pool amortization: shared pool, two batches, one spin-up -----
+def test_pool_amortization(artifact_dir):
+    # shared pool, two batches, one spin-up
     close_pool()
-    shared_spinups = []
     try:
         for _ in range(2):
             run_batch(WORKLOADS, parallel=POOL_WIDTH)
-            pool = get_pool(POOL_WIDTH)
-            shared_spinups.append(pool.spinups)
         shared_pool = get_pool(POOL_WIDTH)
         shared_total, shared_jobs = shared_pool.spinups, shared_pool.jobs
     finally:
@@ -70,20 +43,6 @@ def test_pool_amortization_and_speculation(artifact_dir):
             private_spinups += pool.spinups
     assert private_spinups == 2
 
-    # -- pipelined vs sequential under a production wait --------------
-    sequential = run_batch(WORKLOADS, parallel=1,
-                           reoccurrence_delay=REOCCURRENCE_DELAY)
-    pipelined = run_batch(WORKLOADS, parallel=1, pipeline=True,
-                          reoccurrence_delay=REOCCURRENCE_DELAY)
-    assert _outcomes(sequential) == _outcomes(pipelined), (
-        "pipelined outcomes diverged from the sequential loop")
-
-    counters, histograms = _merged_counters(pipelined)
-    speculations = counters.get("pipeline.speculations", 0)
-    commits = counters.get("pipeline.commits", 0)
-    overlap = histograms.get("pipeline.overlap_seconds",
-                             {}).get("sum", 0.0)
-
     block = {
         "workloads": WORKLOADS,
         "pool": {
@@ -94,24 +53,6 @@ def test_pool_amortization_and_speculation(artifact_dir):
             "private_spinups": private_spinups,
             "spinup_reduction": private_spinups - shared_total,
         },
-        "speculation": {
-            "reoccurrence_delay_s": REOCCURRENCE_DELAY,
-            "outcomes_identical": True,
-            "speculations": speculations,
-            "commits": commits,
-            "discards": counters.get("pipeline.discards", 0),
-            "unspeculable_stalls":
-                counters.get("pipeline.unspeculable_stalls", 0),
-            "enum_timeouts": counters.get("pipeline.enum_timeouts", 0),
-            "speculation_hit_rate":
-                round(commits / speculations, 4) if speculations
-                else None,
-            "overlap_seconds": round(overlap, 4),
-            "sequential_wall_seconds":
-                round(sequential.wall_seconds, 4),
-            "pipelined_wall_seconds":
-                round(pipelined.wall_seconds, 4),
-        },
     }
 
     # fold into the batch benchmark's artifact (whichever ran first)
@@ -120,6 +61,4 @@ def test_pool_amortization_and_speculation(artifact_dir):
     data["pipeline"] = block
     path.write_text(json.dumps(data, indent=2) + "\n")
     print(f"\npool: {shared_total} spin-up(s) over {shared_jobs} shared "
-          f"jobs vs {private_spinups} private; speculation: "
-          f"{speculations} built, {commits} committed, "
-          f"{overlap:.3f}s overlapped")
+          f"jobs vs {private_spinups} private")

@@ -187,15 +187,11 @@ def cmd_reproduce(args) -> int:
         trace_recovery=recovery,
         shards=args.shards,
         cache_dir=args.cache_dir,
-        steal=args.steal,
-        portfolio=args.portfolio,
-        incremental=args.incremental,
-        pipeline=args.pipeline)
+        incremental=args.incremental)
     site = ProductionSite(workload.failing_env,
                           trace_after=args.trace_after,
                           mapping_loss=args.mapping_loss,
-                          per_cpu_buffers=args.mapping_loss > 0,
-                          reoccurrence_delay=args.reoccurrence_delay)
+                          per_cpu_buffers=args.mapping_loss > 0)
     report = reconstructor.reconstruct(site)
 
     minimized = None
@@ -299,10 +295,7 @@ def cmd_bench(args) -> int:
     echo(f"serial baseline over "
          f"{len(names) if names else 'all'} workload(s) ...")
     serial = run_batch(names, parallel=1, capture_events=capture,
-                       cache_dir=args.cache_dir,
-                       portfolio=args.portfolio,
-                       pipeline=args.pipeline,
-                       reoccurrence_delay=args.reoccurrence_delay)
+                       cache_dir=args.cache_dir)
     result, speedup = serial, None
     matrix = []
     for width in widths:
@@ -311,10 +304,7 @@ def cmd_bench(args) -> int:
         else:
             echo(f"parallel run, {width} worker(s) ...")
             leg = run_batch(names, parallel=width, capture_events=capture,
-                            cache_dir=args.cache_dir,
-                            portfolio=args.portfolio,
-                            pipeline=args.pipeline,
-                            reoccurrence_delay=args.reoccurrence_delay)
+                            cache_dir=args.cache_dir)
             leg_speedup = (serial.wall_seconds / leg.wall_seconds
                            if leg.wall_seconds > 0 else None)
             result, speedup = leg, leg_speedup
@@ -332,8 +322,6 @@ def cmd_bench(args) -> int:
     data = {
         "workloads": [item.workload for item in result.items],
         "parallelism": final_width,
-        "portfolio": args.portfolio,
-        "pipeline": args.pipeline,
         "cpu_count": os.cpu_count(),
         "serial_wall_seconds": round(serial.wall_seconds, 4),
         "parallel_wall_seconds":
@@ -412,7 +400,6 @@ def cmd_serve(args) -> int:
         args.workload or None,
         instances=args.instances,
         parallel=args.parallel,
-        pipeline=args.pipeline,
         reoccurrence_delay=args.reoccurrence_delay,
         work_limit=args.work_limit,
         max_occurrences=args.max_occurrences,
@@ -636,31 +623,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "--trace-recovery; the paper measures 0.085)")
     p.add_argument("--shards", type=int, default=1, metavar="N",
                    help="fan the gap-recovery search out over N worker "
-                        "processes (implies --trace-recovery)")
-    p.add_argument("--steal", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="work-stealing shard scheduler: idle workers "
-                        "split a busy sibling's subspace (--no-steal "
-                        "keeps the static 2^k prefix fan-out)")
+                        "processes; idle workers split a busy sibling's "
+                        "subspace (implies --trace-recovery)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="persistent cross-process solver cache "
                         "directory (warm-starts later runs)")
-    p.add_argument("--portfolio", type=int, default=1, metavar="N",
-                   help="race each solver query across N strategy "
-                        "backends sharing one budget; the first "
-                        "definitive answer wins (default: 1, reference "
-                        "search only)")
-    p.add_argument("--pipeline", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="pipelined reconstruction loop: overlap the "
-                        "production wait with speculative pre-solving "
-                        "and gap-search pre-sharding (outcomes are "
-                        "byte-identical to the sequential loop)")
-    p.add_argument("--reoccurrence-delay", type=float, default=0.0,
-                   metavar="SEC",
-                   help="simulated wall-clock delay before each failure "
-                        "reoccurrence (the wait the pipelined loop "
-                        "overlaps; affects timing only)")
     p.add_argument("--incremental", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="assumption-stack incremental solving across "
@@ -703,22 +670,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="persistent solver cache shared by all workers "
                         "and runs")
-    p.add_argument("--portfolio", type=int, default=1, metavar="N",
-                   help="race each solver query across N strategy "
-                        "backends (default: 1, reference search only)")
-    p.add_argument("--pipeline", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="pipelined reconstruction loop in every "
-                        "workload run (outcome-identical; see "
-                        "'repro reproduce --pipeline')")
-    p.add_argument("--reoccurrence-delay", type=float, default=0.0,
-                   metavar="SEC",
-                   help="simulated delay before each failure "
-                        "reoccurrence (the wait --pipeline overlaps)")
     p.add_argument("--ab-incremental", action="store_true",
                    help="also run the incremental-solving A/B (scratch "
-                        "vs assumption stack on the sharded sqlite gap "
-                        "search) and record it in the summary")
+                        "vs assumption stack on the sqlite gap search) "
+                        "and record it in the summary")
     p.add_argument("-o", "--output", default=None, metavar="BENCH.json",
                    help="write the machine-readable benchmark summary")
     p.add_argument("--merged-telemetry", default=None,
@@ -743,11 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel", type=int, default=1, metavar="N",
                    help="bucket reconstructions to run concurrently "
                         "(default: 1)")
-    p.add_argument("--pipeline", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="pipelined per-bucket reconstruction loop "
-                        "(outcome-identical; see 'repro reproduce "
-                        "--pipeline')")
     p.add_argument("--reoccurrence-delay", type=float, default=0.0,
                    metavar="SEC",
                    help="simulated mean delay before each instance's "

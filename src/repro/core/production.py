@@ -49,15 +49,13 @@ class Occurrence:
 class DeferredOccurrence:
     """Handle to a production run executing on a background thread.
 
-    The pipelined reconstruction loop starts the wait for the next
-    failure reoccurrence, then does speculative pre-solving while
-    :meth:`poll` returns ``None``.  The thread runs the *same*
-    :meth:`ProductionSite.run_once` body against the process-global
-    telemetry registry (span stacks are thread-local, so concurrent
-    production spans cannot corrupt the analysis side's nesting), which
-    keeps production counters and spans identical to the sequential
-    path.  Exceptions are captured and re-raised on the consuming
-    thread at :meth:`poll`/:meth:`wait` time.
+    The fleet service runs each simulated instance's production wait
+    this way.  The thread runs the *same* :meth:`ProductionSite.run_once`
+    body against the process-global telemetry registry (span stacks are
+    thread-local, so concurrent production spans cannot corrupt another
+    thread's nesting), which keeps production counters and spans
+    identical to the sequential path.  Exceptions are captured and
+    re-raised on the consuming thread at :meth:`wait` time.
     """
 
     def __init__(self, site: "ProductionSite", module: Module):
@@ -72,10 +70,10 @@ class DeferredOccurrence:
     def _run(self, site: "ProductionSite", module: Module) -> None:
         # Exception only: KeyboardInterrupt/SystemExit on the daemon
         # thread must propagate (interpreter shutdown), not be stashed
-        # and re-raised later at an arbitrary poll() call site
+        # and re-raised later at an arbitrary wait() call site
         try:
             self._result = site.run_once(module)
-        except Exception as exc:  # noqa: BLE001 — re-raised on poll
+        except Exception as exc:  # noqa: BLE001 — re-raised on wait
             self._error = exc
 
     def done(self) -> bool:
@@ -83,25 +81,14 @@ class DeferredOccurrence:
 
     def unraised_error(self) -> Optional[Exception]:
         """The captured run exception, if it finished with one that no
-        ``poll``/``wait`` caller has consumed yet."""
+        ``wait`` caller has consumed yet."""
         if self._delivered or self._thread.is_alive():
             return None
         return self._error
 
-    def poll(self) -> Optional[Occurrence]:
-        """The occurrence if the production run has finished, else
-        ``None`` (non-blocking); re-raises a failed run's exception."""
-        if self._thread.is_alive():
-            return None
-        return self._finish()
-
     def wait(self) -> Occurrence:
-        """Block until the production run finishes (the pipelined
-        loop's final fallback once speculation work runs dry)."""
-        self._thread.join()
-        return self._finish()
-
-    def _finish(self) -> Occurrence:
+        """Block until the production run finishes; re-raises a failed
+        run's exception."""
         self._thread.join()
         self._delivered = True
         if self._error is not None:
@@ -147,8 +134,8 @@ class ProductionSite:
         self.per_cpu_buffers = per_cpu_buffers
         #: simulated wall-clock seconds until the failure reoccurs (§3.3:
         #: real deployments take minutes-to-hours between occurrences;
-        #: the pipelined loop overlaps this wait with speculative
-        #: pre-solving).  Affects timing only, never outcomes.
+        #: the fleet service jitters it per instance).  Affects timing
+        #: only, never outcomes.
         self.reoccurrence_delay = reoccurrence_delay
         self._occurrence = 0
         self._untraced_failures = 0
@@ -160,11 +147,11 @@ class ProductionSite:
     def start(self, module: Module) -> DeferredOccurrence:
         """Begin waiting for the next occurrence without blocking.
 
-        Non-blocking counterpart of :meth:`run_once` for the pipelined
-        loop: the production wait runs on a background thread while the
-        caller speculates.  Only one deferred run may be active at a
-        time — ``run_once`` mutates per-site state (occurrence index,
-        ring capacity) that must not race.
+        Non-blocking counterpart of :meth:`run_once`: the production
+        wait runs on a background thread until the caller ``wait()``s.
+        Only one deferred run may be active at a time — ``run_once``
+        mutates per-site state (occurrence index, ring capacity) that
+        must not race.
         """
         if self._deferred is not None:
             if not self._deferred.done():

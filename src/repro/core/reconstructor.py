@@ -28,7 +28,6 @@ from ..solver.cache import SolverCache
 from ..symex.engine import ShepherdedSymex
 from ..symex.result import StallInfo
 from .instrument import instrument
-from .pipeline import Speculator, predict_preshard
 from .production import ProductionSite
 from .report import IterationRecord, ReconstructionReport, TestCase
 from .selection import RecordingPlan, select_key_values
@@ -45,9 +44,7 @@ def _exact_driver(module, trace, failure, **kwargs):
     # search or share, and stays bit-for-bit on the non-incremental path
     kwargs.pop("shards", None)
     kwargs.pop("cache_dir", None)
-    kwargs.pop("steal", None)
     kwargs.pop("incremental", None)
-    kwargs.pop("preshard", None)
     return ShepherdedSymex(module, trace, failure, **kwargs).run()
 
 
@@ -86,31 +83,18 @@ class ExecutionReconstructor:
                  trace_recovery: bool = False,
                  shards: int = 1,
                  cache_dir: Optional[str] = None,
-                 steal: bool = True,
-                 portfolio: int = 1,
-                 incremental: bool = True,
-                 pipeline: bool = False):
+                 incremental: bool = True):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if portfolio < 1:
-            raise ValueError(f"portfolio must be >= 1, got {portfolio}")
         self.module = module
         self.work_limit = work_limit
         self.max_occurrences = max_occurrences
         #: gap-recovery fan-out width (worker processes per search)
         self.shards = shards
-        #: work-stealing shard scheduler (False: static 2^k prefixes)
-        self.steal = steal
         #: persistent cross-process solver-cache directory
         self.cache_dir = cache_dir
-        #: solver-strategy race width per query (1: reference only)
-        self.portfolio = portfolio
         #: assumption-stack reuse across sibling gap attempts
         self.incremental = incremental
-        #: pipelined loop: overlap the production wait with speculative
-        #: pre-solving and gap-search pre-sharding (outcome-identical to
-        #: the sequential loop — see core/pipeline.py)
-        self.pipeline = pipeline
         #: occurrences of *other* bugs never consume the reconstruction
         #: budget — ours still reoccurs regardless of how noisy the
         #: deployment is — but give-up must stay decidable, so they get
@@ -157,11 +141,6 @@ class ExecutionReconstructor:
             persistent = DiskSolverCache(self.cache_dir)
         solver_cache = SolverCache(persistent=persistent)
         unrelated = 0
-        #: pipelined-loop state: the speculator pre-solving the next
-        #: occurrence's stall-point queries, and the predicted prefix
-        #: partition for its gap search
-        speculator: Optional[Speculator] = None
-        preshard = None
 
         occurrence_no = 0
         while occurrence_no < self.max_occurrences:
@@ -169,8 +148,7 @@ class ExecutionReconstructor:
                         occurrence_no + 1)
             with tel.span("reconstruct.production",
                           iteration=occurrence_no + 1) as prod_span:
-                occurrence = self._await_occurrence(production, deployed,
-                                                    speculator)
+                occurrence = production.run_once(deployed)
             normalized = normalize_failure(deployed, occurrence.failure)
             if signature is None:
                 signature = normalized
@@ -197,12 +175,6 @@ class ExecutionReconstructor:
                         unrelated_occurrences=unrelated)
                 continue
             occurrence_no += 1
-            if speculator is not None:
-                # strict commit rule: only speculations whose assumed
-                # values exactly match this occurrence's recorded ones
-                # become (cache-mediated) facts; the rest are discarded
-                speculator.commit(occurrence)
-                speculator = None
 
             with tel.span("reconstruct.symex",
                           iteration=occurrence_no) as symex_span:
@@ -212,11 +184,7 @@ class ExecutionReconstructor:
                                            solver_cache=solver_cache,
                                            shards=self.shards,
                                            cache_dir=self.cache_dir,
-                                           steal=self.steal,
-                                           portfolio=self.portfolio,
-                                           incremental=self.incremental,
-                                           preshard=preshard)
-            preshard = None
+                                           incremental=self.incremental)
             record = IterationRecord(
                 occurrence=occurrence_no,
                 status=result.status,
@@ -287,52 +255,11 @@ class ExecutionReconstructor:
             next_tag = instrumented.next_tag
             already_recorded.update(
                 (item.point.func, item.register) for item in plan.items)
-            if self.pipeline:
-                speculator = Speculator(
-                    result.stall, plan, instrumented, solver_cache,
-                    work_limit=self.work_limit,
-                    cache_dir=self.cache_dir,
-                    pool=self._speculation_pool())
-                preshard = predict_preshard(occurrence.trace,
-                                            self.shards, self.steal)
 
         return ReconstructionReport(
             success=False, failure=signature, test_case=None,
             occurrences=self.max_occurrences, iterations=iterations,
             final_module=deployed, unrelated_occurrences=unrelated)
-
-    def _speculation_pool(self):
-        """The shared worker pool for speculation tasks, or None for
-        inline speculation (serial config, or already inside a pool
-        worker that cannot spawn children)."""
-        from ..parallel import get_pool, in_pool_worker
-
-        if self.shards <= 1 or in_pool_worker():
-            return None
-        return get_pool(self.shards)
-
-    def _await_occurrence(self, production: ProductionSite,
-                          deployed: Module,
-                          speculator: Optional[Speculator]):
-        """The next occurrence — sequential wait, or the pipelined
-        deferred wait with speculation filling the idle time.
-
-        The worker pool (when configured) is spawned *before* the
-        production thread starts: forking after this process is
-        multi-threaded risks inheriting a lock mid-acquisition.
-        """
-        if not self.pipeline:
-            return production.run_once(deployed)
-        if speculator is not None and speculator.pool is not None:
-            speculator.pool.ensure_workers()
-        deferred = production.start(deployed)
-        occurrence = deferred.poll()
-        while occurrence is None:
-            if speculator is not None and speculator.step():
-                occurrence = deferred.poll()
-                continue
-            occurrence = deferred.wait()
-        return occurrence
 
     @staticmethod
     def _emit_iteration(tel, record: IterationRecord) -> None:

@@ -77,19 +77,17 @@ class UnsatError(SolverError):
 class SearchCancelled(Exception):
     """A cooperative control aborted a search before it finished.
 
-    Two searches share this signal: gap-recovery shards stop once the
-    parent has finalized a winner in an earlier subspace, and portfolio
-    racers stop once a sibling backend has produced the committed
-    answer.  ``attempts`` counts the replays a gap shard completed
-    before stopping (so the parent's attempt accounting still closes);
-    portfolio racers leave it at zero.
+    Gap-recovery shards stop with this signal once the parent has
+    finalized a winner in an earlier subspace.  ``attempts`` counts the
+    replays the shard completed before stopping, so the parent's
+    attempt accounting still closes.
 
     Deliberately *not* a :class:`ReproError`: cancellation is control
     flow between cooperating searches, never a library failure callers
     should catch wholesale.
     """
 
-    def __init__(self, attempts: int = 0):
+    def __init__(self, attempts: int):
         super().__init__(f"search cancelled after {attempts} attempts")
         self.attempts = attempts
 

@@ -7,9 +7,8 @@ cache — so the batch runner fans workloads out over a persistent
 shepherded symbolic execution is pure Python and CPU-bound.
 
 The pool is fork-server-style and process-wide: spawned lazily on the
-first job, then *reused* across shard searches, batch runs, and the
-pipelined loop's speculation tasks instead of paying a fresh
-spin-up per call.  Jobs are generation-tagged — each
+first job, then *reused* across shard searches and batch runs instead
+of paying a fresh spin-up per call.  Jobs are generation-tagged — each
 :meth:`WorkerPool.begin_job` broadcasts a new generation payload (the
 shared module/trace/config that used to ride a pool initializer)
 through per-worker control queues, so redeploying a job is a message,
@@ -41,18 +40,16 @@ decision vector once, in-process, to materialize the full
 :class:`~repro.symex.result.SymexResult` (terms never cross process
 boundaries).
 
-Two schedulers drive the shard tasks.  The static one (``steal=False``)
-fans out 2^k fixed prefixes and scans their futures in DFS order.  The
-default work-stealing one keeps workers pulling subspaces from a shared
-work queue; an idle worker posts a steal token, and the next busy
-worker to hit a gap-decision checkpoint donates the unexplored half of
-its subspace (its current decision prefix extended by one bit — the
-victim keeps the half it is searching, the thief takes the sibling).
-The parent consumes outcomes as they complete but commits the winner by
-serial DFS order, only cancelling in-flight shards (via a shared
-``multiprocessing.Event`` polled at every checkpoint) once no earlier
-subspace is still outstanding — so both schedulers return byte-
-identical results to the serial search.
+A work-stealing scheduler drives the shard tasks: workers pull
+subspaces from a shared work queue; an idle worker posts a steal token,
+and the next busy worker to hit a gap-decision checkpoint donates the
+unexplored half of its subspace (its current decision prefix extended
+by one bit — the victim keeps the half it is searching, the thief takes
+the sibling).  The parent consumes outcomes as they complete but
+commits the winner by serial DFS order, only cancelling in-flight
+shards (via a shared ``multiprocessing.Event`` polled at every
+checkpoint) once no earlier subspace is still outstanding — so the
+sharded search returns byte-identical results to the serial search.
 
 Everything that crosses a process boundary here carries *trace
 context*: the parent captures :meth:`Telemetry.trace_context` inside
@@ -60,7 +57,7 @@ its fan-out span and hands it to every worker, whose registry joins the
 parent's trace (same ``trace_id``, root spans parented on the handoff
 span) and rebases its clock onto the parent timeline — so a merged
 event stream renders as one causally-linked tree in the Perfetto
-exporter.  The schedulers also meter their own coordination overhead:
+exporter.  The scheduler also meters its own coordination overhead:
 ``parallel.queue_wait_seconds`` (task enqueue → dequeue, shared wall
 clock), ``parallel.worker_idle_seconds`` (stealing workers blocked on
 an empty work queue), ``parallel.steal_latency_seconds`` (steal token
@@ -228,10 +225,7 @@ def _solver_cache_stats(counters: Dict) -> Dict[str, float]:
 def _reconstruct_one(name: str, capture_events: bool,
                      cache_dir: Optional[str] = None,
                      context: Optional[telemetry.TraceContext] = None,
-                     enqueued: Optional[float] = None,
-                     portfolio: int = 1,
-                     pipeline: bool = False,
-                     reoccurrence_delay: float = 0.0) -> BatchItem:
+                     enqueued: Optional[float] = None) -> BatchItem:
     """Worker body: one workload under a private telemetry registry.
 
     Runs in a pool process (or inline for ``parallel=1``); must only
@@ -255,12 +249,9 @@ def _reconstruct_one(name: str, capture_events: bool,
                 workload.fresh_module(),
                 work_limit=workload.work_limit,
                 max_occurrences=workload.max_occurrences,
-                cache_dir=cache_dir,
-                portfolio=portfolio,
-                pipeline=pipeline)
+                cache_dir=cache_dir)
             report = reconstructor.reconstruct(
-                ProductionSite(workload.failing_env,
-                               reoccurrence_delay=reoccurrence_delay))
+                ProductionSite(workload.failing_env))
             item.success = report.success
             item.verified = report.verified
             item.occurrences = report.occurrences
@@ -286,23 +277,16 @@ def run_batch(names: Optional[Sequence[str]] = None, *,
               parallel: int = 1,
               capture_events: bool = False,
               cache_dir: Optional[str] = None,
-              portfolio: int = 1,
-              pipeline: bool = False,
-              reoccurrence_delay: float = 0.0,
               pool: Optional[WorkerPool] = None) -> BatchResult:
     """Reconstruct ``names`` (default: every workload), ``parallel``-wide.
 
     Results come back in input order regardless of completion order.  A
     workload that raises contributes a :class:`BatchItem` with ``error``
     set instead of aborting the batch.  ``cache_dir`` points every
-    worker at one shared persistent solver cache; ``portfolio`` is the
-    per-worker solver-strategy race width (answers are unchanged, so
-    batch results stay comparable across widths).  ``pool`` overrides
+    worker at one shared persistent solver cache.  ``pool`` overrides
     the process-wide shared :class:`WorkerPool`; by default the batch
     reuses (and, first time, lazily spawns) the shared one, so repeated
-    batches pay at most one spin-up.  ``pipeline`` turns on each item's
-    pipelined reconstruction loop and ``reoccurrence_delay`` simulates
-    the production wait it overlaps (outcomes are unaffected by both).
+    batches pay at most one spin-up.
     """
     names = list(names) if names is not None else workload_names()
     if parallel < 1:
@@ -319,8 +303,7 @@ def run_batch(names: Optional[Sequence[str]] = None, *,
         context = tel.trace_context()
         if parallel == 1 or len(names) <= 1:
             items = [_reconstruct_one(name, capture_events, cache_dir,
-                                      context, None, portfolio,
-                                      pipeline, reoccurrence_delay)
+                                      context)
                      for name in names]
         else:
             workers = min(parallel, len(names))
@@ -337,8 +320,7 @@ def run_batch(names: Optional[Sequence[str]] = None, *,
             try:
                 for name in names:
                     job.submit(_reconstruct_one, name, capture_events,
-                               cache_dir, context, None, portfolio,
-                               pipeline, reoccurrence_delay)
+                               cache_dir, context)
                 remaining = len(names)
                 while remaining:
                     kind, task_id, body = job.next_message()
@@ -666,12 +648,12 @@ class _PoolJob:
 class WorkerPool:
     """A persistent, generation-tagged pool of fork-server workers.
 
-    Spawned lazily on the first job and reused across shard searches,
-    batch items, and speculation tasks — redeploying work is a
-    generation message on each worker's control queue, not a process
-    respawn.  All queues and the shared cancel event are created before
-    the workers so multiprocessing's inheritance path (not task
-    pickling) carries them.  One job runs at a time; concurrency comes
+    Spawned lazily on the first job and reused across shard searches
+    and batch items — redeploying work is a generation message on each
+    worker's control queue, not a process respawn.  All queues and the
+    shared cancel event are created before the workers so
+    multiprocessing's inheritance path (not task pickling) carries
+    them.  One job runs at a time; concurrency comes
     from the workers, not from overlapping jobs.
     """
 
@@ -775,8 +757,8 @@ class WorkerPool:
     def maybe_reap(self, now: Optional[float] = None) -> bool:
         """Reap live workers if the pool has idled past the threshold.
 
-        Called opportunistically (end of a batch, pipeline wait loop);
-        the pool stays open — the next job just pays a fresh spin-up.
+        Called opportunistically (end of a batch); the pool stays open
+        — the next job just pays a fresh spin-up.
         """
         if self.closed or not self._procs or self._active_job is not None:
             return False
@@ -850,7 +832,7 @@ _POOL: Optional[WorkerPool] = None
 def get_pool(workers: int) -> WorkerPool:
     """The process-wide shared :class:`WorkerPool`, grown to at least
     ``workers`` wide.  All pool consumers (shard searches, batches,
-    speculation) share it, which is what amortizes the spin-up."""
+    Table 1) share it, which is what amortizes the spin-up."""
     global _POOL
     if in_pool_worker():
         raise RuntimeError("nested worker pools are not supported")
@@ -888,19 +870,18 @@ class _StealControl:
 
     ``checkpoint`` runs before every replay in
     :func:`~repro.symex.gaps._search_gap_decisions`.  It aborts the
-    shard once the parent committed a winner (``cancel`` event), and —
-    under the stealing scheduler — serves at most one pending steal
-    token by donating the unexplored half of this shard's remaining
-    subspace: the shallowest liberated decision still set to True marks
-    a False-sibling subtree the DFS has not entered (the search never
-    returns a bit from False to True), so extending the current prefix
-    there is a sound split.  The donated prefix travels to the parent
+    shard once the parent committed a winner (``cancel`` event), and
+    serves at most one pending steal token by donating the unexplored
+    half of this shard's remaining subspace: the shallowest liberated
+    decision still set to True marks a False-sibling subtree the DFS
+    has not entered (the search never returns a bit from False to
+    True), so extending the current prefix there is a sound split.  The donated prefix travels to the parent
     (a ``("split", prefix)`` result message), which accounts for the
     new subspace *before* requeueing it — a thief can therefore never
     report an outcome the parent has not yet learned to expect.
     """
 
-    def __init__(self, prefix, cancel, steal_q=None, results_q=None):
+    def __init__(self, prefix, cancel, steal_q, results_q):
         self.prefix = list(prefix)
         self.cancel = cancel
         self.steal_q = steal_q
@@ -909,10 +890,8 @@ class _StealControl:
 
     def checkpoint(self, decisions: List[bool], locked_prefix: int,
                    attempts: int) -> int:
-        if self.cancel is not None and self.cancel.is_set():
+        if self.cancel.is_set():
             raise SearchCancelled(attempts)
-        if self.steal_q is None:
-            return locked_prefix
         try:
             thief, posted = self.steal_q.get_nowait()
         except Empty:
@@ -960,9 +939,9 @@ def _gap_shard_run(prefix: List[bool]) -> GapShardOutcome:
         # per-shard assumption stack: each worker's DFS walks its own
         # sibling prefixes, so retained state never crosses processes
         cache.assumptions = AssumptionStack()
-    control = _StealControl(prefix, state.get("cancel"),
-                            steal_q=state.get("steal_q"),
-                            results_q=state.get("results_q"))
+    control = _StealControl(prefix, state["cancel"],
+                            steal_q=state["steal_q"],
+                            results_q=state["results_q"])
     try:
         with T.term_scope(), tel.span("parallel.shard_search",
                                       prefix_len=len(prefix)):
@@ -987,25 +966,13 @@ def _gap_shard_run(prefix: List[bool]) -> GapShardOutcome:
     return outcome
 
 
-def _shard_prefixes(trace, shards: int) -> List[List[bool]]:
-    """Decision-vector prefixes partitioning the gap space, in serial
-    DFS order (True before False at every position), so scanning shard
-    outcomes in task order finds the same first solution the serial
-    search would."""
-    gaps = gap_count(trace)
-    depth = min(gaps, max(1, (shards - 1).bit_length() + 2),
-                MAX_SHARD_DEPTH)
-    if depth <= 0:
-        return []
-    return [list(bits) for bits in product((True, False), repeat=depth)]
-
-
 def _steal_prefixes(trace, shards: int) -> List[List[bool]]:
-    """Seed prefixes for the stealing scheduler: one per worker.
+    """Seed prefixes for the stealing scheduler: one per worker, in
+    serial DFS order (True before False at every position).
 
-    Unlike the static fan-out there is no need to over-partition —
-    idle workers rebalance by stealing — so the depth only covers the
-    pool width and the initial tasks stay as large as possible."""
+    There is no need to over-partition — idle workers rebalance by
+    stealing — so the depth only covers the pool width and the initial
+    tasks stay as large as possible."""
     gaps = gap_count(trace)
     depth = min(gaps, max(1, (shards - 1).bit_length()), MAX_SHARD_DEPTH)
     if depth <= 0:
@@ -1038,53 +1005,6 @@ def _choose_outcome(outcomes: Sequence[GapShardOutcome]
     return max(candidates, key=lambda o: _dfs_key(o.prefix))
 
 
-def _static_shard_outcomes(pool, state, prefixes,
-                           context=None, capture_events=False):
-    """Static scheduler: 2^k fixed prefix tasks, scanned in DFS order.
-
-    Returns ``(outcomes, errors, snapshots, events)``.  Task ids equal
-    submission (= serial DFS) order, so the winner scan walks a results
-    dict by index exactly as the old future loop did: the cancel event
-    is raised only once the scan *frontier* reaches a non-diverged
-    outcome — tasks DFS-after a slow earlier shard keep running until
-    that shard lands, the same conservative timing as before.  Every
-    submitted task is still drained so attempt totals stay complete and
-    worker exceptions surface instead of vanishing.
-    """
-    job = pool.begin_job(state, steal=False,
-                         capture_events=capture_events, context=context)
-    outcomes: List[GapShardOutcome] = []
-    errors: List[BaseException] = []
-    try:
-        for prefix in prefixes:
-            job.submit(_gap_shard_run, prefix)
-        results: Dict[int, GapShardOutcome] = {}
-        scan = 0
-        decided = False
-        remaining = len(prefixes)
-        while remaining:
-            kind, task_id, body = job.next_message()
-            if kind == "split":
-                continue  # static jobs withhold the steal queue
-            remaining -= 1
-            if kind == "err":
-                errors.append(RuntimeError(
-                    f"gap shard task {task_id} failed: {body}"))
-                pool.cancel.set()
-                continue
-            results[task_id] = body
-            outcomes.append(body)
-            while not decided and scan in results:
-                outcome = results[scan]
-                scan += 1
-                if outcome.status not in ("diverged", "cancelled"):
-                    decided = True
-                    pool.cancel.set()
-    finally:
-        snapshots, events = job.finish()
-    return outcomes, errors, snapshots, events
-
-
 def _steal_shard_outcomes(pool, state, prefixes,
                           context=None, capture_events=False):
     """Work-stealing scheduler: a shared queue of splittable subspaces.
@@ -1101,7 +1021,7 @@ def _steal_shard_outcomes(pool, state, prefixes,
 
     Returns ``(outcomes, errors, steals, snapshots, events)`` — the
     per-worker stats batch carries the idle-time and queue-wait
-    histograms the old dedicated worker loops recorded.
+    histograms.
     """
     job = pool.begin_job(state, steal=True,
                          capture_events=capture_events, context=context)
@@ -1163,23 +1083,18 @@ def _steal_shard_outcomes(pool, state, prefixes,
 def shard_gap_search(module, trace, failure, *, shards: int,
                      max_attempts: int, solver_cache=None,
                      cache_dir: Optional[str] = None,
-                     steal: bool = True,
                      incremental: bool = True,
-                     preshard: Optional[List[List[bool]]] = None,
                      pool: Optional[WorkerPool] = None,
                      **engine_kwargs):
     """Gap-recovery search fanned out over ``shards`` worker processes.
 
     The serial DFS's leaf space is partitioned by decision prefixes;
     each worker explores a subspace with the same backtracking search,
-    confined by a locked prefix.  ``steal`` (the default) enables the
-    work-stealing scheduler — idle workers split busy siblings'
-    subspaces instead of waiting out a static partition — while
-    ``steal=False`` keeps the static 2^k fan-out.  Either way the
-    winning outcome is the first non-diverged one in serial DFS order —
-    identical to what the serial search returns — and the parent
-    replays its decision vector once, in-process and against
-    ``solver_cache``, to materialize the full
+    confined by a locked prefix, and idle workers split busy siblings'
+    subspaces.  The winning outcome is the first non-diverged one in
+    serial DFS order — identical to what the serial search returns —
+    and the parent replays its decision vector once, in-process and
+    against ``solver_cache``, to materialize the full
     :class:`~repro.symex.result.SymexResult`.
 
     Worker telemetry snapshots are merged via
@@ -1193,13 +1108,9 @@ def shard_gap_search(module, trace, failure, *, shards: int,
     additionally records steal/cancellation counters and a per-shard
     attempt histogram (``parallel.shard_subspace_attempts``).
 
-    ``preshard`` is the pipelined loop's pre-computed prefix partition
-    (warmed while waiting on production): when it matches the partition
-    this trace actually needs it is counted as a ``preshard_hit`` —
-    the partition is pure bookkeeping either way, so correctness never
-    depends on the prediction.  ``pool`` overrides the process-wide
-    shared :class:`WorkerPool` (used by the A/B benchmark to price a
-    throwaway per-call pool against the persistent one).
+    ``pool`` overrides the process-wide shared :class:`WorkerPool`
+    (used by the A/B benchmark to price a throwaway per-call pool
+    against the persistent one).
     """
     from .symex.gaps import replay_with_gap_recovery
 
@@ -1208,11 +1119,7 @@ def shard_gap_search(module, trace, failure, *, shards: int,
     if solver_cache is None:
         solver_cache = SolverCache(
             persistent=DiskSolverCache(cache_dir) if cache_dir else None)
-    prefixes = (_steal_prefixes if steal else _shard_prefixes)(trace,
-                                                               shards)
-    if preshard is not None and prefixes:
-        telemetry.count("pipeline.preshard_hits" if preshard == prefixes
-                        else "pipeline.preshard_misses")
+    prefixes = _steal_prefixes(trace, shards)
     if shards == 1 or not prefixes or in_pool_worker():
         # no gaps to split on, nothing to parallelize, or already inside
         # a (daemonic) pool worker that cannot spawn children: serial
@@ -1222,7 +1129,6 @@ def shard_gap_search(module, trace, failure, *, shards: int,
                                         incremental=incremental,
                                         **engine_kwargs)
     tel = telemetry.get()
-    steals = 0
     capture_events = tel.enabled
     # per-worker config rides inside the job's generation payload; the
     # shard body pops what ShepherdedSymex must not see
@@ -1232,17 +1138,13 @@ def shard_gap_search(module, trace, failure, *, shards: int,
                                     incremental=incremental),
                  cache_dir=cache_dir)
     with tel.span("symex.gap_shard_search", shards=shards,
-                  tasks=len(prefixes), steal=steal):
+                  tasks=len(prefixes)):
         # captured inside the span: worker root spans parent on it
         context = tel.trace_context()
         target = pool if pool is not None else get_pool(shards)
-        if steal:
-            outcomes, errors, steals, snapshots, events = \
-                _steal_shard_outcomes(target, state, prefixes,
-                                      context, capture_events)
-        else:
-            outcomes, errors, snapshots, events = _static_shard_outcomes(
-                target, state, prefixes, context, capture_events)
+        outcomes, errors, steals, snapshots, events = \
+            _steal_shard_outcomes(target, state, prefixes, context,
+                                  capture_events)
     tel.absorb(telemetry.merge_snapshots(snapshots))
     tel.forward(events)
     tel.count("parallel.gap_shards", len(outcomes))
@@ -1287,27 +1189,20 @@ def shard_gap_search(module, trace, failure, *, shards: int,
 
 def measure_incremental_ab(workload_name: str = "sqlite-7be932d", *,
                            mapping_loss: float = 0.085,
-                           shards: int = 4,
-                           work_scale: int = 20,
-                           steal: bool = False) -> Dict:
-    """A/B the assumption-stack reuse on the sharded gap-recovery bench.
+                           work_scale: int = 20) -> Dict:
+    """A/B the assumption-stack reuse on the gap-recovery bench.
 
-    Runs the same degraded trace through :func:`shard_gap_search` twice
-    — ``incremental=False`` (every sibling attempt re-solved from
-    scratch) then ``incremental=True`` (per-shard
-    :class:`~repro.solver.incremental.AssumptionStack`) — each under a
-    fresh telemetry registry, and totals the solver work actually
-    charged (the ``solver.work_per_query`` histogram, workers' snapshots
-    folded in).  Returns a JSON-ready dict with both legs and the
+    Runs the same degraded trace through the serial gap search twice —
+    ``incremental=False`` (every sibling attempt re-solved from scratch)
+    then ``incremental=True`` (one
+    :class:`~repro.solver.incremental.AssumptionStack` for the whole
+    DFS) — each under a fresh telemetry registry, and totals the solver
+    work actually charged (the ``solver.work_per_query`` histogram).
+    Both legs are deterministic, so the measured reduction is
+    reproducible.  Returns a JSON-ready dict with both legs and the
     relative ``solver_work_reduction``; correctness is part of the
     record (``verdicts_equal``/``models_equal`` — the two legs must
     agree bit for bit, incrementality is an optimization only).
-
-    ``steal`` defaults *off* here (unlike the production scheduler):
-    work stealing re-splits shard subspaces at timing-dependent points,
-    which perturbs each shard's assumption-stack reuse run to run.  The
-    static prefix fan-out makes both legs fully deterministic, so the
-    measured reduction is reproducible.
     """
     from .symex.gaps import replay_with_gap_recovery
 
@@ -1316,8 +1211,7 @@ def measure_incremental_ab(workload_name: str = "sqlite-7be932d", *,
     occurrence = ProductionSite(workload.failing_env,
                                 mapping_loss=mapping_loss,
                                 per_cpu_buffers=True).run_once(module)
-    kwargs = dict(work_limit=workload.work_limit * work_scale,
-                  shards=shards, steal=steal)
+    kwargs = dict(work_limit=workload.work_limit * work_scale)
     legs: Dict[str, Dict] = {}
     models: Dict[str, Optional[Dict]] = {}
     statuses: Dict[str, str] = {}
@@ -1352,7 +1246,6 @@ def measure_incremental_ab(workload_name: str = "sqlite-7be932d", *,
     return {
         "workload": workload_name,
         "mapping_loss": mapping_loss,
-        "shards": shards,
         "gap_count": gap_count(occurrence.trace),
         "scratch": legs["scratch"],
         "incremental": legs["incremental"],

@@ -5,7 +5,7 @@ a single-site deployment.  A real operator runs a *fleet*: many
 instances execute the same deployed version, so the expected wait for
 the next occurrence shrinks roughly with fleet size.  This module
 simulates that: ``N`` production instances per workload (each its own
-:class:`~repro.core.production.ProductionSite`, running on the PR-8
+:class:`~repro.core.production.ProductionSite`, running on the
 :class:`~repro.core.production.DeferredOccurrence` machinery) stream
 failure reports into a queue; a dispatcher deduplicates them by
 canonical fault signature (:mod:`repro.core.signature`) into
@@ -115,7 +115,7 @@ class FleetInstance:
     (the version-lockstep that keeps per-instance occurrence counters —
     and therefore shipped traces — identical to the single-site path).
     Each run goes through ``ProductionSite.start()``/``wait()``, i.e.
-    the PR-8 deferred machinery, and ships either a
+    the deferred-occurrence machinery, and ships either a
     :class:`FailureReport` or an :class:`InstanceError`.
     """
 
@@ -245,10 +245,6 @@ class SignatureBucket:
         with self._cond:
             self._cond.notify_all()
 
-    def ready(self, version: int) -> bool:
-        with self._cond:
-            return bool(self._pending.get(version))
-
     def take(self, version: int, *, block: bool) -> Optional[FailureReport]:
         """The earliest-arriving report for ``version`` (deterministic:
         dispatcher arrival order, not thread-scheduling luck).
@@ -315,44 +311,14 @@ class SignatureBucket:
             error=self.error)
 
 
-class _FleetDeferred:
-    """Deferred-occurrence facade over a bucket version — the object
-    :meth:`ExecutionReconstructor._await_occurrence` polls, so the
-    pipelined loop (speculative pre-solving during the wait) works
-    unchanged against the fleet."""
-
-    def __init__(self, bucket: SignatureBucket, version: int):
-        self._bucket = bucket
-        self._version = version
-        self._occurrence: Optional[Occurrence] = None
-
-    def done(self) -> bool:
-        return (self._occurrence is not None
-                or self._bucket.ready(self._version))
-
-    def poll(self) -> Optional[Occurrence]:
-        if self._occurrence is None:
-            report = self._bucket.take(self._version, block=False)
-            if report is None:
-                return None
-            self._occurrence = report.occurrence
-        return self._occurrence
-
-    def wait(self) -> Occurrence:
-        if self._occurrence is None:
-            report = self._bucket.take(self._version, block=True)
-            self._occurrence = report.occurrence
-        return self._occurrence
-
-
 class _BucketSite:
     """Production-site facade handed to one bucket's reconstructor.
 
-    ``start``/``run_once`` deploy the (possibly instrumented) module to
-    every fleet instance of the workload and return a deferred that
-    resolves to the first matching report from **any** instance.  The
-    first await consumes the seed deployment (version 0, shipped by the
-    service before the bucket existed) without redeploying.
+    ``run_once`` deploys the (possibly instrumented) module to every
+    fleet instance of the workload and returns the first matching
+    report's occurrence from **any** instance.  The first call consumes
+    the seed deployment (version 0, shipped by the service before the
+    bucket existed) without redeploying.
     """
 
     def __init__(self, service: "FleetService", state: "_WorkloadState",
@@ -362,16 +328,13 @@ class _BucketSite:
         self._bucket = bucket
         self._started = False
 
-    def start(self, module: Module) -> _FleetDeferred:
+    def run_once(self, module: Module) -> Occurrence:
         if not self._started:
             self._started = True
             version = 0  # the seed deployment that spawned this bucket
         else:
             version = self._state.deploy(module)
-        return _FleetDeferred(self._bucket, version)
-
-    def run_once(self, module: Module) -> Occurrence:
-        return self.start(module).wait()
+        return self._bucket.take(version, block=True).occurrence
 
     @property
     def occurrences_so_far(self) -> int:
@@ -450,7 +413,6 @@ class ServeSummary:
     workloads: List[str]
     instances: int
     parallel: int
-    pipeline: bool
     reoccurrence_delay: float
     wall_seconds: float
     buckets: List[BucketSummary]
@@ -477,7 +439,6 @@ class ServeSummary:
             "workloads": self.workloads,
             "instances": self.instances,
             "parallel": self.parallel,
-            "pipeline": self.pipeline,
             "reoccurrence_delay": self.reoccurrence_delay,
             "wall_seconds": round(self.wall_seconds, 6),
             "succeeded": self.succeeded,
@@ -501,7 +462,6 @@ class FleetService:
     def __init__(self, workloads: Optional[Sequence[str]] = None, *,
                  instances: int = 2,
                  parallel: int = 1,
-                 pipeline: bool = False,
                  reoccurrence_delay: float = 0.0,
                  work_limit: Optional[int] = None,
                  max_occurrences: Optional[int] = None,
@@ -516,7 +476,6 @@ class FleetService:
                                else workload_names())
         self.instances = instances
         self.parallel = parallel
-        self.pipeline = pipeline
         self.reoccurrence_delay = reoccurrence_delay
         self.work_limit = work_limit
         self.max_occurrences = max_occurrences
@@ -541,7 +500,7 @@ class FleetService:
         started = time.perf_counter()
         with tel.span("serve.run", instances=self.instances,
                       workloads=len(self.workload_names),
-                      parallel=self.parallel, pipeline=self.pipeline):
+                      parallel=self.parallel):
             context = tel.trace_context()
             capture = tel.enabled
             for name in self.workload_names:
@@ -688,7 +647,6 @@ class FleetService:
                                         or workload.work_limit),
                             max_occurrences=(self.max_occurrences
                                              or workload.max_occurrences),
-                            pipeline=self.pipeline,
                             cache_dir=self.cache_dir)
                         bucket.result = reconstructor.reconstruct(site)
                 except Exception as exc:  # noqa: BLE001 — per-bucket fault
@@ -741,7 +699,6 @@ class FleetService:
             workloads=list(self.workload_names),
             instances=self.instances,
             parallel=self.parallel,
-            pipeline=self.pipeline,
             reoccurrence_delay=self.reoccurrence_delay,
             wall_seconds=wall_seconds,
             buckets=buckets,

@@ -1,8 +1,7 @@
 """Bitvector/array constraint solver with explicit work budgets."""
 
 from . import segments, terms
-from .backend import (BACKEND_ORDER, ReferenceBackend, SolverBackend,
-                      make_backends)
+from .backend import ReferenceBackend
 from .budget import DEFAULT_WORK_LIMIT, WORK_PER_SECOND, Budget, UnlimitedBudget
 from .cache import SolverCache, ValueEnumeration
 from .diskcache import DiskSolverCache
@@ -10,10 +9,9 @@ from .segments import compact_store, merge_caches, verify_store
 from .evaluator import tv_eval
 from .incremental import AssumptionStack, Retained
 from .model import Model, input_var_name, parse_var_name
-from .portfolio import race
 from .solver import Solver
 from .terms import (Term, TermSpace, clear_term_cache, deserialize_term,
-                    serialize_term, substitute, term_digest, term_scope)
+                    serialize_term, term_digest, term_scope)
 
 __all__ = [
     "terms",
@@ -27,7 +25,6 @@ __all__ = [
     "clear_term_cache",
     "serialize_term",
     "deserialize_term",
-    "substitute",
     "term_digest",
     "SolverCache",
     "DiskSolverCache",
@@ -41,11 +38,7 @@ __all__ = [
     "input_var_name",
     "parse_var_name",
     "Solver",
-    "SolverBackend",
     "ReferenceBackend",
-    "BACKEND_ORDER",
-    "make_backends",
-    "race",
     "AssumptionStack",
     "Retained",
 ]

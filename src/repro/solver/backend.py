@@ -1,76 +1,32 @@
-"""Pluggable search backends behind the budgeted solver.
+"""The search backend behind the budgeted solver.
 
-The solver's single search strategy (:class:`~repro.solver.solver._Search`:
-propagation + candidate-guided DFS in first-appearance variable order)
-is right *on average* but pathological on individual queries — a
-constraint whose satisfying value sits late in the reference candidate
-order burns the whole budget walking there.  A portfolio of cheap
-strategy *variants* hedges that variance: each backend runs the same
-complete search with a different exploration order, so whichever order
-happens to fit the query resolves it first.
-
-``SolverBackend`` is the protocol: ``search(constraints, budget,
-hints=None, retained=None)`` returns ``(model, snapshot)`` or raises
-:class:`~repro.errors.UnsatError` / :class:`~repro.errors.SolverTimeout`
-/ :class:`~repro.errors.SearchCancelled`.  ``snapshot`` is the
-post-propagation ``(env, satisfied, learned, skipped)`` harvest feeding
-the assumption stack (see :mod:`repro.solver.incremental`); ``retained``
-seeds the search from it.  Definitive failures carry the same harvest on
-the exception (``exc.snapshot``): an unsat proof's learned conflicts are
-exactly the expensive facts worth retaining for the sibling query.
-Every backend is *complete*: given enough budget it finds a
-model or proves unsat, so variants can only differ from the reference
-in which they reach first — never in the verdict.
-
-Backends are stateless and cheap; a :class:`~repro.solver.solver.Solver`
-instantiates its set once (see :func:`make_backends`) and the
-portfolio racer (:mod:`repro.solver.portfolio`) runs them against each
-other.
+:class:`ReferenceBackend` runs one :class:`~repro.solver.solver._Search`
+(propagation + candidate-guided DFS in first-appearance variable order)
+over one query.  ``search(constraints, budget, hints=None,
+retained=None)`` returns ``(model, snapshot)`` or raises
+:class:`~repro.errors.UnsatError` / :class:`~repro.errors.SolverTimeout`.
+``snapshot`` is the post-propagation ``(env, env_deps, satisfied,
+learned, skipped)`` harvest feeding the assumption stack (see
+:mod:`repro.solver.incremental`); ``retained`` seeds the search from it.
+Definitive failures carry the same harvest on the exception
+(``exc.snapshot``): an unsat proof's learned conflicts are exactly the
+expensive facts worth retaining for the sibling query.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
 from ..errors import SolverTimeout, UnsatError
-from .budget import Budget
-from .model import Model
 from .solver import _Search
-from .terms import Term
 
-__all__ = ["SolverBackend", "ReferenceBackend", "ReverseCandidateBackend",
-           "ReverseVariableBackend", "StagedBackend", "make_backends",
-           "BACKEND_ORDER"]
-
-#: the (env, satisfied-constraints, learned-conflicts, skipped-count)
-#: harvest of one search — propagation facts plus DFS conflict clauses
-Snapshot = Tuple[Dict[str, int], frozenset, Dict[str, Dict[int, int]], int]
+__all__ = ["ReferenceBackend"]
 
 
-class SolverBackend:
-    """Protocol: one complete search strategy over one query."""
-
-    name: str = "abstract"
-
-    def search(self, constraints: Sequence[Term], budget: Budget,
-               hints: Optional[Dict[str, int]] = None,
-               retained: Optional[Snapshot] = None
-               ) -> Tuple[Model, Optional[Snapshot]]:
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"<{type(self).__name__} {self.name!r}>"
-
-
-class ReferenceBackend(SolverBackend):
-    """Today's `_Search`, verbatim — the strategy whose answers commit."""
-
-    name = "reference"
-    search_cls = _Search
+class ReferenceBackend:
+    """One complete `_Search` per query."""
 
     def search(self, constraints, budget, hints=None, retained=None):
-        search = self.search_cls(list(constraints), budget, hints=hints,
-                                 retained=retained)
+        search = _Search(list(constraints), budget, hints=hints,
+                         retained=retained)
         try:
             model = search.run()
         except (UnsatError, SolverTimeout) as exc:
@@ -79,118 +35,3 @@ class ReferenceBackend(SolverBackend):
             exc.snapshot = search.harvest()
             raise
         return model, search.harvest()
-
-
-class _ReverseCandidateSearch(_Search):
-    """Anti-correlated candidate order: exhaustive tail (descending)
-    first, derived/hint candidates last.  Complete — same candidate
-    *set*, opposite order — so it wins exactly the queries whose value
-    the reference order reaches last."""
-
-    def _candidates(self, name, buckets, depth):
-        yield from reversed(list(super()._candidates(name, buckets, depth)))
-
-    def _word_candidates(self, node, names, buckets, depth):
-        yield from reversed(
-            list(super()._word_candidates(node, names, buckets, depth)))
-
-
-class _ReverseVariableSearch(_Search):
-    """Decide variables in reverse first-appearance order.  Word groups
-    stay contiguous (reversal is chunk-wise), so late-appearing
-    variables — typically the ones closest to the failure — are pinned
-    first and prune early."""
-
-    def _variable_order(self, active, groups=None):
-        base = super()._variable_order(active, groups)
-        groups = groups or {}
-        chunks: List[List[str]] = []
-        i = 0
-        while i < len(base):
-            group = groups.get(base[i])
-            names = group[0] if group else None
-            if names and list(names) == base[i:i + len(names)]:
-                chunks.append(base[i:i + len(names)])
-                i += len(names)
-            else:
-                chunks.append([base[i]])
-                i += 1
-        return [name for chunk in reversed(chunks) for name in chunk]
-
-
-class ReverseCandidateBackend(ReferenceBackend):
-    name = "reverse-candidates"
-    search_cls = _ReverseCandidateSearch
-
-
-class ReverseVariableBackend(ReferenceBackend):
-    name = "reverse-variables"
-    search_cls = _ReverseVariableSearch
-
-
-class _StageExhausted(SolverTimeout):
-    """A restart stage hit its slice cap (internal to StagedBackend)."""
-
-
-class _SlicedBudget(Budget):
-    """A stage-local cap that still charges (and obeys) the race budget.
-
-    Every unit flows through the parent first, so cancellation and the
-    racer's own window fire mid-stage; the slice cap then raises the
-    *distinct* :class:`_StageExhausted`, which only the restart ladder
-    catches.
-    """
-
-    def __init__(self, parent: Budget, cap: int, context: str = ""):
-        super().__init__(cap, context)
-        self._parent = parent
-
-    def charge(self, amount: int) -> None:
-        self._parent.charge(amount)
-        self.spent += amount
-        if self.spent > self.limit:
-            raise _StageExhausted(self.spent, self.limit, self.context)
-
-
-class StagedBackend(SolverBackend):
-    """Budget-schedule variant: a restart ladder over the other orders.
-
-    Short slices of the variant orders catch easy-for-them queries
-    almost free; the remaining window then runs the reference order to
-    completion.  Unsat from any stage is a complete proof (the stage
-    exhausted its search space, not its slice) and commits immediately.
-    """
-
-    name = "staged"
-
-    def search(self, constraints, budget, hints=None, retained=None):
-        window = budget.remaining()
-        ladder = [(_ReverseCandidateSearch, max(1, window // 16)),
-                  (_ReverseVariableSearch, max(1, window // 8)),
-                  (_Search, None)]
-        for search_cls, cap in ladder:
-            sub = budget if cap is None else _SlicedBudget(
-                budget, cap, budget.context)
-            try:
-                search = search_cls(list(constraints), sub, hints=hints,
-                                    retained=retained)
-                return search.run(), search.harvest()
-            except _StageExhausted:
-                continue  # slice spent: restart with the next strategy
-            except (UnsatError, SolverTimeout) as exc:
-                exc.snapshot = search.harvest()
-                raise
-        raise SolverTimeout(budget.spent, budget.limit, budget.context)
-
-
-#: portfolio composition, reference first — ``--portfolio N`` races the
-#: first N (capped: strategies beyond these would duplicate an order)
-BACKEND_ORDER = (ReferenceBackend, ReverseCandidateBackend,
-                 ReverseVariableBackend, StagedBackend)
-
-
-def make_backends(n: int) -> List[SolverBackend]:
-    """The first ``n`` strategies, reference always included and first."""
-    if n < 1:
-        raise ValueError(f"portfolio width must be >= 1, got {n}")
-    return [cls() for cls in BACKEND_ORDER[:min(n, len(BACKEND_ORDER))]]

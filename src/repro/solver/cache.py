@@ -227,39 +227,6 @@ class SolverCache:
         if write_through and self.persistent is not None:
             self.persistent.store(self.digest_key(key), feasible)
 
-    # -- speculation ------------------------------------------------------
-
-    def commit_speculation(self, key: FrozenSet[Term], feasible: bool,
-                           model: Optional[Dict[str, int]] = None, *,
-                           keyed_model: bool = False) -> None:
-        """Commit a pre-solved fact from the pipelined loop's speculation.
-
-        Called only after the strict commit rule held: the arrived
-        occurrence's recorded values exactly matched the speculation's
-        assumed inputs, so ``key`` is a constraint set the next symex
-        run will actually build.  The fact lands in the exact-key
-        feasibility tier (and, infeasible, in the subset-subsumption
-        window; with a disk tier, it is written through) — the layers
-        that only ever return the boolean the live search would have
-        computed.
-
-        ``keyed_model`` additionally stages the speculative model into
-        the superset-model window.  It defaults *off*: a speculative
-        model was found without the session's warm-start hints, so
-        returning it from ``solve``/``feasible_values`` could pick a
-        different (equally valid) assignment than the sequential loop —
-        byte-identity across ``--pipeline``/``--no-pipeline`` is the
-        invariant, and cache warming must never perturb which model the
-        search lands on.  The probe/hint deque (``_models``) is never
-        touched for the same reason.
-        """
-        self.store_feasible(key, feasible)
-        if keyed_model and feasible and model:
-            self._keyed_models.append((key, dict(model)))
-            if self.persistent is not None:
-                self.persistent.store(self.digest_key(key), True,
-                                      model=model)
-
     # -- value enumeration ----------------------------------------------
 
     def lookup_values(self, term: Term, key: FrozenSet[Term],

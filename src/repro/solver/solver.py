@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import telemetry
-from ..errors import SearchCancelled, SolverTimeout, UnsatError
+from ..errors import SolverTimeout, UnsatError
 from ..ir.types import mask
 from .budget import DEFAULT_WORK_LIMIT, Budget
 from .cache import SolverCache, ValueEnumeration
@@ -54,8 +54,8 @@ def _metered(kind: str, budget: Budget):
     Work is charged as the budget delta so queries sharing one budget
     (e.g. the enumeration loop of ``feasible_values``) are attributed
     exactly once.  Per-outcome counters branch, but the query count and
-    the work histogram settle in one ``finally`` — every exit path,
-    including a portfolio cancellation, is attributed exactly once.
+    the work histogram settle in one ``finally`` — every exit path is
+    attributed exactly once.
     """
     tel = telemetry.get()
     before = budget.spent
@@ -69,11 +69,6 @@ def _metered(kind: str, budget: Budget):
         raise
     except UnsatError:
         tel.count("solver.unsat")
-        raise
-    except SearchCancelled:
-        tel.count("solver.cancelled")
-        logger.debug("solver %s query cancelled after %d work (%s)",
-                     kind, budget.spent - before, budget.context)
         raise
     finally:
         tel.count(f"solver.queries.{kind}")
@@ -92,15 +87,15 @@ class Solver:
     """
 
     def __init__(self, work_limit: int = DEFAULT_WORK_LIMIT,
-                 cache: Optional[SolverCache] = None,
-                 portfolio: int = 1):
+                 cache: Optional[SolverCache] = None):
         self.work_limit = work_limit
         self.cache = cache
-        # function-level import: backend subclasses _Search from this
+        # function-level import: backend wraps _Search from this
         # module, so importing it at module scope would be circular
-        from .backend import make_backends
-        #: search strategies, reference first; >1 races them per query
-        self.backends = make_backends(portfolio)
+        from .backend import ReferenceBackend
+        #: the search; called through the instance so a wrapper
+        #: installed on ``ReferenceBackend.search`` sees every query
+        self.backend = ReferenceBackend()
 
     def solve(self, constraints: Sequence[Term],
               budget: Optional[Budget] = None) -> Model:
@@ -158,13 +153,8 @@ class Solver:
                 "solver.incremental.reused_constraints").record(reused)
             retained = session.retained()
         try:
-            if len(self.backends) == 1:
-                model, snapshot = self.backends[0].search(
-                    constraints, budget, hints=hints, retained=retained)
-            else:
-                from .portfolio import race  # lazy: threading machinery
-                model, snapshot = race(self.backends, constraints, budget,
-                                       hints=hints, retained=retained)
+            model, snapshot = self.backend.search(
+                constraints, budget, hints=hints, retained=retained)
         except (UnsatError, SolverTimeout) as exc:
             # an unsat proof (or even a timed-out search) completed
             # candidate-subtree refutations siblings can reuse; the

@@ -486,69 +486,6 @@ def symbolic_store_count(arr: Term) -> int:
     return count
 
 
-def substitute(term: Term, mapping: Dict[Term, Term]) -> Term:
-    """Rebuild ``term`` with every occurrence of a mapped subterm replaced.
-
-    Replacement goes through the public constructors, so constant
-    folding and simplification fire exactly as they would have during
-    execution — substituting a recorded register's term by its constant
-    yields the same (structurally equal) terms the engine builds when it
-    concretizes that register at a ``ptwrite``.  That is what lets a
-    speculatively pre-solved constraint set match the next occurrence's
-    live query key.  Matching is structural (mapped keys may come from
-    any term scope); the traversal is iterative (loop-grown terms exceed
-    the recursion limit).
-    """
-    if not mapping:
-        return term
-    rebuilt: Dict[int, Term] = {}
-    stack: List[Tuple[Term, bool]] = [(term, False)]
-    while stack:
-        node, ready = stack.pop()
-        if id(node) in rebuilt:
-            continue
-        if not ready:
-            replacement = mapping.get(node)
-            if replacement is not None:
-                rebuilt[id(node)] = replacement
-                continue
-            stack.append((node, True))
-            for arg in node.args:
-                if isinstance(arg, Term) and id(arg) not in rebuilt:
-                    stack.append((arg, False))
-            continue
-        rebuilt[id(node)] = _rebuild_node(node, rebuilt)
-    return rebuilt[id(term)]
-
-
-def _rebuild_node(node: Term, rebuilt: Dict[int, Term]) -> Term:
-    """One substituted node, re-run through its public constructor."""
-    args = tuple(rebuilt[id(a)] if isinstance(a, Term) else a
-                 for a in node.args)
-    if all(new is old for new, old in zip(args, node.args)):
-        return node
-    op = node.op
-    if op in BINOP_OPS:
-        return binop(op, args[0], args[1], args[2])
-    if op in CMP_OPS:
-        return cmp(op, args[0], args[1], args[2])
-    if op == "store":
-        return store(args[0], args[1], args[2])
-    if op == "read":
-        return read(args[0], args[1])
-    if op == "concat":
-        return concat(args)
-    if op == "extract":
-        return extract(args[0], args[1])
-    if op == "trunc":
-        return trunc(args[0], args[1])
-    if op == "sext":
-        return sext(args[0], args[1])
-    if op == "ite":
-        return ite(args[0], args[1], args[2])
-    return _intern(op, args, node.width)
-
-
 # ----------------------------------------------------------------------
 # canonical serialization (disk-cache keys cross process boundaries)
 

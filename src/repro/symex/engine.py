@@ -86,8 +86,7 @@ class ShepherdedSymex:
                  continue_on_stall: bool = False,
                  banned_concretizations=None,
                  gap_decisions=None,
-                 solver_cache: Optional[SolverCache] = None,
-                 portfolio: int = 1):
+                 solver_cache: Optional[SolverCache] = None):
         self.module = module
         self.trace = trace
         self.failure = failure
@@ -110,11 +109,7 @@ class ShepherdedSymex:
         #: the previous iteration's partial model
         self.solver_cache = (solver_cache if solver_cache is not None
                              else SolverCache())
-        #: >1 races that many search strategies per query (answers stay
-        #: byte-identical to the reference strategy; see solver/portfolio)
-        self.portfolio = portfolio
-        self.solver = Solver(work_limit, cache=self.solver_cache,
-                             portfolio=portfolio)
+        self.solver = Solver(work_limit, cache=self.solver_cache)
         self.sym_env = SymbolicEnvironment()
         self.memory = SymMemory(module)
         self.threads: Dict[int, SymThread] = {}

@@ -31,8 +31,8 @@ logger = logging.getLogger(__name__)
 #: bound on replays (exponential worst case; divergence-guided in practice)
 MAX_GAP_ATTEMPTS = 512
 
-#: re-export: :class:`SearchCancelled` historically lived here; the
-#: portfolio racer shares it now, so the class moved to ``repro.errors``
+#: re-export: the ``control`` hook below raises :class:`SearchCancelled`,
+#: which is defined in ``repro.errors``
 __all__ = ["SearchCancelled", "replay_with_gap_recovery",
            "MAX_GAP_ATTEMPTS"]
 
@@ -42,9 +42,7 @@ def replay_with_gap_recovery(module: Module, trace: DecodedTrace,
                              max_attempts: int = MAX_GAP_ATTEMPTS,
                              shards: int = 1,
                              cache_dir: Optional[str] = None,
-                             steal: bool = True,
                              incremental: bool = True,
-                             preshard=None,
                              **engine_kwargs) -> SymexResult:
     """Shepherd a trace containing :class:`GapEvent`s.
 
@@ -56,18 +54,15 @@ def replay_with_gap_recovery(module: Module, trace: DecodedTrace,
 
     ``shards > 1`` fans the search out over worker processes (see
     :func:`repro.parallel.shard_gap_search`): the decision tree is split
-    into prefix subspaces explored concurrently, and the first solution
-    in serial DFS order wins, so the result matches the serial search.
-    ``steal`` selects the work-stealing scheduler (idle workers split a
-    busy sibling's subspace; the default) over the static 2^k prefix
-    fan-out.  ``cache_dir`` points every worker (and the serial search)
-    at a shared persistent solver cache.  ``incremental`` (default on)
-    gives the session an :class:`AssumptionStack`, so sibling attempts'
-    queries along a shared constraint prefix re-solve only the delta;
-    switching it off re-solves every sibling from scratch (the A/B the
-    benchmark harness measures).  ``preshard`` is the pipelined loop's
-    predicted prefix partition, forwarded to the sharded search purely
-    for hit/miss accounting.
+    into prefix subspaces explored concurrently, idle workers split a
+    busy sibling's subspace, and the first solution in serial DFS order
+    wins, so the result matches the serial search.  ``cache_dir``
+    points every worker (and the serial search) at a shared persistent
+    solver cache.  ``incremental`` (default on) gives the session an
+    :class:`AssumptionStack`, so sibling attempts' queries along a
+    shared constraint prefix re-solve only the delta; switching it off
+    re-solves every sibling from scratch (the A/B the benchmark harness
+    measures).
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
@@ -84,8 +79,7 @@ def replay_with_gap_recovery(module: Module, trace: DecodedTrace,
         return shard_gap_search(module, trace, failure,
                                 shards=shards, max_attempts=max_attempts,
                                 solver_cache=cache, cache_dir=cache_dir,
-                                steal=steal, incremental=incremental,
-                                preshard=preshard,
+                                incremental=incremental,
                                 **engine_kwargs)
     if incremental and cache.assumptions is None:
         cache.assumptions = AssumptionStack()

@@ -214,21 +214,6 @@ def render_stats(events: Sequence[Dict]) -> str:
                                          for name, value in tiers)
                              + ")")
             parts.append(line)
-        races = counters.get("solver.portfolio.races", 0)
-        if races:
-            wins = {name[len("solver.portfolio.wins."):]: value
-                    for name, value in counters.items()
-                    if name.startswith("solver.portfolio.wins.")}
-            win_text = ", ".join(f"{name} {count}" for name, count
-                                 in sorted(wins.items()))
-            parts.append(
-                f"solver portfolio: {races} races (wins: {win_text}); "
-                f"{counters.get('solver.portfolio.rescues', 0)} unsat "
-                f"rescues, "
-                f"{counters.get('solver.portfolio.cancelled', 0)} "
-                f"cancelled, "
-                f"{counters.get('solver.portfolio.variant_sat_discarded', 0)}"
-                " variant models discarded")
         inc_queries = counters.get("solver.incremental.queries", 0)
         if inc_queries:
             parts.append(
@@ -240,28 +225,10 @@ def render_stats(events: Sequence[Dict]) -> str:
                 f"{counters.get('solver.incremental.skipped_candidates', 0)} "
                 f"candidates pruned")
         histograms = metrics.get("histograms", {})
-        speculations = counters.get("pipeline.speculations", 0)
         spinups = counters.get("parallel.pool.spinups", 0)
-        pipeline_active = any(
-            name.startswith("pipeline.") for name in counters)
-        if speculations or spinups or pipeline_active:
-            commits = counters.get("pipeline.commits", 0)
-            hit_rate = (f"{commits / speculations:.1%}"
-                        if speculations else "n/a")
-            overlap = histograms.get("pipeline.overlap_seconds",
-                                     {}).get("sum", 0.0)
-            generations = counters.get("parallel.pool.generations", 0)
+        generations = counters.get("parallel.pool.generations", 0)
+        if spinups or generations:
             parts.append(
-                f"pipeline: {speculations} speculations, {commits} "
-                f"committed ({hit_rate} hit rate), "
-                f"{counters.get('pipeline.discards', 0)} discarded, "
-                f"{counters.get('pipeline.unspeculable_stalls', 0)} "
-                f"unspeculable stalls, "
-                f"{counters.get('pipeline.enum_timeouts', 0)} "
-                f"enumeration timeouts; {overlap:.3f}s overlapped with "
-                f"the production wait; preshard "
-                f"{counters.get('pipeline.preshard_hits', 0)} hits / "
-                f"{counters.get('pipeline.preshard_misses', 0)} misses; "
                 f"worker pool: {spinups} spin-ups over {generations} "
                 f"jobs ({counters.get('parallel.pool.reuses', 0)} "
                 f"reused, {counters.get('parallel.pool.reaps', 0)} "

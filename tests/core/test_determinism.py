@@ -9,6 +9,7 @@ from repro import telemetry
 from repro.core import ExecutionReconstructor, ProductionSite
 from repro.interp.env import Environment
 from repro.ir.builder import ModuleBuilder
+from repro.workloads import get_workload, workload_names
 
 
 def _report_fingerprint(report):
@@ -89,6 +90,35 @@ class TestDeterminism:
         assert all(r["success"] for r in serial.values())
 
 
+class TestWorkloadDeterminism:
+    """On every Table-1 workload the sequential loop's outcome is a pure
+    function of the workload: back-to-back reconstructions agree on each
+    iteration's work, not just on the final test case."""
+
+    @staticmethod
+    def _run(name):
+        workload = get_workload(name)
+        er = ExecutionReconstructor(workload.fresh_module(),
+                                    work_limit=workload.work_limit,
+                                    max_occurrences=workload.max_occurrences)
+        return er.reconstruct(ProductionSite(workload.failing_env))
+
+    @staticmethod
+    def _fingerprint(report):
+        fingerprint = _report_fingerprint(report)
+        fingerprint["work"] = [
+            (it.instr_count, it.trace_bytes, it.solver_calls,
+             it.symex_modelled_seconds, it.recording_cost, it.stall_point)
+            for it in report.iterations]
+        return fingerprint
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_back_to_back_runs_identical(self, name):
+        first = self._run(name)
+        assert first.success and first.verified
+        assert self._fingerprint(self._run(name)) == self._fingerprint(first)
+
+
 class TestUnrelatedBudget:
     def test_unrelated_failures_do_not_consume_budget(self):
         module = _two_bug_module()
@@ -131,3 +161,25 @@ class TestUnrelatedBudget:
         assert report.unrelated_occurrences == 3
         assert report.occurrences == 1    # only the real one counted
         assert "unrelated failures observed: 3" in report.summary()
+
+
+class TestUnrelatedWaitAccounting:
+    def test_unrelated_occurrence_records_wait_seconds(self):
+        # the unrelated failure's production wait must land in the
+        # dropped-phase histogram
+        def factory(occ):
+            data = b"\xff\x00" if occ == 2 else bytes([9, 9])
+            return Environment({"stdin": data})
+
+        registry = telemetry.Telemetry()
+        with telemetry.scoped(registry):
+            er = ExecutionReconstructor(_two_bug_module(),
+                                        work_limit=100,
+                                        max_occurrences=3)
+            report = er.reconstruct(ProductionSite(factory))
+        assert report.success
+        assert report.unrelated_occurrences == 1
+        snap = registry.snapshot()
+        hist = snap["histograms"].get("reconstruct.unrelated_wait_seconds")
+        assert hist is not None and hist["count"] == 1
+        assert hist["sum"] >= 0.0

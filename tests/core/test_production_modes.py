@@ -1,4 +1,5 @@
-"""ProductionSite operational modes: buffer growth, deferred tracing."""
+"""ProductionSite operational modes: buffer growth, deferred tracing,
+deferred (background-thread) occurrences."""
 
 import pytest
 
@@ -7,6 +8,7 @@ from repro.core.production import ProductionSite
 from repro.core.reconstructor import ExecutionReconstructor
 from repro.errors import ReconstructionError
 from repro.interp.env import Environment
+from repro.workloads import get_workload
 
 
 def failing_factory(occ):
@@ -86,6 +88,45 @@ class TestDeferredTracing:
         assert report.success
 
 
+class TestDeferredOccurrence:
+    def test_start_delivers_same_occurrence_as_run_once(self):
+        workload = get_workload("objdump-2018-6323")
+        site = ProductionSite(workload.failing_env)
+        deferred = site.start(workload.fresh_module())
+        occurrence = deferred.wait()
+        assert deferred.done()
+        assert deferred.wait() is occurrence
+        assert occurrence.failure is not None
+        assert occurrence.trace.chunks
+
+    def test_only_one_deferred_run_at_a_time(self):
+        workload = get_workload("objdump-2018-6323")
+        site = ProductionSite(workload.failing_env,
+                              reoccurrence_delay=0.5)
+        module = workload.fresh_module()
+        site.start(module)
+        with pytest.raises(ReconstructionError, match="already active"):
+            site.start(module)
+
+    def test_start_returns_before_the_run_finishes(self):
+        workload = get_workload("objdump-2018-6323")
+        site = ProductionSite(workload.failing_env,
+                              reoccurrence_delay=0.3)
+        deferred = site.start(workload.fresh_module())
+        assert not deferred.done()  # still sleeping
+        assert deferred.wait().failure is not None
+
+    def test_background_exception_reraised_on_wait(self):
+        def exploding_env(_):
+            raise RuntimeError("production environment down")
+
+        site = ProductionSite(exploding_env)
+        deferred = site.start(get_workload(
+            "objdump-2018-6323").fresh_module())
+        with pytest.raises(RuntimeError, match="environment down"):
+            deferred.wait()
+
+
 class TestDeferredErrorSurfacing:
     """A deferred run that fails *unobserved* must not vanish.
 
@@ -133,7 +174,7 @@ class TestDeferredErrorSurfacing:
         self._settle(deferred)
         assert isinstance(deferred.unraised_error(), RuntimeError)
         with pytest.raises(RuntimeError):
-            deferred.poll()
+            deferred.wait()
         assert deferred.unraised_error() is None  # delivered
 
     def test_successful_run_never_flagged(self, abort_module):

@@ -151,6 +151,49 @@ class TestRenderStats:
         assert "Metric histograms" in text
         assert "parallel.shard_subspace_attempts" in text
 
+    def test_worker_pool_line_from_pool_counters_alone(self):
+        events = [
+            iteration_end(1),
+            {"type": "snapshot",
+             "metrics": {"counters": {"parallel.pool.spinups": 1,
+                                      "parallel.pool.generations": 2,
+                                      "parallel.pool.reuses": 1},
+                         "histograms": {}}},
+        ]
+        text = render_stats(events)
+        assert ("worker pool: 1 spin-ups over 2 jobs (1 reused, 0 idle "
+                "reaps)") in text
+        assert "pipeline:" not in text
+
+    def test_no_worker_pool_line_without_a_pool(self):
+        events = [
+            iteration_end(1),
+            {"type": "snapshot",
+             "metrics": {"counters": {"production.runs": 4},
+                         "histograms": {}}},
+        ]
+        assert "worker pool:" not in render_stats(events)
+
+    def test_older_logs_render_without_loop_summaries(self):
+        # a log recorded with speculation and solver racing still loads;
+        # its counters show in the table, but no summary line claims
+        # mechanisms the loop no longer has
+        events = [
+            iteration_end(1),
+            {"type": "snapshot",
+             "metrics": {"counters": {"pipeline.speculations": 3,
+                                      "pipeline.commits": 1,
+                                      "solver.portfolio.races": 5,
+                                      "parallel.pool.spinups": 1,
+                                      "parallel.pool.generations": 1},
+                         "histograms": {}}},
+        ]
+        text = render_stats(events)
+        assert "pipeline.speculations" in text
+        assert "pipeline:" not in text
+        assert "solver portfolio:" not in text
+        assert "worker pool: 1 spin-ups over 1 jobs" in text
+
     def test_no_cache_line_without_cache_counters(self):
         events = [
             iteration_end(1),

@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.ir import format_module
 
 EIR = pathlib.Path(__file__).parent.parent / "examples" / "programs" \
@@ -290,11 +290,9 @@ class TestServe:
     def test_serve_writes_summary_artifact(self, capsys, tmp_path):
         out = tmp_path / "BENCH_serve.json"
         assert main(["serve", "sqlite-7be932d", "--instances", "2",
-                     "--parallel", "2", "--pipeline",
-                     "-o", str(out)]) == 0
+                     "--parallel", "2", "-o", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["instances"] == 2
-        assert data["pipeline"] is True
         assert data["buckets"][0]["signature"]["digest"]
         assert "telemetry" in data
         assert data["telemetry"]["counters"]["serve.reports"] >= 2
@@ -310,6 +308,42 @@ class TestServe:
 
     def test_serve_unknown_workload(self, capsys):
         assert main(["serve", "no-such-bug"]) == 2
+
+
+class TestLoopFlags:
+    """The reconstruction loop is the paper's sequential one: reproduce
+    and bench offer no pipelining, solver-portfolio, shard-scheduler or
+    simulated-wait knobs, while serve keeps its jittered fleet wait."""
+
+    REMOVED = ["--pipeline", "--portfolio", "--steal",
+               "--reoccurrence-delay"]
+
+    @staticmethod
+    def _help(capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", REMOVED)
+    @pytest.mark.parametrize("command", ["reproduce", "bench"])
+    def test_flag_neither_listed_nor_accepted(self, capsys, command, flag):
+        assert flag not in self._help(capsys, command)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "objdump-2018-6323", flag])
+        assert exc.value.code == 2
+
+    def test_serve_offers_no_pipeline(self, capsys):
+        assert "--pipeline" not in self._help(capsys, "serve")
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "objdump-2018-6323", "--pipeline"])
+        assert exc.value.code == 2
+
+    def test_serve_keeps_fleet_wait(self, capsys):
+        assert "--reoccurrence-delay" in self._help(capsys, "serve")
+        args = build_parser().parse_args(
+            ["serve", "objdump-2018-6323", "--reoccurrence-delay", "0.2"])
+        assert args.reoccurrence_delay == 0.2
 
 
 class TestReproduceSharded:

@@ -13,9 +13,9 @@ from repro import telemetry
 from repro.core import ProductionSite
 from repro.ir.module import ProgramPoint
 from repro.parallel import (BatchItem, BatchResult, GapShardOutcome,
-                            _choose_outcome, _dfs_key, _shard_prefixes,
-                            _StealControl, _steal_prefixes, run_batch,
-                            shard_gap_search, write_merged_jsonl)
+                            _choose_outcome, _dfs_key, _StealControl,
+                            _steal_prefixes, run_batch, shard_gap_search,
+                            write_merged_jsonl)
 from repro.symex.gaps import SearchCancelled, replay_with_gap_recovery
 from repro.workloads import get_workload
 
@@ -93,9 +93,7 @@ def _degraded_occurrence(name):
 
 
 class TestShardedGapSearch:
-    @pytest.mark.parametrize("steal", [True, False],
-                             ids=["steal", "static"])
-    def test_matches_serial_on_gap_heavy_workloads(self, steal):
+    def test_matches_serial_on_gap_heavy_workloads(self):
         for name in FAST:
             workload, module, occ = _degraded_occurrence(name)
             kwargs = dict(work_limit=workload.work_limit * 20)
@@ -103,7 +101,7 @@ class TestShardedGapSearch:
                                               occ.failure, **kwargs)
             sharded = replay_with_gap_recovery(module, occ.trace,
                                                occ.failure, shards=2,
-                                               steal=steal, **kwargs)
+                                               **kwargs)
             assert sharded.status == serial.status, name
             serial_model = (serial.model.assignment
                             if serial.model else None)
@@ -143,9 +141,7 @@ class TestShardedGapSearch:
         assert hist["count"] == snap["counters"]["parallel.gap_shards"]
         assert hist["sum"] == result.gap_attempts
 
-    @pytest.mark.parametrize("steal", [True, False],
-                             ids=["steal", "static"])
-    def test_all_diverged_matches_serial(self, steal):
+    def test_all_diverged_matches_serial(self):
         # displace the failure point one instruction: no decision vector
         # reaches it, so every subspace diverges and the sharded search
         # must report the same divergence the serial walk does
@@ -158,8 +154,7 @@ class TestShardedGapSearch:
         serial = replay_with_gap_recovery(module, occ.trace, wrong,
                                           **kwargs)
         sharded = replay_with_gap_recovery(module, occ.trace, wrong,
-                                           shards=2, steal=steal,
-                                           **kwargs)
+                                           shards=2, **kwargs)
         assert serial.status == sharded.status == "diverged"
         assert sharded.diverged_chunk == serial.diverged_chunk
         # the reason's base matches serial; the attempt suffix counts
@@ -195,24 +190,16 @@ class TestShardPrefixes:
         _, _, occ = _degraded_occurrence(name)
         return occ.trace
 
-    def test_serial_dfs_order(self):
-        trace = self._trace()
-        prefixes = _shard_prefixes(trace, shards=2)
-        assert prefixes[0] == [True] * len(prefixes[0])  # serial start
-        assert prefixes[-1] == [False] * len(prefixes[0])
-        assert len(prefixes) == 2 ** len(prefixes[0])
-        assert len(set(map(tuple, prefixes))) == len(prefixes)
-
     def test_depth_bounded_by_gap_count(self):
         workload = get_workload(FAST[0])
         module = workload.fresh_module()
         occ = ProductionSite(workload.failing_env).run_once(module)
-        assert _shard_prefixes(occ.trace, shards=4) == []  # no gaps
+        assert _steal_prefixes(occ.trace, shards=4) == []  # no gaps
 
     def test_more_shards_more_tasks(self):
         trace = self._trace()
-        assert len(_shard_prefixes(trace, shards=8)) >= \
-            len(_shard_prefixes(trace, shards=2))
+        assert len(_steal_prefixes(trace, shards=8)) >= \
+            len(_steal_prefixes(trace, shards=2))
 
     def test_steal_prefixes_cover_pool_width_only(self):
         # stealing rebalances at runtime, so the seed fan-out stays at
@@ -220,8 +207,6 @@ class TestShardPrefixes:
         trace = self._trace()
         assert len(_steal_prefixes(trace, shards=2)) == 2
         assert len(_steal_prefixes(trace, shards=4)) == 4
-        assert len(_steal_prefixes(trace, shards=2)) <= \
-            len(_shard_prefixes(trace, shards=2))
 
     def test_steal_prefixes_serial_dfs_order(self):
         trace = self._trace()

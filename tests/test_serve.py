@@ -20,16 +20,16 @@ from repro.serve import (FailureReport, FleetService, SignatureBucket,
                          jitter_factor)
 from repro.core.signature import FaultSignature
 from repro.interp.env import Environment
-from repro.workloads.registry import get_workload
+from repro.workloads.registry import get_workload, workload_names
 
 WORKLOAD = "sqlite-7be932d"
 
 
-def _single_site(name, *, pipeline=False):
+def _single_site(name):
     w = get_workload(name)
     reconstructor = ExecutionReconstructor(
         w.fresh_module(), work_limit=w.work_limit,
-        max_occurrences=w.max_occurrences, pipeline=pipeline)
+        max_occurrences=w.max_occurrences)
     return reconstructor.reconstruct(ProductionSite(w.failing_env))
 
 
@@ -159,11 +159,18 @@ class TestFleetService:
             assert bucket.iterations == len(single.iterations)
             assert bucket.verified == single.verified
 
-    def test_pipeline_mode_byte_identical(self):
-        single = _single_site(WORKLOAD, pipeline=True)
-        summary = FleetService([WORKLOAD], instances=2,
-                               pipeline=True).run()
-        assert summary.buckets[0].streams == _streams(single)
+    @pytest.mark.parametrize("name", workload_names())
+    def test_every_workload_matches_single_site(self, name):
+        # instances deploy, wait and report through the deferred
+        # production path; the bucket must still converge on exactly
+        # the sequential loop's reconstruction
+        single = _single_site(name)
+        bucket = FleetService([name], instances=2).run().buckets[0]
+        assert bucket.success and single.success
+        assert bucket.streams == _streams(single)
+        assert bucket.iterations == len(single.iterations)
+        assert bucket.occurrences_consumed == single.occurrences
+        assert bucket.verified == single.verified
 
     def test_deterministic_across_runs(self):
         first = FleetService([WORKLOAD], instances=3).run()
