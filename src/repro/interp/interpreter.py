@@ -128,36 +128,6 @@ class Interpreter:
         self._main_returned: Optional[int] = None
         self._rr_cursor = 0
 
-        self._dispatch = {
-            ins.Const: self._exec_const,
-            ins.BinOp: self._exec_binop,
-            ins.Cmp: self._exec_cmp,
-            ins.Select: self._exec_select,
-            ins.Trunc: self._exec_trunc,
-            ins.SExt: self._exec_sext,
-            ins.GlobalAddr: self._exec_global,
-            ins.FrameAlloc: self._exec_alloca,
-            ins.HeapAlloc: self._exec_malloc,
-            ins.HeapFree: self._exec_free,
-            ins.Gep: self._exec_gep,
-            ins.Load: self._exec_load,
-            ins.Store: self._exec_store,
-            ins.Jmp: self._exec_jmp,
-            ins.Br: self._exec_br,
-            ins.Call: self._exec_call,
-            ins.Ret: self._exec_ret,
-            ins.Input: self._exec_input,
-            ins.Output: self._exec_output,
-            ins.Assert: self._exec_assert,
-            ins.Abort: self._exec_abort,
-            ins.PtWrite: self._exec_ptwrite,
-            ins.Spawn: self._exec_spawn,
-            ins.Join: self._exec_join,
-            ins.Lock: self._exec_lock,
-            ins.Unlock: self._exec_unlock,
-            ins.Nop: self._exec_nop,
-        }
-
     # ------------------------------------------------------------------
     # public API
 
@@ -236,12 +206,12 @@ class Interpreter:
         frame = thread.frame
         block = frame.func.blocks[frame.block]
         instr = block.instrs[frame.index]
-        handler = self._dispatch[type(instr)]
+        handler = self._DISPATCH[type(instr)]
         if self.on_step is not None:
             self.on_step(thread, ProgramPoint(frame.func.name, frame.block,
                                               frame.index), instr)
         try:
-            advanced = handler(thread, frame, instr)
+            advanced = handler(self, thread, frame, instr)
         except MemoryFault as fault:
             self._fail_current(thread, fault.kind, fault.message,
                                address=fault.address)
@@ -493,6 +463,41 @@ class Interpreter:
     def _exec_nop(self, thread, frame, instr) -> bool:
         self._advance(frame)
         return True
+
+    #: instruction type -> handler, called with ``self`` first.  Plain
+    #: functions, not bound methods: a table of bound methods on the
+    #: instance is a reference cycle that keeps every finished run
+    #: (its terms, trace and memory) alive until the cyclic collector
+    #: runs.
+    _DISPATCH = {
+        ins.Const: _exec_const,
+        ins.BinOp: _exec_binop,
+        ins.Cmp: _exec_cmp,
+        ins.Select: _exec_select,
+        ins.Trunc: _exec_trunc,
+        ins.SExt: _exec_sext,
+        ins.GlobalAddr: _exec_global,
+        ins.FrameAlloc: _exec_alloca,
+        ins.HeapAlloc: _exec_malloc,
+        ins.HeapFree: _exec_free,
+        ins.Gep: _exec_gep,
+        ins.Load: _exec_load,
+        ins.Store: _exec_store,
+        ins.Jmp: _exec_jmp,
+        ins.Br: _exec_br,
+        ins.Call: _exec_call,
+        ins.Ret: _exec_ret,
+        ins.Input: _exec_input,
+        ins.Output: _exec_output,
+        ins.Assert: _exec_assert,
+        ins.Abort: _exec_abort,
+        ins.PtWrite: _exec_ptwrite,
+        ins.Spawn: _exec_spawn,
+        ins.Join: _exec_join,
+        ins.Lock: _exec_lock,
+        ins.Unlock: _exec_unlock,
+        ins.Nop: _exec_nop,
+    }
 
     def _wake_joiners(self, tid: int) -> None:
         for other in self.threads:

@@ -61,7 +61,8 @@ CMP_OPS = frozenset((
 class Term:
     """An immutable, interned term node."""
 
-    __slots__ = ("op", "args", "width", "prov", "_free", "_hash")
+    __slots__ = ("op", "args", "width", "prov", "_free", "_hash",
+                 "_compiled")
 
     def __init__(self, op: str, args: tuple, width: int):
         self.op = op
@@ -71,6 +72,9 @@ class Term:
         self.prov = None
         self._free: Optional[FrozenSet[str]] = None
         self._hash = hash((op, args, width))
+        #: the evaluator's compiled form, built on first evaluation
+        #: (see :mod:`repro.solver.evaluator`); None until then
+        self._compiled = None
 
     def __hash__(self):
         return self._hash

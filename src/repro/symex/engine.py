@@ -126,36 +126,6 @@ class ShepherdedSymex:
         #: within one analysis (Fig. 5 mode)
         self._concretized: List[Tuple[Term, int]] = []
 
-        self._dispatch = {
-            ins.Const: self._exec_const,
-            ins.BinOp: self._exec_binop,
-            ins.Cmp: self._exec_cmp,
-            ins.Select: self._exec_select,
-            ins.Trunc: self._exec_trunc,
-            ins.SExt: self._exec_sext,
-            ins.GlobalAddr: self._exec_global,
-            ins.FrameAlloc: self._exec_alloca,
-            ins.HeapAlloc: self._exec_malloc,
-            ins.HeapFree: self._exec_free,
-            ins.Gep: self._exec_gep,
-            ins.Load: self._exec_load,
-            ins.Store: self._exec_store,
-            ins.Jmp: self._exec_jmp,
-            ins.Br: self._exec_br,
-            ins.Call: self._exec_call,
-            ins.Ret: self._exec_ret,
-            ins.Input: self._exec_input,
-            ins.Output: self._exec_output,
-            ins.Assert: self._exec_assert,
-            ins.Abort: self._exec_abort,
-            ins.PtWrite: self._exec_ptwrite,
-            ins.Spawn: self._exec_spawn,
-            ins.Join: self._exec_nop,
-            ins.Lock: self._exec_nop,
-            ins.Unlock: self._exec_nop,
-            ins.Nop: self._exec_nop,
-        }
-
     # ------------------------------------------------------------------
     # public API
 
@@ -270,8 +240,7 @@ class ShepherdedSymex:
         self.stats.instrs_executed += 1
         self._current_point = point
         self._current_thread = thread
-        handler = self._dispatch[type(instr)]
-        handler(thread, frame, instr, point)
+        self._DISPATCH[type(instr)](self, thread, frame, instr, point)
 
     # ------------------------------------------------------------------
     # solver plumbing
@@ -753,3 +722,38 @@ class ShepherdedSymex:
 
     def _exec_nop(self, thread, frame, instr, point):
         self._advance(frame)
+
+    #: instruction type -> handler, called with ``self`` first.  Plain
+    #: functions, not bound methods: a table of bound methods on the
+    #: instance is a reference cycle that keeps every finished run
+    #: (its terms, trace and memory) alive until the cyclic collector
+    #: runs.
+    _DISPATCH = {
+        ins.Const: _exec_const,
+        ins.BinOp: _exec_binop,
+        ins.Cmp: _exec_cmp,
+        ins.Select: _exec_select,
+        ins.Trunc: _exec_trunc,
+        ins.SExt: _exec_sext,
+        ins.GlobalAddr: _exec_global,
+        ins.FrameAlloc: _exec_alloca,
+        ins.HeapAlloc: _exec_malloc,
+        ins.HeapFree: _exec_free,
+        ins.Gep: _exec_gep,
+        ins.Load: _exec_load,
+        ins.Store: _exec_store,
+        ins.Jmp: _exec_jmp,
+        ins.Br: _exec_br,
+        ins.Call: _exec_call,
+        ins.Ret: _exec_ret,
+        ins.Input: _exec_input,
+        ins.Output: _exec_output,
+        ins.Assert: _exec_assert,
+        ins.Abort: _exec_abort,
+        ins.PtWrite: _exec_ptwrite,
+        ins.Spawn: _exec_spawn,
+        ins.Join: _exec_nop,
+        ins.Lock: _exec_nop,
+        ins.Unlock: _exec_nop,
+        ins.Nop: _exec_nop,
+    }

@@ -9,6 +9,8 @@ from repro import telemetry
 from repro.core import ExecutionReconstructor, ProductionSite
 from repro.interp.env import Environment
 from repro.ir.builder import ModuleBuilder
+from repro.solver import evaluator
+from repro.solver import terms as T
 from repro.workloads import get_workload, workload_names
 
 
@@ -117,6 +119,23 @@ class TestWorkloadDeterminism:
         first = self._run(name)
         assert first.success and first.verified
         assert self._fingerprint(self._run(name)) == self._fingerprint(first)
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_walker_only_run_identical(self, name, monkeypatch):
+        """Compiled evaluation changes wall time only.  With the compile
+        step declining every term, every query runs the walker and must
+        charge the same work, so stalls, modelled seconds, recordings
+        and the test case stay the same."""
+        compiled = self._run(name)
+        assert compiled.success and compiled.verified
+        monkeypatch.setattr(evaluator, "_compile",
+                            lambda term: evaluator._DECLINED)
+        # the only terms shared across term spaces: drop any compiled
+        # form they picked up earlier in this process
+        for singleton in (T.TRUE, T.FALSE):
+            monkeypatch.setattr(singleton, "_compiled", None)
+        walked = self._run(name)
+        assert self._fingerprint(walked) == self._fingerprint(compiled)
 
 
 class TestUnrelatedBudget:

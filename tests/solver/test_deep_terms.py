@@ -4,11 +4,13 @@ Loop-heavy programs build terms tens of thousands of nodes deep; the
 evaluator is iterative precisely so those do not blow Python's stack.
 """
 
+import time
+
 import pytest
 
 from repro.solver import terms as T
 from repro.solver.budget import Budget, UnlimitedBudget
-from repro.solver.evaluator import tv_eval
+from repro.solver.evaluator import _walk, tv_eval
 from repro.solver.solver import Solver
 
 
@@ -82,3 +84,18 @@ class TestDeepEvaluation:
         tv_eval(tree, {"x": 1}, budget)
         # roughly one visit per distinct node, not two
         assert budget.spent < 2 * 2 * 2_000 + 100
+
+    def test_doubling_dag_stays_linear(self):
+        # 24 levels of x + x: 25 distinct nodes but 2**24 paths, so
+        # anything that re-evaluates shared subterms per path never ends
+        node = T.var("x")
+        for _ in range(24):
+            node = T.binop("add", node, node, 32)
+        walked = Budget(10**9)
+        expected = _walk(node, {"x": 3}, walked)
+        budget = Budget(10**9)
+        started = time.perf_counter()
+        value = tv_eval(node, {"x": 3}, budget)
+        assert time.perf_counter() - started < 0.05
+        assert value == expected == (3 << 24) & 0xFFFFFFFF
+        assert budget.spent == walked.spent == 25

@@ -1,5 +1,8 @@
 """Shepherded symbolic execution: replay, constraints, concretization."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.interp.env import Environment
@@ -243,3 +246,24 @@ class TestConcurrencyReplay:
                            if o.name == "counter")
         final = int.from_bytes(bytes(counter_obj.data), "little")
         assert final == int.from_bytes(run.outputs["stdout"], "little")
+
+
+class TestRunLifetime:
+    def test_finished_runs_freed_without_cycle_collector(self, table_module):
+        # a finished run holds its term graph, decoded trace and memory
+        # model; reference counting alone must free them
+        gc.disable()
+        try:
+            encoder = PTEncoder(RingBuffer())
+            interp = Interpreter(table_module,
+                                 Environment({"stdin": bytes([9, 9])}),
+                                 tracer=encoder)
+            failure = interp.run().failure
+            engine = ShepherdedSymex(table_module, decode(encoder.buffer),
+                                     failure)
+            assert engine.run().completed
+            runs = [weakref.ref(interp), weakref.ref(engine)]
+            del interp, engine
+            assert [run() for run in runs] == [None, None]
+        finally:
+            gc.enable()
