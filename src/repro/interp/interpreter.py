@@ -10,6 +10,21 @@ Multi-threading uses a deterministic round-robin scheduler with an
 instruction quantum taken from the environment.  Context switches happen
 only at quantum boundaries or blocking operations — the *coarse
 interleaving hypothesis* the paper relies on (§3.4).
+
+Each basic block is compiled the first time a run enters it: every
+instruction becomes one closure ``step(interp, thread, frame)`` with its
+operand kinds (register, or an immediate masked in advance), width,
+``BINOPS``/``CMPS`` entry and branch targets resolved once.  A step
+returns ``None`` to fall through, a label to jump within the function, or
+a signal (``_SWITCH``, ``_BLOCKED``, ``_DONE``) for calls, returns and
+blocking.  The chunk loop in :meth:`Interpreter._run_chunk` keeps the
+block and index in locals, checks the step budget once per chunk, and
+applies the retirement rule: a blocked ``lock``/``join`` retires nothing,
+a failing instruction raises before it counts, and the final ``ret`` of
+``main`` halts without counting.  Compiled blocks live in a dict on the
+interpreter, so they die with the run; steps take the interpreter as an
+argument instead of capturing it, which keeps a finished run free of
+reference cycles.
 """
 
 from __future__ import annotations
@@ -20,8 +35,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..errors import InterpError
 from ..ir import instructions as ins
 from ..ir.module import Function, Module, ProgramPoint
-from ..ir.ops import apply_binop, apply_cmp
-from ..ir.types import mask, sign_extend
+from ..ir.ops import BINOPS, CMPS
+from ..ir.types import MASK64, mask, sign_extend
 from .env import Environment
 from .failures import FailureInfo, FailureKind, MemoryFault
 from .memory import Memory, MemoryObject
@@ -97,6 +112,26 @@ class _Halt(Exception):
     """Internal: stop the run (failure or main returned)."""
 
 
+class _Trap(Exception):
+    """Internal: a failing instruction; the chunk loop records it at the
+    instruction's program point."""
+
+    address = None
+
+    def __init__(self, kind: FailureKind, message: str):
+        self.kind = kind
+        self.message = message
+
+
+#: step results other than fall-through (``None``) and a jump (a label):
+#: the frame changed (call/ret), the thread blocked (retires nothing),
+#: the thread's last frame returned
+_SWITCH, _BLOCKED, _DONE = object(), object(), object()
+
+#: a compiled instruction
+Step = Callable[["Interpreter", ThreadState, Frame], object]
+
+
 class Interpreter:
     """Executes a module; deterministic for a fixed environment."""
 
@@ -127,6 +162,8 @@ class Interpreter:
         self._failure: Optional[FailureInfo] = None
         self._main_returned: Optional[int] = None
         self._rr_cursor = 0
+        #: function name -> block label -> compiled steps
+        self._compiled: Dict[str, Dict[str, List[Step]]] = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -176,52 +213,76 @@ class Interpreter:
             self._run_chunk(thread, quantum)
 
     def _run_chunk(self, thread: ThreadState, quantum: int) -> None:
+        """Run ``thread`` for up to ``quantum`` retired instructions.
+
+        The current block and index live in locals and are written back
+        to the frame whenever anyone may look at it: on a call, on a
+        failure, before an ``on_step`` hook and when the chunk ends.
+        """
         self.chunk_count += 1
-        self.tracer.begin_chunk(thread.tid, self.steps >> self.TS_SHIFT)
+        tracer = self.tracer
+        tracer.begin_chunk(thread.tid, self.steps >> self.TS_SHIFT)
+        limit = min(quantum, self.max_steps - self.steps)
         executed = 0
+        frame = thread.frames[-1]
+        label, index = frame.block, frame.index
+        blocks, code = self._enter(frame.func, label)
         try:
-            while executed < quantum and thread.status == "runnable":
-                if self.steps >= self.max_steps:
+            while executed < limit:
+                nxt = code[index](self, thread, frame)
+                if nxt is None:
+                    index += 1
+                elif nxt.__class__ is str:
+                    label, index = nxt, 0
+                    try:
+                        code = blocks[nxt]
+                    except KeyError:
+                        blocks, code = self._enter(frame.func, nxt)
+                elif nxt is _SWITCH:
+                    # a call resumes after itself; after a ret this
+                    # writes to the popped frame, which nobody reads
+                    frame.block, frame.index = label, index + 1
+                    frame = thread.frames[-1]
+                    label, index = frame.block, frame.index
+                    blocks, code = self._enter(frame.func, label)
+                elif nxt is _BLOCKED:
+                    break
+                else:  # _DONE
+                    executed += 1
+                    break
+                executed += 1
+            else:
+                if executed < quantum:  # the step budget ran out
+                    frame.block, frame.index = label, index
                     if self.hang_as_failure:
                         self._fail_current(thread, FailureKind.HANG,
                                            "step budget exhausted")
                     raise InterpError("max_steps exceeded (possible hang)")
-                advanced = self._step(thread)
-                if advanced:
-                    executed += 1
-                else:
-                    break  # blocked without executing
-        finally:
-            self.tracer.end_chunk(executed)
-
-    # ------------------------------------------------------------------
-    # single step
-
-    def _step(self, thread: ThreadState) -> bool:
-        """Execute one instruction of ``thread``.
-
-        Returns True if an instruction retired, False if the thread
-        blocked before executing.
-        """
-        frame = thread.frame
-        block = frame.func.blocks[frame.block]
-        instr = block.instrs[frame.index]
-        handler = self._DISPATCH[type(instr)]
-        if self.on_step is not None:
-            self.on_step(thread, ProgramPoint(frame.func.name, frame.block,
-                                              frame.index), instr)
-        try:
-            advanced = handler(self, thread, frame, instr)
-        except MemoryFault as fault:
+        except (MemoryFault, _Trap) as fault:
+            frame.block, frame.index = label, index
             self._fail_current(thread, fault.kind, fault.message,
                                address=fault.address)
-            return True  # unreachable; _fail_current raises
-        if advanced:
-            self.steps += 1
-        return advanced
+        finally:
+            frame.block, frame.index = label, index
+            self.steps += executed
+            tracer.end_chunk(executed)
 
-    def _advance(self, frame: Frame) -> None:
-        frame.index += 1
+    def _enter(self, func: Function,
+               label: str) -> Tuple[Dict[str, List[Step]], List[Step]]:
+        """``func``'s compiled blocks and the steps of block ``label``,
+        compiled on the run's first entry."""
+        blocks = self._compiled.setdefault(func.name, {})
+        code = blocks.get(label)
+        if code is None:
+            instrs = func.blocks[label].instrs
+            code = [_COMPILERS[type(instr)](instr, func.name, self.module)
+                    for instr in instrs]
+            if self.on_step is not None:
+                code = [_hooked(step, ProgramPoint(func.name, label, i),
+                                instr)
+                        for i, (step, instr) in enumerate(zip(code, instrs))]
+            blocks[label] = code
+        return blocks, code
 
     def _fail_current(self, thread: ThreadState, kind: FailureKind,
                       message: str = "", address: Optional[int] = None):
@@ -235,271 +296,433 @@ class Interpreter:
         )
         raise _Halt()
 
-    # ------------------------------------------------------------------
-    # operand evaluation
-
-    def _value(self, frame: Frame, operand) -> int:
-        if isinstance(operand, str):
-            try:
-                return frame.regs[operand]
-            except KeyError:
-                raise InterpError(
-                    f"read of unset register {operand} in {frame.func.name}"
-                ) from None
-        return mask(operand)
-
-    # ------------------------------------------------------------------
-    # instruction handlers (each returns True if the instruction retired)
-
-    def _exec_const(self, thread, frame, instr) -> bool:
-        frame.regs[instr.dest] = mask(instr.value)
-        self._advance(frame)
-        return True
-
-    def _exec_binop(self, thread, frame, instr) -> bool:
-        lhs = self._value(frame, instr.lhs)
-        rhs = self._value(frame, instr.rhs)
-        width = instr.width
-        op = instr.op
-        if op in ("udiv", "sdiv", "urem", "srem") and mask(rhs, width) == 0:
-            self._fail_current(thread, FailureKind.DIV_BY_ZERO,
-                               f"{op} by zero")
-        frame.regs[instr.dest] = apply_binop(op, lhs, rhs, width)
-        self._advance(frame)
-        return True
-
-    def _exec_cmp(self, thread, frame, instr) -> bool:
-        lhs = self._value(frame, instr.lhs)
-        rhs = self._value(frame, instr.rhs)
-        frame.regs[instr.dest] = apply_cmp(instr.op, lhs, rhs, instr.width)
-        self._advance(frame)
-        return True
-
-    def _exec_select(self, thread, frame, instr) -> bool:
-        cond = self._value(frame, instr.cond)
-        chosen = instr.if_true if cond != 0 else instr.if_false
-        frame.regs[instr.dest] = self._value(frame, chosen)
-        self._advance(frame)
-        return True
-
-    def _exec_trunc(self, thread, frame, instr) -> bool:
-        frame.regs[instr.dest] = mask(self._value(frame, instr.value),
-                                      instr.width)
-        self._advance(frame)
-        return True
-
-    def _exec_sext(self, thread, frame, instr) -> bool:
-        frame.regs[instr.dest] = sign_extend(
-            self._value(frame, instr.value), instr.from_width)
-        self._advance(frame)
-        return True
-
-    def _exec_global(self, thread, frame, instr) -> bool:
-        frame.regs[instr.dest] = self.memory.global_addrs[instr.name]
-        self._advance(frame)
-        return True
-
-    def _exec_alloca(self, thread, frame, instr) -> bool:
-        obj = self.memory.alloc_stack(
-            f"{frame.func.name}.{instr.name}", instr.size)
-        frame.stack_objs.append(obj)
-        frame.regs[instr.dest] = obj.base
-        self._advance(frame)
-        return True
-
-    def _exec_malloc(self, thread, frame, instr) -> bool:
-        size = self._value(frame, instr.size)
-        obj = self.memory.alloc_heap(size)
-        frame.regs[instr.dest] = obj.base
-        self._advance(frame)
-        return True
-
-    def _exec_free(self, thread, frame, instr) -> bool:
-        addr = self._value(frame, instr.addr)
-        self.memory.free_heap(addr)
-        self._advance(frame)
-        return True
-
-    def _exec_gep(self, thread, frame, instr) -> bool:
-        base = self._value(frame, instr.base)
-        index = self._value(frame, instr.index)
-        frame.regs[instr.dest] = mask(base + index * instr.scale)
-        self._advance(frame)
-        return True
-
-    def _exec_load(self, thread, frame, instr) -> bool:
-        addr = self._value(frame, instr.addr)
-        frame.regs[instr.dest] = self.memory.load(addr, instr.size)
-        self._advance(frame)
-        return True
-
-    def _exec_store(self, thread, frame, instr) -> bool:
-        addr = self._value(frame, instr.addr)
-        value = self._value(frame, instr.value)
-        self.memory.store(addr, value, instr.size)
-        self._advance(frame)
-        return True
-
-    def _exec_jmp(self, thread, frame, instr) -> bool:
-        frame.block = instr.label
-        frame.index = 0
-        return True
-
-    def _exec_br(self, thread, frame, instr) -> bool:
-        taken = self._value(frame, instr.cond) != 0
-        self.branch_count += 1
-        self.tracer.on_branch(taken)
-        frame.block = instr.if_true if taken else instr.if_false
-        frame.index = 0
-        return True
-
-    def _exec_call(self, thread, frame, instr) -> bool:
-        if len(thread.frames) >= self.stack_limit:
-            self._fail_current(thread, FailureKind.STACK_OVERFLOW,
-                               f"call depth {len(thread.frames)}")
-        callee = self.module.function(instr.func)
-        regs = {p: self._value(frame, a)
-                for p, a in zip(callee.params, instr.args)}
-        self._advance(frame)  # return continues after the call
-        thread.frames.append(Frame(callee, next(iter(callee.blocks)), 0,
-                                   regs, ret_reg=instr.dest))
-        return True
-
-    def _exec_ret(self, thread, frame, instr) -> bool:
-        value = 0 if instr.value is None else self._value(frame, instr.value)
-        for obj in frame.stack_objs:
-            self.memory.release_stack(obj)
-        thread.frames.pop()
-        if not thread.frames:
-            thread.status = "done"
-            thread.return_value = value
-            self._wake_joiners(thread.tid)
-            if thread.tid == 0:
-                self._main_returned = value
-                raise _Halt()
-            return True
-        caller = thread.frame
-        ret_reg = frame.ret_reg
-        if ret_reg is not None:
-            caller.regs[ret_reg] = value
-        return True
-
-    def _exec_input(self, thread, frame, instr) -> bool:
-        data = self.env.read(instr.stream, instr.size)
-        frame.regs[instr.dest] = int.from_bytes(data, "little")
-        self._advance(frame)
-        return True
-
-    def _exec_output(self, thread, frame, instr) -> bool:
-        value = self._value(frame, instr.value)
-        buf = self.outputs.setdefault(instr.stream, bytearray())
-        buf += mask(value, instr.size * 8).to_bytes(instr.size, "little")
-        self._advance(frame)
-        return True
-
-    def _exec_assert(self, thread, frame, instr) -> bool:
-        if self._value(frame, instr.cond) == 0:
-            self._fail_current(thread, FailureKind.ASSERT, instr.message)
-        self._advance(frame)
-        return True
-
-    def _exec_abort(self, thread, frame, instr) -> bool:
-        self._fail_current(thread, FailureKind.ABORT, instr.message)
-        return True  # unreachable
-
-    def _exec_ptwrite(self, thread, frame, instr) -> bool:
-        value = self._value(frame, instr.value)
-        self.ptwrite_count += 1
-        self.tracer.on_ptwrite(instr.tag, value)
-        self._advance(frame)
-        return True
-
-    def _exec_spawn(self, thread, frame, instr) -> bool:
-        callee = self.module.function(instr.func)
-        regs = {p: self._value(frame, a)
-                for p, a in zip(callee.params, instr.args)}
-        tid = len(self.threads)
-        self.threads.append(ThreadState(
-            tid, [Frame(callee, next(iter(callee.blocks)), 0, regs)]))
-        frame.regs[instr.dest] = tid
-        self._advance(frame)
-        return True
-
-    def _exec_join(self, thread, frame, instr) -> bool:
-        tid = self._value(frame, instr.tid)
-        if tid >= len(self.threads):
-            raise InterpError(f"join of unknown thread {tid}")
-        target = self.threads[tid]
-        if target.status != "done":
-            thread.status = "blocked-join"
-            thread.wait_target = tid
-            return False
-        self._advance(frame)
-        return True
-
-    def _exec_lock(self, thread, frame, instr) -> bool:
-        mutex = self._value(frame, instr.mutex)
-        owner = self.mutexes.get(mutex)
-        if owner is not None and owner != thread.tid:
-            thread.status = "blocked-lock"
-            thread.wait_target = mutex
-            return False
-        self.mutexes[mutex] = thread.tid
-        self._advance(frame)
-        return True
-
-    def _exec_unlock(self, thread, frame, instr) -> bool:
-        mutex = self._value(frame, instr.mutex)
-        if self.mutexes.get(mutex) != thread.tid:
-            raise InterpError(
-                f"thread {thread.tid} unlocking mutex {mutex} it doesn't own")
-        self.mutexes[mutex] = None
-        for other in self.threads:
-            if other.status == "blocked-lock" and other.wait_target == mutex:
-                other.status = "runnable"
-        self._advance(frame)
-        return True
-
-    def _exec_nop(self, thread, frame, instr) -> bool:
-        self._advance(frame)
-        return True
-
-    #: instruction type -> handler, called with ``self`` first.  Plain
-    #: functions, not bound methods: a table of bound methods on the
-    #: instance is a reference cycle that keeps every finished run
-    #: (its terms, trace and memory) alive until the cyclic collector
-    #: runs.
-    _DISPATCH = {
-        ins.Const: _exec_const,
-        ins.BinOp: _exec_binop,
-        ins.Cmp: _exec_cmp,
-        ins.Select: _exec_select,
-        ins.Trunc: _exec_trunc,
-        ins.SExt: _exec_sext,
-        ins.GlobalAddr: _exec_global,
-        ins.FrameAlloc: _exec_alloca,
-        ins.HeapAlloc: _exec_malloc,
-        ins.HeapFree: _exec_free,
-        ins.Gep: _exec_gep,
-        ins.Load: _exec_load,
-        ins.Store: _exec_store,
-        ins.Jmp: _exec_jmp,
-        ins.Br: _exec_br,
-        ins.Call: _exec_call,
-        ins.Ret: _exec_ret,
-        ins.Input: _exec_input,
-        ins.Output: _exec_output,
-        ins.Assert: _exec_assert,
-        ins.Abort: _exec_abort,
-        ins.PtWrite: _exec_ptwrite,
-        ins.Spawn: _exec_spawn,
-        ins.Join: _exec_join,
-        ins.Lock: _exec_lock,
-        ins.Unlock: _exec_unlock,
-        ins.Nop: _exec_nop,
-    }
-
     def _wake_joiners(self, tid: int) -> None:
         for other in self.threads:
             if other.status == "blocked-join" and other.wait_target == tid:
                 other.status = "runnable"
+
+
+# ----------------------------------------------------------------------
+# instruction compilers: ``compile(instr, func_name, module) -> step``.
+# A step never captures the interpreter: it arrives as an argument.
+
+
+def _hooked(step: Step, point: ProgramPoint, instr: ins.Instr) -> Step:
+    """``step`` preceded by the interpreter's ``on_step`` hook, which
+    sees the frame positioned at ``point``."""
+    label, index = point.block, point.index
+
+    def hooked(interp, thread, frame):
+        frame.block, frame.index = label, index
+        interp.on_step(thread, point, instr)
+        return step(interp, thread, frame)
+    return hooked
+
+
+def _unset(regs: Dict[str, int], func_name: str, *registers) -> InterpError:
+    """The error for the first of ``registers`` that is unset."""
+    name = next(reg for reg in registers if reg not in regs)
+    return InterpError(f"read of unset register {name} in {func_name}")
+
+
+def _operand(operand, func_name: str) -> Callable[[Dict[str, int]], int]:
+    """``read(regs)`` for a register or an immediate operand."""
+    if isinstance(operand, str):
+        def read(regs):
+            try:
+                return regs[operand]
+            except KeyError:
+                raise _unset(regs, func_name, operand) from None
+        return read
+    value = mask(operand)
+    return lambda regs: value
+
+
+def _arith(dest: str, apply, lhs, rhs, width: int, func_name: str) -> Step:
+    """``dest = apply(lhs, rhs, width)``.  Register-register and
+    register-immediate operands, the only kinds the workloads use, are
+    read inline."""
+    if isinstance(lhs, str) and isinstance(rhs, str):
+        def step(interp, thread, frame):
+            regs = frame.regs
+            try:
+                a, b = regs[lhs], regs[rhs]
+            except KeyError:
+                raise _unset(regs, func_name, lhs, rhs) from None
+            regs[dest] = apply(a, b, width)
+    elif isinstance(lhs, str):
+        imm = mask(rhs)
+
+        def step(interp, thread, frame):
+            regs = frame.regs
+            try:
+                a = regs[lhs]
+            except KeyError:
+                raise _unset(regs, func_name, lhs) from None
+            regs[dest] = apply(a, imm, width)
+    else:
+        read_lhs = _operand(lhs, func_name)
+        read_rhs = _operand(rhs, func_name)
+
+        def step(interp, thread, frame):
+            regs = frame.regs
+            regs[dest] = apply(read_lhs(regs), read_rhs(regs), width)
+    return step
+
+
+def _checked_div(apply, width: int, message: str):
+    """``apply`` raising a DIV_BY_ZERO trap on a zero divisor."""
+    width_mask = (1 << width) - 1
+
+    def div(lhs, rhs, width):
+        if not rhs & width_mask:
+            raise _Trap(FailureKind.DIV_BY_ZERO, message)
+        return apply(lhs, rhs, width)
+    return div
+
+
+def _compile_binop(instr: ins.BinOp, func_name, module) -> Step:
+    apply, width = BINOPS[instr.op], instr.width
+    if instr.op in ("udiv", "sdiv", "urem", "srem"):
+        apply = _checked_div(apply, width, f"{instr.op} by zero")
+    return _arith(instr.dest, apply, instr.lhs, instr.rhs, width, func_name)
+
+
+def _compile_cmp(instr: ins.Cmp, func_name, module) -> Step:
+    return _arith(instr.dest, CMPS[instr.op], instr.lhs, instr.rhs,
+                  instr.width, func_name)
+
+
+def _compile_const(instr: ins.Const, func_name, module) -> Step:
+    dest, value = instr.dest, mask(instr.value)
+
+    def step(interp, thread, frame):
+        frame.regs[dest] = value
+    return step
+
+
+def _compile_select(instr: ins.Select, func_name, module) -> Step:
+    dest = instr.dest
+    read_cond = _operand(instr.cond, func_name)
+    read_true = _operand(instr.if_true, func_name)
+    read_false = _operand(instr.if_false, func_name)
+
+    def step(interp, thread, frame):
+        regs = frame.regs
+        chosen = read_true if read_cond(regs) != 0 else read_false
+        regs[dest] = chosen(regs)
+    return step
+
+
+def _compile_trunc(instr: ins.Trunc, func_name, module) -> Step:
+    dest, read = instr.dest, _operand(instr.value, func_name)
+    width_mask = (1 << instr.width) - 1
+
+    def step(interp, thread, frame):
+        regs = frame.regs
+        regs[dest] = read(regs) & width_mask
+    return step
+
+
+def _compile_sext(instr: ins.SExt, func_name, module) -> Step:
+    dest, read = instr.dest, _operand(instr.value, func_name)
+    from_width = instr.from_width
+
+    def step(interp, thread, frame):
+        regs = frame.regs
+        regs[dest] = sign_extend(read(regs), from_width)
+    return step
+
+
+def _compile_global(instr: ins.GlobalAddr, func_name, module) -> Step:
+    dest, name = instr.dest, instr.name
+
+    def step(interp, thread, frame):
+        frame.regs[dest] = interp.memory.global_addrs[name]
+    return step
+
+
+def _compile_alloca(instr: ins.FrameAlloc, func_name, module) -> Step:
+    dest, size = instr.dest, instr.size
+    name = f"{func_name}.{instr.name}"
+
+    def step(interp, thread, frame):
+        obj = interp.memory.alloc_stack(name, size)
+        frame.stack_objs.append(obj)
+        frame.regs[dest] = obj.base
+    return step
+
+
+def _compile_malloc(instr: ins.HeapAlloc, func_name, module) -> Step:
+    dest, read = instr.dest, _operand(instr.size, func_name)
+
+    def step(interp, thread, frame):
+        regs = frame.regs
+        regs[dest] = interp.memory.alloc_heap(read(regs)).base
+    return step
+
+
+def _compile_free(instr: ins.HeapFree, func_name, module) -> Step:
+    read = _operand(instr.addr, func_name)
+
+    def step(interp, thread, frame):
+        interp.memory.free_heap(read(frame.regs))
+    return step
+
+
+def _compile_gep(instr: ins.Gep, func_name, module) -> Step:
+    dest, scale = instr.dest, instr.scale
+    read_base = _operand(instr.base, func_name)
+    read_index = _operand(instr.index, func_name)
+
+    def step(interp, thread, frame):
+        regs = frame.regs
+        regs[dest] = (read_base(regs) + read_index(regs) * scale) & MASK64
+    return step
+
+
+def _compile_load(instr: ins.Load, func_name, module) -> Step:
+    dest, size = instr.dest, instr.size
+    read = _operand(instr.addr, func_name)
+
+    def step(interp, thread, frame):
+        regs = frame.regs
+        regs[dest] = interp.memory.load(read(regs), size)
+    return step
+
+
+def _compile_store(instr: ins.Store, func_name, module) -> Step:
+    size = instr.size
+    read_addr = _operand(instr.addr, func_name)
+    read_value = _operand(instr.value, func_name)
+
+    def step(interp, thread, frame):
+        regs = frame.regs
+        addr = read_addr(regs)
+        interp.memory.store(addr, read_value(regs), size)
+    return step
+
+
+def _compile_jmp(instr: ins.Jmp, func_name, module) -> Step:
+    label = instr.label
+
+    def step(interp, thread, frame):
+        return label
+    return step
+
+
+def _compile_br(instr: ins.Br, func_name, module) -> Step:
+    cond, if_true, if_false = instr.cond, instr.if_true, instr.if_false
+    if isinstance(cond, str):
+        def step(interp, thread, frame):
+            try:
+                taken = frame.regs[cond] != 0
+            except KeyError:
+                raise _unset(frame.regs, func_name, cond) from None
+            interp.branch_count += 1
+            interp.tracer.on_branch(taken)
+            return if_true if taken else if_false
+        return step
+    taken = mask(cond) != 0
+    target = if_true if taken else if_false
+
+    def step(interp, thread, frame):
+        interp.branch_count += 1
+        interp.tracer.on_branch(taken)
+        return target
+    return step
+
+
+def _callee(instr, func_name: str, module: Module):
+    """A call's or spawn's callee, its entry label and one
+    ``(param, read)`` per argument."""
+    callee = module.function(instr.func)
+    args = [(param, _operand(arg, func_name))
+            for param, arg in zip(callee.params, instr.args)]
+    return callee, next(iter(callee.blocks)), args
+
+
+def _compile_call(instr: ins.Call, func_name, module) -> Step:
+    callee, entry, args = _callee(instr, func_name, module)
+    ret_reg = instr.dest
+
+    def step(interp, thread, frame):
+        frames = thread.frames
+        if len(frames) >= interp.stack_limit:
+            raise _Trap(FailureKind.STACK_OVERFLOW,
+                        f"call depth {len(frames)}")
+        regs = frame.regs
+        frames.append(Frame(callee, entry, 0,
+                            {param: read(regs) for param, read in args},
+                            ret_reg=ret_reg))
+        return _SWITCH
+    return step
+
+
+def _compile_ret(instr: ins.Ret, func_name, module) -> Step:
+    read = _operand(0 if instr.value is None else instr.value, func_name)
+
+    def step(interp, thread, frame):
+        value = read(frame.regs)
+        for obj in frame.stack_objs:
+            interp.memory.release_stack(obj)
+        frames = thread.frames
+        frames.pop()
+        if not frames:
+            thread.status = "done"
+            thread.return_value = value
+            interp._wake_joiners(thread.tid)
+            if thread.tid == 0:
+                interp._main_returned = value
+                raise _Halt()
+            return _DONE
+        if frame.ret_reg is not None:
+            frames[-1].regs[frame.ret_reg] = value
+        return _SWITCH
+    return step
+
+
+def _compile_input(instr: ins.Input, func_name, module) -> Step:
+    dest, stream, size = instr.dest, instr.stream, instr.size
+
+    def step(interp, thread, frame):
+        frame.regs[dest] = int.from_bytes(interp.env.read(stream, size),
+                                          "little")
+    return step
+
+
+def _compile_output(instr: ins.Output, func_name, module) -> Step:
+    stream, size = instr.stream, instr.size
+    read, size_mask = _operand(instr.value, func_name), (1 << size * 8) - 1
+
+    def step(interp, thread, frame):
+        value = read(frame.regs)
+        buf = interp.outputs.setdefault(stream, bytearray())
+        buf += (value & size_mask).to_bytes(size, "little")
+    return step
+
+
+def _compile_assert(instr: ins.Assert, func_name, module) -> Step:
+    read, message = _operand(instr.cond, func_name), instr.message
+
+    def step(interp, thread, frame):
+        if read(frame.regs) == 0:
+            raise _Trap(FailureKind.ASSERT, message)
+    return step
+
+
+def _compile_abort(instr: ins.Abort, func_name, module) -> Step:
+    message = instr.message
+
+    def step(interp, thread, frame):
+        raise _Trap(FailureKind.ABORT, message)
+    return step
+
+
+def _compile_ptwrite(instr: ins.PtWrite, func_name, module) -> Step:
+    read, tag = _operand(instr.value, func_name), instr.tag
+
+    def step(interp, thread, frame):
+        value = read(frame.regs)
+        interp.ptwrite_count += 1
+        interp.tracer.on_ptwrite(tag, value)
+    return step
+
+
+def _compile_spawn(instr: ins.Spawn, func_name, module) -> Step:
+    callee, entry, args = _callee(instr, func_name, module)
+    dest = instr.dest
+
+    def step(interp, thread, frame):
+        regs = frame.regs
+        new_regs = {param: read(regs) for param, read in args}
+        threads = interp.threads
+        tid = len(threads)
+        threads.append(ThreadState(tid, [Frame(callee, entry, 0,
+                                               new_regs)]))
+        regs[dest] = tid
+    return step
+
+
+def _compile_join(instr: ins.Join, func_name, module) -> Step:
+    read = _operand(instr.tid, func_name)
+
+    def step(interp, thread, frame):
+        tid = read(frame.regs)
+        threads = interp.threads
+        if tid >= len(threads):
+            raise InterpError(f"join of unknown thread {tid}")
+        if threads[tid].status != "done":
+            thread.status = "blocked-join"
+            thread.wait_target = tid
+            return _BLOCKED
+        return None
+    return step
+
+
+def _compile_lock(instr: ins.Lock, func_name, module) -> Step:
+    read = _operand(instr.mutex, func_name)
+
+    def step(interp, thread, frame):
+        mutex = read(frame.regs)
+        owner = interp.mutexes.get(mutex)
+        if owner is not None and owner != thread.tid:
+            thread.status = "blocked-lock"
+            thread.wait_target = mutex
+            return _BLOCKED
+        interp.mutexes[mutex] = thread.tid
+        return None
+    return step
+
+
+def _compile_unlock(instr: ins.Unlock, func_name, module) -> Step:
+    read = _operand(instr.mutex, func_name)
+
+    def step(interp, thread, frame):
+        mutex = read(frame.regs)
+        if interp.mutexes.get(mutex) != thread.tid:
+            raise InterpError(
+                f"thread {thread.tid} unlocking mutex {mutex} it doesn't own")
+        interp.mutexes[mutex] = None
+        for other in interp.threads:
+            if other.status == "blocked-lock" and other.wait_target == mutex:
+                other.status = "runnable"
+    return step
+
+
+def _compile_nop(instr: ins.Nop, func_name, module) -> Step:
+    def step(interp, thread, frame):
+        pass
+    return step
+
+
+#: instruction type -> compiler
+_COMPILERS = {
+    ins.Const: _compile_const,
+    ins.BinOp: _compile_binop,
+    ins.Cmp: _compile_cmp,
+    ins.Select: _compile_select,
+    ins.Trunc: _compile_trunc,
+    ins.SExt: _compile_sext,
+    ins.GlobalAddr: _compile_global,
+    ins.FrameAlloc: _compile_alloca,
+    ins.HeapAlloc: _compile_malloc,
+    ins.HeapFree: _compile_free,
+    ins.Gep: _compile_gep,
+    ins.Load: _compile_load,
+    ins.Store: _compile_store,
+    ins.Jmp: _compile_jmp,
+    ins.Br: _compile_br,
+    ins.Call: _compile_call,
+    ins.Ret: _compile_ret,
+    ins.Input: _compile_input,
+    ins.Output: _compile_output,
+    ins.Assert: _compile_assert,
+    ins.Abort: _compile_abort,
+    ins.PtWrite: _compile_ptwrite,
+    ins.Spawn: _compile_spawn,
+    ins.Join: _compile_join,
+    ins.Lock: _compile_lock,
+    ins.Unlock: _compile_unlock,
+    ins.Nop: _compile_nop,
+}

@@ -7,11 +7,13 @@ import pytest
 
 from repro import telemetry
 from repro.core import ExecutionReconstructor, ProductionSite
+from repro.core import production, reconstructor
 from repro.interp.env import Environment
 from repro.ir.builder import ModuleBuilder
 from repro.solver import evaluator
 from repro.solver import terms as T
 from repro.workloads import get_workload, workload_names
+from tests.interp.reference_interpreter import ReferenceInterpreter
 
 
 def _report_fingerprint(report):
@@ -136,6 +138,30 @@ class TestWorkloadDeterminism:
             monkeypatch.setattr(singleton, "_compiled", None)
         walked = self._run(name)
         assert self._fingerprint(walked) == self._fingerprint(compiled)
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_reference_interpreter_run_identical(self, name, monkeypatch):
+        """Compiled blocks change wall time only.  With the
+        per-instruction reference loop running every production run and
+        replay, each iteration's instruction count, trace bytes, solver
+        work and stall point stay the same, and so do the recordings and
+        the test case."""
+        compiled = self._run(name)
+        assert compiled.success and compiled.verified
+        runs = []
+
+        class Reference(ReferenceInterpreter):
+            def run(self, args=()):
+                runs.append(1)
+                return super().run(args)
+
+        for module in (production, reconstructor):
+            monkeypatch.setattr(module, "Interpreter", Reference)
+        stepped = self._run(name)
+        # every traced occurrence plus the verifying replay
+        assert len(runs) >= stepped.occurrences + 1
+        assert self._fingerprint(stepped) == self._fingerprint(compiled)
+        assert stepped.total_recorded_bytes == compiled.total_recorded_bytes
 
 
 class TestUnrelatedBudget:

@@ -267,3 +267,23 @@ class TestRunLifetime:
             assert [run() for run in runs] == [None, None]
         finally:
             gc.enable()
+
+    def test_hooked_threaded_run_freed_without_cycle_collector(
+            self, spawn_module):
+        # a hooked run compiles each block into hook-wrapped steps and
+        # keeps one frame per thread; none of it may point back at the
+        # interpreter
+        points = []
+        gc.disable()
+        try:
+            interp = Interpreter(
+                spawn_module, Environment({}, quantum=3),
+                on_step=lambda thread, point, instr: points.append(point))
+            result = interp.run()
+            assert result.failure is None and result.thread_count == 3
+            assert len(points) > result.instr_count
+            run = weakref.ref(interp)
+            del interp
+            assert run() is None
+        finally:
+            gc.enable()
