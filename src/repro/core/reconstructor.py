@@ -16,7 +16,7 @@ every recorded value strictly concretizes part of the constraint graph.
 from __future__ import annotations
 
 import logging
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .. import telemetry
 from ..errors import ReconstructionError
@@ -53,22 +53,57 @@ def _recovering_driver(module, trace, failure, **kwargs):
 
     Gap search runs inside each candidate chunk order; for exact traces
     this collapses to a single plain replay.
+
+    No candidate order re-runs a search an earlier order already ran.
+    When a candidate's chunks are the same objects as an already
+    diverged order's up to the deepest chunk any of that order's
+    attempts reached, its search would repeat the recorded one attempt
+    for attempt, answering every query from the exact cache tier.  The
+    driver then applies the recorded search's cache bookkeeping and
+    takes its outcome (see :class:`~repro.symex.gaps.SearchRecord`).
+    That needs the caller's solver cache, which every order shares, and
+    a serial search (a sharded one keeps no record); when a recorded
+    query has since left the exact tier, the order runs.
     """
-    from ..symex.gaps import replay_with_gap_recovery
+    from ..symex.gaps import SearchRecord, replay_with_gap_recovery
     from ..symex.ordering import ambiguous_groups, candidate_orders
     from ..trace.decoder import DecodedTrace
 
     if not ambiguous_groups(trace.chunks):
         return replay_with_gap_recovery(module, trace, failure, **kwargs)
-    last = None
+    cache = kwargs.get("solver_cache")
+    #: depth -> {identities of the chunks up to it: record}
+    diverged: Dict[int, Dict[tuple, SearchRecord]] = {}
+    last = skipped = None
     for chunks in candidate_orders(trace.chunks):
+        skipped = _recorded_search(diverged, chunks)
+        if skipped is not None and skipped.replay(cache):
+            continue
+        skipped = None
+        record = SearchRecord() if cache is not None else None
         candidate = DecodedTrace(chunks=chunks, truncated=trace.truncated)
         result = replay_with_gap_recovery(module, candidate, failure,
-                                          **kwargs)
+                                          record=record, **kwargs)
         if result.status != "diverged":
             return result
         last = result
-    return last
+        if record is not None and record.depth is not None:
+            diverged.setdefault(record.depth, {})[
+                _chunk_ids(chunks, record.depth)] = record
+    return skipped.outcome() if skipped is not None else last
+
+
+def _chunk_ids(chunks, depth: int) -> tuple:
+    return tuple(id(chunk) for chunk in chunks[:depth + 1])
+
+
+def _recorded_search(diverged, chunks):
+    """A recorded search that ``chunks`` would repeat, if any."""
+    for depth, records in diverged.items():
+        record = records.get(_chunk_ids(chunks, depth))
+        if record is not None:
+            return record
+    return None
 
 
 class ExecutionReconstructor:

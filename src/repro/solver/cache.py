@@ -52,6 +52,7 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from .. import telemetry
 from .terms import Term, term_digest
 
 __all__ = ["SolverCache", "ValueEnumeration"]
@@ -229,13 +230,20 @@ class SolverCache:
 
     # -- value enumeration ----------------------------------------------
 
+    @staticmethod
+    def values_key(term: Term, key: FrozenSet[Term], limit: int) -> Tuple:
+        """The exact-tier key of an enumeration of ``term`` under the
+        constraint-set ``key``."""
+        return (term, key, limit)
+
     def lookup_values(self, term: Term, key: FrozenSet[Term],
                       limit: int) -> Optional[ValueEnumeration]:
-        result = self._values.get((term, key, limit))
+        values_key = self.values_key(term, key, limit)
+        result = self._values.get(values_key)
         if result is None:
             self.misses += 1
         else:
-            self._values.move_to_end((term, key, limit))
+            self._values.move_to_end(values_key)
             self.hits += 1
         return result
 
@@ -253,7 +261,7 @@ class SolverCache:
         like cached models: a poisoned file degrades to a cache miss,
         never to injected values.
         """
-        self._values[(term, key, limit)] = values
+        self._values[self.values_key(term, key, limit)] = values
         while len(self._values) > self.max_entries:
             self._values.popitem(last=False)
         if (write_through and self.persistent is not None
@@ -285,6 +293,32 @@ class SolverCache:
         enum = ValueEnumeration(values, complete=complete,
                                 truncated_reason=reason)
         return enum, witnesses
+
+    # -- replayed hits ---------------------------------------------------
+
+    def _exact_tier(self, key) -> "OrderedDict":
+        return self._values if type(key) is tuple else self._feasible
+
+    def holds_exact(self, key) -> bool:
+        """Would an exact in-memory lookup of ``key`` hit?  ``key`` is a
+        feasibility key (:meth:`key`) or an enumeration key
+        (:meth:`values_key`)."""
+        return key in self._exact_tier(key)
+
+    def replay_hits(self, keys: Sequence) -> None:
+        """Apply what answering ``keys`` from the exact tier again does.
+
+        Each key moves to its tier's LRU end, and ``hits`` and the
+        ``solver.cache.hits`` counter grow by one per key, as in
+        ``peek_feasible`` and ``lookup_values`` hits; nothing else
+        changes.  Every key must be held (see :meth:`holds_exact`).
+        """
+        if not keys:
+            return
+        for key in keys:
+            self._exact_tier(key).move_to_end(key)
+        self.hits += len(keys)
+        telemetry.count("solver.cache.hits", len(keys))
 
     # -- models ----------------------------------------------------------
 

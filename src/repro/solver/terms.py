@@ -114,14 +114,31 @@ class Term:
         return True
 
     def __repr__(self):
-        if self.op == "const":
-            return f"bv({self.args[0]})"
-        if self.op == "var":
-            return f"λ{self.args[0]}"
-        if self.op == "array":
-            return f"array({self.args[0]}[{self.width}])"
-        inner = ", ".join(repr(a) for a in self.args)
-        return f"{self.op}({inner})"
+        """``op(arg, ...)`` with leaves as ``bv(..)``, ``λname`` and
+        ``array(name[size])``.  Written out in one pass without
+        recursion, like ``__eq__``: solver errors and banned-value keys
+        render terms far deeper than the recursion limit."""
+        out: List[str] = []
+        stack: list = [self]   # terms to render and text to emit
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
+            elif item.op == "const":
+                out.append(f"bv({item.args[0]})")
+            elif item.op == "var":
+                out.append(f"λ{item.args[0]}")
+            elif item.op == "array":
+                out.append(f"array({item.args[0]}[{item.width}])")
+            else:
+                out.append(f"{item.op}(")
+                stack.append(")")
+                for i in range(len(item.args) - 1, -1, -1):
+                    arg = item.args[i]
+                    stack.append(arg if isinstance(arg, Term) else repr(arg))
+                    if i:
+                        stack.append(", ")
+        return "".join(out)
 
     @property
     def is_const(self) -> bool:

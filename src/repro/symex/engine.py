@@ -25,7 +25,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from .. import telemetry
 from ..errors import SolverTimeout, SymexError, TraceDivergence, UnsatError
-from ..interp.failures import FailureInfo, FailureKind
+from ..interp.failures import FailureInfo, FailureKind, MemoryFault
 from ..ir import instructions as ins
 from ..ir.module import Function, Module, ProgramPoint
 from ..solver import terms as T
@@ -62,6 +62,14 @@ class SymThread:
     def frame(self) -> SymFrame:
         return self.frames[-1]
 
+    def copy(self, memory: SymMemory) -> "SymThread":
+        """An independent copy whose frames point into ``memory``."""
+        return SymThread(self.tid, [
+            SymFrame(f.func, f.block, f.index, dict(f.regs),
+                     [memory.object_at(obj.base) for obj in f.stack_objs],
+                     f.ret_reg)
+            for f in self.frames], self.done)
+
     def call_stack(self) -> Tuple[str, ...]:
         return tuple(f.func.name for f in self.frames)
 
@@ -73,6 +81,73 @@ class SymThread:
 class _Stall(Exception):
     def __init__(self, info: StallInfo):
         self.info = info
+
+
+@dataclass
+class Checkpoint:
+    """Engine state at a symbolic gap, just before its bit is chosen.
+
+    Everything a run mutates is copied; terms are immutable and shared.
+    A checkpoint is resumed at most once, so resuming adopts the copies.
+    """
+
+    #: the gap's index among the path's symbolic gaps
+    gap: int
+    #: length of the path's query log at the gap
+    queries: int
+    #: the chunk being replayed, the instructions of it done so far
+    #: (the branch included), and its thread
+    chunk: int
+    steps: int
+    tid: int
+    #: instructions executed since chunk 0
+    instrs: int
+    memory: SymMemory
+    threads: Dict[int, SymThread]
+    next_tid: int
+    sym_env: SymbolicEnvironment
+    constraints: List[Term]
+    exec_counts: Counter
+    outputs: Dict[str, List[Term]]
+    events: Deque
+    concretized: List[Tuple[Term, int]]
+
+
+class GapPath:
+    """A gap search's current DFS path, shared by its attempts.
+
+    ``queries`` logs every solver query the path's runs answered, as
+    ``(instructions executed, exact-tier cache key)``.
+    ``checkpoints[i]`` is the engine state at the path's ``i``-th
+    symbolic gap when that gap was taken as True, else None.
+    """
+
+    __slots__ = ("queries", "checkpoints")
+
+    def __init__(self):
+        self.queries: List[Tuple[int, object]] = []
+        self.checkpoints: List[Optional[Checkpoint]] = []
+
+    def resume_point(self, gap: int,
+                     cache: SolverCache) -> Optional[Checkpoint]:
+        """The checkpoint a sibling that flips ``gap`` to False resumes from.
+
+        Cuts the path back to that gap: later checkpoints and queries
+        belong to the abandoned subtree.  Returns None, and empties the
+        path so the sibling runs from chunk 0, when the gap has no
+        checkpoint or when a prefix query has left the cache's exact
+        tier (replaying the prefix would solve it again).
+        """
+        checkpoint = (self.checkpoints[gap] if gap < len(self.checkpoints)
+                      else None)
+        if checkpoint is not None:
+            del self.checkpoints[gap:]
+            del self.queries[checkpoint.queries:]
+            if all(cache.holds_exact(key) for _, key in self.queries):
+                return checkpoint
+        self.queries.clear()
+        self.checkpoints.clear()
+        return None
 
 
 class ShepherdedSymex:
@@ -125,6 +200,12 @@ class ShepherdedSymex:
         #: it across occurrences (§3.3.4), banning the value fixes it
         #: within one analysis (Fig. 5 mode)
         self._concretized: List[Tuple[Term, int]] = []
+        #: set by the gap search (:mod:`repro.symex.gaps`) only: the
+        #: run logs its answered queries and checkpoints its True gaps
+        #: into ``path``, and starts from ``resume`` (a checkpoint the
+        #: path was cut back to) instead of chunk 0
+        self.path: Optional[GapPath] = None
+        self.resume: Optional[Checkpoint] = None
 
     # ------------------------------------------------------------------
     # public API
@@ -168,8 +249,11 @@ class ShepherdedSymex:
 
     def _run_in_scope(self) -> SymexResult:
         try:
-            self._init_main()
-            self._replay_chunks()
+            if self.resume is None:
+                self._init_main()
+                self._replay_chunks()
+            else:
+                self._resume_run(self.resume)
             self._apply_failure_constraints()
             model = self._final_solve()
         except _Stall as stall:
@@ -215,22 +299,91 @@ class ShepherdedSymex:
             0, [SymFrame(main, next(iter(main.blocks)), 0, {})])
         self._next_tid = 1
 
-    def _replay_chunks(self) -> None:
-        for index, chunk in enumerate(self.trace.chunks):
-            self._chunk_index = index
+    def _replay_chunks(self, start: int = 0, steps: int = 0) -> None:
+        """Replay chunks ``start`` onwards; ``steps`` > 0 continues chunk
+        ``start`` after its first ``steps`` instructions (a resumed run,
+        whose remaining events are already restored)."""
+        chunks = self.trace.chunks
+        for index in range(start, len(chunks)):
+            chunk = chunks[index]
             thread = self.threads.get(chunk.tid)
-            if thread is None:
-                raise TraceDivergence(
-                    f"trace chunk for unknown thread {chunk.tid}")
-            self._events = deque(chunk.events)
-            for _ in range(chunk.n_instrs):
+            if not steps:
+                self._chunk_index = index
+                if thread is None:
+                    raise TraceDivergence(
+                        f"trace chunk for unknown thread {chunk.tid}")
+                self._events = deque(chunk.events)
+            self._chunk_start = self.stats.instrs_executed - steps
+            for _ in range(chunk.n_instrs - steps):
                 if thread.done:
                     raise TraceDivergence(
                         f"chunk {index} runs past thread {chunk.tid} end")
                 self._step(thread)
+            steps = 0
             if self._events:
                 raise TraceDivergence(
                     f"{len(self._events)} unconsumed trace events in chunk")
+
+    # ------------------------------------------------------------------
+    # checkpoints (gap search only)
+
+    def _checkpoint(self) -> Checkpoint:
+        memory = self.memory.copy()
+        return Checkpoint(
+            gap=len(self.gap_bits_used), queries=len(self.path.queries),
+            chunk=self._chunk_index,
+            steps=self.stats.instrs_executed - self._chunk_start,
+            tid=self._current_thread.tid,
+            instrs=self.stats.instrs_executed, memory=memory,
+            threads={tid: thread.copy(memory)
+                     for tid, thread in self.threads.items()},
+            next_tid=self._next_tid, sym_env=self.sym_env.copy(),
+            constraints=list(self.constraints),
+            exec_counts=self.exec_counts.copy(),
+            outputs={stream: list(values)
+                     for stream, values in self.outputs.items()},
+            events=self._events.copy(),
+            concretized=list(self._concretized))
+
+    def _resume_run(self, cp: Checkpoint) -> None:
+        """Continue from ``cp`` as if the run had replayed up to it.
+
+        Replaying the prefix would answer every query in ``path.queries``
+        from the exact cache tier (the gap search checked that they are
+        all still there), so the prefix's only effects outside the
+        engine are those hits' bookkeeping, applied here in order.  The
+        prefix's ``_set_dest`` provenance writes would be no-ops: its
+        terms are interned in this search's space and already carry
+        provenance.
+        """
+        queries = self.path.queries
+        self.solver_cache.replay_hits([key for _, key in queries])
+        self.stats.add_cached_calls(instrs for instrs, _ in queries)
+        self.memory = cp.memory
+        self.threads = cp.threads
+        self._next_tid = cp.next_tid
+        self.sym_env = cp.sym_env
+        self.constraints = cp.constraints
+        self.exec_counts = cp.exec_counts
+        self.outputs = cp.outputs
+        self._events = cp.events
+        self._chunk_index = cp.chunk
+        self._concretized = cp.concretized
+        self.stats.instrs_executed = cp.instrs
+        self.gap_bits_used = self.gap_decisions[:cp.gap]
+        # finish the branch the checkpoint interrupted, with this run's
+        # decision for its gap
+        thread = self._current_thread = self.threads[cp.tid]
+        frame = thread.frame
+        instr = frame.func.blocks[frame.block].instrs[frame.index]
+        point = self._current_point = ProgramPoint(
+            frame.func.name, frame.block, frame.index)
+        cond = self._value(frame, instr.cond)
+        self._take_branch(frame, instr, point, cond,
+                          self._gap_outcome(cond))
+        self._replay_chunks(cp.chunk, cp.steps)
+
+    # ------------------------------------------------------------------
 
     def _step(self, thread: SymThread) -> None:
         frame = thread.frame
@@ -269,6 +422,9 @@ class ShepherdedSymex:
                 return
             raise _Stall(self._make_stall(stall_terms, budget)) from None
         self._charge_stats(budget)
+        if self.path is not None:
+            self.path.queries.append((self.stats.instrs_executed,
+                                      SolverCache.key(self.constraints)))
         if not feasible:
             raise TraceDivergence(f"infeasible path constraint at {context}")
 
@@ -419,13 +575,19 @@ class ShepherdedSymex:
         budget = self._new_budget(context)
         banned = self.banned_concretizations.get(repr(term), ())
         extra = [T.cmp("ne", term, T.const(v), 64) for v in banned]
+        constraints = list(self.constraints) + extra
         try:
             values = self.solver.feasible_values(
-                term, list(self.constraints) + extra, limit=1, budget=budget)
+                term, constraints, limit=1, budget=budget)
         except SolverTimeout:
             self._charge_stats(budget)
             raise _Stall(self._make_stall([term], budget)) from None
         self._charge_stats(budget)
+        if self.path is not None:
+            key = SolverCache.key(constraints)
+            self.path.queries.append(
+                (self.stats.instrs_executed,
+                 SolverCache.values_key(term, key, 1)))
         if not values:
             raise TraceDivergence(f"no feasible value for {context}")
         self._concretized.append((term, values[0]))
@@ -554,7 +716,7 @@ class ShepherdedSymex:
             addr = T.const(obj.base)
         try:
             self.memory.free_heap(addr.value)
-        except Exception as exc:
+        except MemoryFault as exc:
             raise TraceDivergence(f"free diverged at {point}: {exc}") from None
         self._advance(frame)
 
@@ -611,6 +773,9 @@ class ShepherdedSymex:
             taken = self._gap_outcome(cond)
         else:
             taken = event.taken
+        self._take_branch(frame, instr, point, cond, taken)
+
+    def _take_branch(self, frame, instr, point, cond, taken):
         if cond.is_const:
             if bool(cond.value) != taken:
                 raise TraceDivergence(
@@ -637,6 +802,10 @@ class ShepherdedSymex:
         index = len(self.gap_bits_used)
         taken = (self.gap_decisions[index]
                  if index < len(self.gap_decisions) else True)
+        if self.path is not None:
+            # a sibling flipping this gap resumes here
+            self.path.checkpoints.append(
+                self._checkpoint() if taken else None)
         self.gap_bits_used.append(taken)
         return taken
 

@@ -34,5 +34,11 @@ class SymbolicEnvironment:
         self._cursors[stream] = cursor + size
         return T.concat(parts)
 
+    def copy(self) -> "SymbolicEnvironment":
+        new = SymbolicEnvironment()
+        new._cursors = dict(self._cursors)
+        new.created = list(self.created)
+        return new
+
     def bytes_consumed(self, stream: str) -> int:
         return self._cursors.get(stream, 0)

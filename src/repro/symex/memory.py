@@ -100,6 +100,14 @@ class SymObject:
     def chain_length(self) -> int:
         return 0 if self.chain is None else T.chain_length(self.chain)
 
+    def copy(self) -> "SymObject":
+        """An independent copy: bytes and overlay copied, terms shared."""
+        new = SymObject.__new__(SymObject)
+        new.__dict__.update(self.__dict__)
+        new.data = bytearray(self.data)
+        new.overlay = dict(self.overlay)
+        return new
+
 
 class SymMemory:
     """Address-space bookkeeping identical to the concrete interpreter.
@@ -150,6 +158,22 @@ class SymMemory:
             raise MemoryFault(FailureKind.DOUBLE_FREE, addr)
         obj.live = False
         return obj
+
+    def copy(self) -> "SymMemory":
+        """An independent copy of every object and the allocator state."""
+        new = SymMemory.__new__(SymMemory)
+        new._objects = {base: obj.copy()
+                        for base, obj in self._objects.items()}
+        new._bases = list(self._bases)
+        new._next_stack = self._next_stack
+        new._next_heap = self._next_heap
+        new._next_global = self._next_global
+        new.global_addrs = self.global_addrs  # fixed once built
+        return new
+
+    def object_at(self, base: int) -> SymObject:
+        """The object allocated at ``base`` (live or not)."""
+        return self._objects[base]
 
     def find_object(self, addr: int) -> Optional[SymObject]:
         idx = bisect.bisect_right(self._bases, addr) - 1

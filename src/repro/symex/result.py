@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..ir.module import ProgramPoint
 from ..solver.model import Model
@@ -42,6 +42,13 @@ class SymexStats:
         if len(self.progress) >= PROGRESS_SAMPLE_CAP:
             del self.progress[::2]
             self._progress_stride *= 2
+
+    def add_cached_calls(self, instrs: Iterable[int]) -> None:
+        """Account solver calls the exact cache tier answered, one per
+        instruction count: each adds a call and charges no work."""
+        for count in instrs:
+            self.solver_calls += 1
+            self.add_progress(count, self.solver_work)
 
     def modelled_seconds(self) -> float:
         from ..solver.budget import WORK_PER_SECOND

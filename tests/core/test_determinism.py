@@ -8,12 +8,14 @@ import pytest
 from repro import telemetry
 from repro.core import ExecutionReconstructor, ProductionSite
 from repro.core import production, reconstructor
+from repro.errors import ReconstructionError
 from repro.interp.env import Environment
 from repro.ir.builder import ModuleBuilder
 from repro.solver import evaluator
 from repro.solver import terms as T
 from repro.workloads import get_workload, workload_names
 from tests.interp.reference_interpreter import ReferenceInterpreter
+from tests.symex.reference_gap_search import Lockstep
 
 
 def _report_fingerprint(report):
@@ -162,6 +164,46 @@ class TestWorkloadDeterminism:
         assert len(runs) >= stepped.occurrences + 1
         assert self._fingerprint(stepped) == self._fingerprint(compiled)
         assert stepped.total_recorded_bytes == compiled.total_recorded_bytes
+
+    @classmethod
+    def _run_lossy(cls, name):
+        """The benchmark's lossy-trace reconstruction (8.5 % lost TNT
+        bits, per-CPU merge): its fingerprint, or the error it raised."""
+        workload = get_workload(name)
+        er = ExecutionReconstructor(workload.fresh_module(),
+                                    work_limit=workload.work_limit,
+                                    max_occurrences=workload.max_occurrences,
+                                    trace_recovery=True)
+        site = ProductionSite(workload.failing_env, mapping_loss=0.085,
+                              per_cpu_buffers=True)
+        try:
+            report = er.reconstruct(site)
+        except ReconstructionError as exc:
+            return str(exc)
+        return dict(cls._fingerprint(report),
+                    recorded_bytes=report.total_recorded_bytes)
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_reference_gap_search_identical(self, name, monkeypatch):
+        """Checkpointed gap search and chunk-order skipping change wall
+        time only.  With the replay-from-chunk-0 driver recovering the
+        same lossy traces, each iteration's status, solver calls,
+        modelled seconds, stall point and recordings stay the same, and
+        so do the occurrences, recorded bytes and the test case (or the
+        error: pbzip2-uaf's interleaving is never recovered).  On the
+        way, every driver call is checked against the checkpointed
+        driver's on a shadow cache: result, stats and cache state."""
+        checkpointed = self._run_lossy(name)
+        lockstep = Lockstep()
+        monkeypatch.setattr(reconstructor, "_recovering_driver", lockstep)
+        assert self._run_lossy(name) == checkpointed
+        assert lockstep.calls >= 1
+        if name == "pbzip2-uaf":
+            assert checkpointed.endswith(
+                "concrete branch disagrees with trace at main:wait:2 "
+                "(after 1 gap assignments)")
+        else:
+            assert checkpointed["success"] and checkpointed["verified"]
 
 
 class TestUnrelatedBudget:

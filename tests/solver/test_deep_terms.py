@@ -7,11 +7,14 @@ evaluator is iterative precisely so those do not blow Python's stack.
 import time
 
 import pytest
+from hypothesis import given, settings
 
+from repro.errors import UnsatError
 from repro.solver import terms as T
 from repro.solver.budget import Budget, UnlimitedBudget
 from repro.solver.evaluator import _walk, tv_eval
 from repro.solver.solver import Solver
+from tests.solver.test_compiled_eval import cases
 
 
 @pytest.fixture(autouse=True)
@@ -99,3 +102,53 @@ class TestDeepEvaluation:
         assert time.perf_counter() - started < 0.05
         assert value == expected == (3 << 24) & 0xFFFFFFFF
         assert budget.spent == walked.spent == 25
+
+
+def _recursive_repr(term):
+    """The recursive renderer ``Term.__repr__`` replaced, verbatim."""
+    if term.op == "const":
+        return f"bv({term.args[0]})"
+    if term.op == "var":
+        return f"λ{term.args[0]}"
+    if term.op == "array":
+        return f"array({term.args[0]}[{term.width}])"
+    inner = ", ".join(_recursive_repr(a) if isinstance(a, T.Term)
+                      else repr(a) for a in term.args)
+    return f"{term.op}({inner})"
+
+
+def _false_deep_constraints(depth=5_000):
+    """x == 3, and a ~2 * depth-deep constraint on x that x = 3 falsifies:
+    propagation assigns x, evaluates the deep one to 0 and raises
+    ``UnsatError`` naming it."""
+    value = 3
+    for i in range(depth):
+        value = ((value << 1) ^ i) & 0xFFFFFFFF
+    return [T.cmp("eq", T.var("x"), T.const(3), 8),
+            T.cmp("eq", deep_chain(depth), T.const(value ^ 1), 32)]
+
+
+class TestDeepRepr:
+    """Solver errors render the false constraint with ``repr``; a deep
+    one must still raise the error, not RecursionError."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cases())
+    def test_matches_recursive_renderer(self, case):
+        term, _env = case
+        assert repr(term) == _recursive_repr(term)
+
+    def test_deep_repr(self):
+        text = repr(deep_chain(5_000))
+        assert text.startswith("xor(bv(4999), shl(xor(bv(4998), shl(")
+        assert text.count("λx") == 1
+        # x ^ 0 folds away: one xor fewer than shifts
+        assert text.count("shl(") == 5_000 and text.count("xor(") == 4_999
+        assert text.endswith(", 32), bv(1), 32), 32)")
+
+    def test_solve_raises_unsat(self):
+        with pytest.raises(UnsatError, match="constraint is false: eq"):
+            Solver().solve(_false_deep_constraints())
+
+    def test_is_feasible_answers_false(self):
+        assert Solver().is_feasible(_false_deep_constraints()) is False

@@ -2,18 +2,23 @@
 
 import pytest
 
+from repro.core import ExecutionReconstructor, ProductionSite
 from repro.core.instrument import instrument
 from repro.core.selection import RecordingItem
+from repro.errors import ReconstructionError
 from repro.interp.env import Environment
+from repro.interp.failures import FailureKind, MemoryFault
 from repro.interp.interpreter import Interpreter
 from repro.ir import instructions as ins
 from repro.ir.builder import ModuleBuilder
 from repro.ir.module import ProgramPoint
 from repro.symex.engine import ShepherdedSymex
+from repro.symex.memory import SymMemory
 from repro.trace.decoder import decode
 from repro.trace.encoder import PTEncoder
 from repro.trace.packets import PtwEvent
 from repro.trace.ringbuffer import RingBuffer
+from repro.workloads import get_workload
 
 
 def traced(module, env):
@@ -134,3 +139,36 @@ class TestInstrumentedRoundTrip:
         second = ShepherdedSymex(inst.module, trace2, run2.failure,
                                  work_limit=100_000).run()
         assert second.completed
+
+
+class TestFree:
+    """``free`` turns the one error ``SymMemory.free_heap`` raises, a
+    ``MemoryFault``, into a divergence; anything else is a bug and must
+    surface as itself, not as a divergence (or, after a concretization,
+    a stall).  pbzip2-uaf's exact reconstruction replays a ``free`` once
+    its first recording lets symbolic execution past ``dict_add``."""
+
+    @staticmethod
+    def _reconstruct_pbzip2():
+        workload = get_workload("pbzip2-uaf")
+        er = ExecutionReconstructor(workload.fresh_module(),
+                                    work_limit=workload.work_limit,
+                                    max_occurrences=workload.max_occurrences)
+        return er.reconstruct(ProductionSite(workload.failing_env))
+
+    def test_internal_error_propagates(self, monkeypatch):
+        def broken(self, addr):
+            raise RuntimeError("free_heap bug")
+
+        monkeypatch.setattr(SymMemory, "free_heap", broken)
+        with pytest.raises(RuntimeError, match="free_heap bug"):
+            self._reconstruct_pbzip2()
+
+    def test_memory_fault_diverges(self, monkeypatch):
+        def double_free(self, addr):
+            raise MemoryFault(FailureKind.DOUBLE_FREE, addr)
+
+        monkeypatch.setattr(SymMemory, "free_heap", double_free)
+        with pytest.raises(ReconstructionError,
+                           match="free diverged at main:eager_free:0"):
+            self._reconstruct_pbzip2()
