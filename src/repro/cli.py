@@ -178,14 +178,12 @@ def cmd_list(args) -> int:
 def cmd_reproduce(args) -> int:
     workload = get_workload(args.workload)
     module = workload.fresh_module()
-    recovery = bool(args.trace_recovery or args.mapping_loss > 0
-                    or args.shards > 1)
+    recovery = bool(args.trace_recovery or args.mapping_loss > 0)
     reconstructor = ExecutionReconstructor(
         module,
         work_limit=args.work_limit or workload.work_limit,
         max_occurrences=args.max_occurrences or workload.max_occurrences,
         trace_recovery=recovery,
-        shards=args.shards,
         cache_dir=args.cache_dir,
         incremental=args.incremental)
     site = ProductionSite(workload.failing_env,
@@ -621,10 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="FRACTION",
                    help="simulate lost TNT bits (implies "
                         "--trace-recovery; the paper measures 0.085)")
-    p.add_argument("--shards", type=int, default=1, metavar="N",
-                   help="fan the gap-recovery search out over N worker "
-                        "processes; idle workers split a busy sibling's "
-                        "subspace (implies --trace-recovery)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="persistent cross-process solver cache "
                         "directory (warm-starts later runs)")

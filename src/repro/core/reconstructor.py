@@ -39,11 +39,9 @@ logger = logging.getLogger(__name__)
 
 
 def _exact_driver(module, trace, failure, **kwargs):
-    # sharding/persistence/incrementality knobs only matter to the
-    # recovering driver's gap search; an exact trace has nothing to
-    # search or share, and stays bit-for-bit on the non-incremental path
-    kwargs.pop("shards", None)
-    kwargs.pop("cache_dir", None)
+    # incrementality only matters to the recovering driver's gap search;
+    # an exact trace has nothing to search, and stays bit-for-bit on the
+    # non-incremental path
     kwargs.pop("incremental", None)
     return ShepherdedSymex(module, trace, failure, **kwargs).run()
 
@@ -61,9 +59,9 @@ def _recovering_driver(module, trace, failure, **kwargs):
     for attempt, answering every query from the exact cache tier.  The
     driver then applies the recorded search's cache bookkeeping and
     takes its outcome (see :class:`~repro.symex.gaps.SearchRecord`).
-    That needs the caller's solver cache, which every order shares, and
-    a serial search (a sharded one keeps no record); when a recorded
-    query has since left the exact tier, the order runs.
+    That needs the caller's solver cache, which every order shares;
+    when a recorded query has since left the exact tier, the order
+    runs.
     """
     from ..symex.gaps import SearchRecord, replay_with_gap_recovery
     from ..symex.ordering import ambiguous_groups, candidate_orders
@@ -116,16 +114,11 @@ class ExecutionReconstructor:
                  verify: bool = True,
                  selection: SelectionFn = select_key_values,
                  trace_recovery: bool = False,
-                 shards: int = 1,
                  cache_dir: Optional[str] = None,
                  incremental: bool = True):
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         self.module = module
         self.work_limit = work_limit
         self.max_occurrences = max_occurrences
-        #: gap-recovery fan-out width (worker processes per search)
-        self.shards = shards
         #: persistent cross-process solver-cache directory
         self.cache_dir = cache_dir
         #: assumption-stack reuse across sibling gap attempts
@@ -169,7 +162,7 @@ class ExecutionReconstructor:
         #: starts from the previous iteration's partial model, and the
         #: common constraint prefix hits instead of being re-solved;
         #: with a cache_dir, a persistent tier shares results across
-        #: shards, reconstructions, and processes
+        #: reconstructions and processes
         persistent = None
         if self.cache_dir is not None:
             from ..solver.diskcache import DiskSolverCache
@@ -217,8 +210,6 @@ class ExecutionReconstructor:
                                            occurrence.failure,
                                            work_limit=self.work_limit,
                                            solver_cache=solver_cache,
-                                           shards=self.shards,
-                                           cache_dir=self.cache_dir,
                                            incremental=self.incremental)
             record = IterationRecord(
                 occurrence=occurrence_no,

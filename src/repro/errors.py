@@ -74,24 +74,6 @@ class UnsatError(SolverError):
     """The path constraint is unsatisfiable (trace/program mismatch)."""
 
 
-class SearchCancelled(Exception):
-    """A cooperative control aborted a search before it finished.
-
-    Gap-recovery shards stop with this signal once the parent has
-    finalized a winner in an earlier subspace.  ``attempts`` counts the
-    replays the shard completed before stopping, so the parent's
-    attempt accounting still closes.
-
-    Deliberately *not* a :class:`ReproError`: cancellation is control
-    flow between cooperating searches, never a library failure callers
-    should catch wholesale.
-    """
-
-    def __init__(self, attempts: int):
-        super().__init__(f"search cancelled after {attempts} attempts")
-        self.attempts = attempts
-
-
 class SymexError(ReproError):
     """Shepherded symbolic execution diverged from the recorded trace."""
 

@@ -147,7 +147,7 @@ def run_table1(names: Optional[List[str]] = None,
 
         tel = telemetry.get()
         pool = get_pool(min(parallel, len(selected)))
-        job = pool.begin_job({}, context=tel.trace_context())
+        job = pool.begin_job(context=tel.trace_context())
         rows_by_task: dict = {}
         errors: List[BaseException] = []
         try:
@@ -156,8 +156,6 @@ def run_table1(names: Optional[List[str]] = None,
             remaining = len(selected)
             while remaining:
                 kind, task_id, body = job.next_message()
-                if kind == "split":
-                    continue
                 remaining -= 1
                 if kind == "err":
                     errors.append(RuntimeError(
@@ -166,8 +164,7 @@ def run_table1(names: Optional[List[str]] = None,
                     continue
                 rows_by_task[task_id] = body
         finally:
-            snapshots, _ = job.finish()
-            tel.absorb(telemetry.merge_snapshots(snapshots))
+            tel.absorb(telemetry.merge_snapshots(job.finish()))
         if errors:
             raise errors[0]
         rows = [rows_by_task[i] for i in range(len(selected))]

@@ -7,15 +7,15 @@ cache — so the batch runner fans workloads out over a persistent
 shepherded symbolic execution is pure Python and CPU-bound.
 
 The pool is fork-server-style and process-wide: spawned lazily on the
-first job, then *reused* across shard searches and batch runs instead
-of paying a fresh spin-up per call.  Jobs are generation-tagged — each
-:meth:`WorkerPool.begin_job` broadcasts a new generation payload (the
-shared module/trace/config that used to ride a pool initializer)
-through per-worker control queues, so redeploying a job is a message,
-not a respawn.  Workers batch their telemetry: one stats message per
-job per worker instead of a snapshot per task.  Idle pools reap their
-workers after :data:`POOL_IDLE_REAP_SECONDS`; :func:`close_pool` (also
-registered atexit) tears the shared pool down explicitly.
+first job, then *reused* across batch runs and Table-1 regenerations
+instead of paying a fresh spin-up per call.  Jobs are generation-tagged
+— each :meth:`WorkerPool.begin_job` broadcasts a new generation payload
+(the parent's trace context) through per-worker control queues, so
+redeploying a job is a message, not a respawn.  Workers batch their
+telemetry: one stats message per job per worker instead of a snapshot
+per task.  Idle pools reap their workers after
+:data:`POOL_IDLE_REAP_SECONDS`; :func:`close_pool` (also registered
+atexit) tears the shared pool down explicitly.
 
 Every worker runs under its own telemetry registry and ships back a
 picklable :class:`BatchItem` — outcome summary, metric snapshot, and
@@ -28,48 +28,24 @@ single combined JSONL log (each event tagged with its workload) that
 same reports, no executor — which is also the serial baseline that
 ``repro bench`` compares against to measure the speedup.
 
-Beside the batch runner lives :func:`shard_gap_search`: intra-
-reconstruction parallelism.  One gap-recovery search (the serial DFS in
-``repro.symex.gaps``) is split into decision-vector *prefix subspaces*,
-each explored by a worker process confined to its prefix; the winner is
-the first non-diverged outcome in serial DFS order, so the sharded
-search returns the same result the serial search would.  Workers share
-solver work through the persistent disk cache (``cache_dir``) and ship
-back reduced, picklable outcomes — the parent replays the winning
-decision vector once, in-process, to materialize the full
-:class:`~repro.symex.result.SymexResult` (terms never cross process
-boundaries).
-
-A work-stealing scheduler drives the shard tasks: workers pull
-subspaces from a shared work queue; an idle worker posts a steal token,
-and the next busy worker to hit a gap-decision checkpoint donates the
-unexplored half of its subspace (its current decision prefix extended
-by one bit — the victim keeps the half it is searching, the thief takes
-the sibling).  The parent consumes outcomes as they complete but
-commits the winner by serial DFS order, only cancelling in-flight
-shards (via a shared ``multiprocessing.Event`` polled at every
-checkpoint) once no earlier subspace is still outstanding — so the
-sharded search returns byte-identical results to the serial search.
-
 Everything that crosses a process boundary here carries *trace
 context*: the parent captures :meth:`Telemetry.trace_context` inside
-its fan-out span and hands it to every worker, whose registry joins the
-parent's trace (same ``trace_id``, root spans parented on the handoff
-span) and rebases its clock onto the parent timeline — so a merged
-event stream renders as one causally-linked tree in the Perfetto
-exporter.  The scheduler also meters its own coordination overhead:
-``parallel.queue_wait_seconds`` (task enqueue → dequeue, shared wall
-clock), ``parallel.worker_idle_seconds`` (stealing workers blocked on
-an empty work queue), ``parallel.steal_latency_seconds`` (steal token
-posted → serviced), and ``parallel.pool_spinup`` / ``pool_teardown``
-spans — surfaced by ``repro stats`` as the overhead-attribution table.
+its ``parallel.batch`` span and hands it to every worker, whose
+registry joins the parent's trace (same ``trace_id``, root spans
+parented on the handoff span) and rebases its clock onto the parent
+timeline — so a merged event stream renders as one causally-linked
+tree in the Perfetto exporter.  The pool also meters its own
+coordination overhead: ``parallel.queue_wait_seconds`` (task enqueue →
+dequeue, shared wall clock), ``parallel.worker_idle_seconds`` (workers
+blocked on an empty task queue), and ``parallel.pool_spinup`` /
+``pool_teardown`` spans — surfaced by ``repro stats`` as the
+overhead-attribution table.
 """
 
 from __future__ import annotations
 
 import atexit
 import json
-import logging
 import multiprocessing
 import os
 import pathlib
@@ -77,32 +53,18 @@ import time
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import product
 from queue import Empty
 from typing import Any, Callable, Dict, Iterator, List, Optional, \
     Sequence, Tuple, Union
 
 from . import telemetry
 from .core import ExecutionReconstructor, ProductionSite
-from .errors import SearchCancelled
-from .solver import terms as T
-from .solver.cache import SolverCache
-from .solver.diskcache import DiskSolverCache
-from .solver.incremental import AssumptionStack
-from .symex.engine import ShepherdedSymex
-from .symex.gaps import _search_gap_decisions
 from .trace.degrade import gap_count
 from .workloads import get_workload, workload_names
 
-__all__ = ["BatchItem", "BatchResult", "GapShardOutcome", "WorkerPool",
-           "close_pool", "get_pool", "in_pool_worker",
-           "measure_incremental_ab", "private_pool", "run_batch",
-           "shard_gap_search", "write_merged_jsonl"]
-
-logger = logging.getLogger(__name__)
-
-#: ceiling on the prefix depth (2^depth shard tasks)
-MAX_SHARD_DEPTH = 6
+__all__ = ["BatchItem", "BatchResult", "WorkerPool", "close_pool",
+           "get_pool", "in_pool_worker", "measure_incremental_ab",
+           "private_pool", "run_batch", "write_merged_jsonl"]
 
 
 @dataclass
@@ -224,22 +186,17 @@ def _solver_cache_stats(counters: Dict) -> Dict[str, float]:
 
 def _reconstruct_one(name: str, capture_events: bool,
                      cache_dir: Optional[str] = None,
-                     context: Optional[telemetry.TraceContext] = None,
-                     enqueued: Optional[float] = None) -> BatchItem:
+                     context: Optional[telemetry.TraceContext] = None
+                     ) -> BatchItem:
     """Worker body: one workload under a private telemetry registry.
 
     Runs in a pool process (or inline for ``parallel=1``); must only
     return picklable data, so the report's module/test-case objects are
     reduced to scalars here rather than shipped back.  ``context`` links
-    the registry into the parent's trace; ``enqueued`` (the parent's
-    submit wall-time) meters queue wait — which for the pool's first
-    tasks honestly includes the worker-process spawn cost.
+    the registry into the parent's trace.
     """
     sink = telemetry.MemorySink() if capture_events else None
     registry = telemetry.Telemetry(sink, context=context)
-    if enqueued is not None:
-        registry.histogram("parallel.queue_wait_seconds").record(
-            max(time.time() - enqueued, 0.0))
     item = BatchItem(workload=name, worker=os.getpid())
     started = time.perf_counter()
     with telemetry.scoped(registry):
@@ -310,8 +267,7 @@ def run_batch(names: Optional[Sequence[str]] = None, *,
             target = pool if pool is not None else get_pool(workers)
             # the job-level registry carries queue-wait/idle metering;
             # item event streams ride the BatchItem itself
-            job = target.begin_job({}, capture_events=False,
-                                   context=context)
+            job = target.begin_job(context=context)
             if job.spinup_seconds:
                 overhead.histogram("span.parallel.pool_spinup").record(
                     job.spinup_seconds)
@@ -324,8 +280,6 @@ def run_batch(names: Optional[Sequence[str]] = None, *,
                 remaining = len(names)
                 while remaining:
                     kind, task_id, body = job.next_message()
-                    if kind == "split":
-                        continue
                     remaining -= 1
                     if kind == "err":
                         errors.append(RuntimeError(
@@ -334,8 +288,7 @@ def run_batch(names: Optional[Sequence[str]] = None, *,
                         continue
                     results[task_id] = body
             finally:
-                snapshots, _ = job.finish()
-                for snapshot in snapshots:
+                for snapshot in job.finish():
                     overhead.absorb(snapshot)
                 if pool is None:
                     target.maybe_reap()
@@ -390,45 +343,11 @@ def write_merged_jsonl(result: BatchResult,
 
 
 # ----------------------------------------------------------------------
-# sharded gap recovery (intra-reconstruction parallelism)
+# the worker pool
 
-@dataclass
-class GapShardOutcome:
-    """One shard's reduced search outcome, picklable across processes.
-
-    Deliberately term-free: only the decision bits travel back; the
-    parent replays them in-process to rebuild the full result.
-    ``status`` extends the engine statuses with ``"cancelled"`` (the
-    shard stopped at a checkpoint after the winner was committed; its
-    ``gap_attempts`` count the replays finished before stopping) and
-    ``"error"`` (the search raised; ``error`` carries the message).
-    """
-
-    prefix: List[bool]
-    status: str = "diverged"
-    gap_bits: List[bool] = field(default_factory=list)
-    gap_attempts: int = 0
-    divergence_reason: Optional[str] = None
-    diverged_chunk: Optional[int] = None
-    worker: int = 0
-    wall_seconds: float = 0.0
-    #: subspaces this shard donated to thieves while searching
-    steals_donated: int = 0
-    #: worker-side failure description (``status == "error"`` only)
-    error: Optional[str] = None
-    #: this shard's full metric snapshot
-    telemetry: Dict = field(default_factory=dict)
-    #: structured event stream (captured when the parent's sink is live)
-    events: List[Dict] = field(default_factory=list)
-
-
-#: per-process shard state, refreshed by each job's generation payload
-#: so the module/trace are not re-pickled for every prefix task
-_SHARD_STATE: Dict = {}
-
-#: how long an idle worker waits on the task queue before (re)posting a
-#: steal token, and how long the parent waits on the results queue
-#: before health-checking its workers
+#: how long an idle worker waits on the task queue before re-checking
+#: its control queue, and how long the parent waits on the results
+#: queue before health-checking its workers
 _WORKER_POLL = 0.05
 _PARENT_POLL = 0.1
 
@@ -440,62 +359,45 @@ POOL_IDLE_REAP_SECONDS = 300.0
 _STATS_DEADLINE = 30.0
 
 
-def _pool_worker_main(slot: int, control_q, task_q, results_q, steal_q,
-                      cancel) -> None:
+def _pool_worker_main(slot: int, control_q, task_q, results_q) -> None:
     """Persistent worker main loop: generations of tasks, one process.
 
     The worker alternates between its private control queue (generation
     payloads, end-of-job markers, stop) and the shared task queue.  A
-    ``("gen", id, payload)`` message replaces :data:`_SHARD_STATE` and
-    opens a fresh per-job telemetry registry joined to the parent's
-    trace; every task of that generation runs scoped to it.  A task
-    tagged with a *newer* generation than the worker has seen makes the
-    worker block on its control queue — the parent always broadcasts
-    the payload before enqueueing the generation's tasks, so the
-    message is already in flight.  ``("end", id)`` ships the job's
-    telemetry back as a single batched ``("stats", ...)`` message (one
-    per job per worker, not one per task).
+    ``("gen", id, context)`` message opens a fresh per-job telemetry
+    registry joined to the parent's trace; every task of that generation
+    runs scoped to it.  A task tagged with a *newer* generation than the
+    worker has seen makes the worker block on its control queue — the
+    parent always broadcasts the payload before enqueueing the
+    generation's tasks, so the message is already in flight.
+    ``("end", id)`` ships the job's telemetry back as a single batched
+    ``("stats", ...)`` message (one per job per worker, not one per
+    task).
 
-    Idle workers under a stealing job post steal tokens exactly as the
-    old per-call loop did; idle stretches and task queue-wait land in
-    the job registry.  Task exceptions are shipped as ``("err", ...)``
-    messages — the worker itself never dies on a task failure.
+    Idle stretches and task queue-wait land in the job registry.  Task
+    exceptions are shipped as ``("err", ...)`` messages — the worker
+    itself never dies on a task failure.
     """
     global _IN_POOL_WORKER
     _IN_POOL_WORKER = True
     gen = 0
-    job: Optional[Dict] = None
+    registry: Optional[telemetry.Telemetry] = None
     idle_since: Optional[float] = None
 
     def apply(message) -> bool:
-        nonlocal gen, job, idle_since
+        nonlocal gen, registry, idle_since
         kind = message[0]
         if kind == "gen":
-            _, new_gen, payload = message
-            gen = new_gen
+            _, gen, context = message
             idle_since = None
-            sink = (telemetry.MemorySink()
-                    if payload["capture_events"] else None)
-            registry = telemetry.Telemetry(sink,
-                                           context=payload["context"])
-            _SHARD_STATE.clear()
-            _SHARD_STATE.update(payload["state"])
-            _SHARD_STATE.update(
-                cancel=cancel,
-                steal_q=steal_q if payload["steal"] else None,
-                results_q=results_q)
-            job = {"registry": registry, "sink": sink,
-                   "steal": payload["steal"],
-                   "meter": payload["meter_queue_wait"]}
+            registry = telemetry.Telemetry(context=context)
             return True
         if kind == "end":
             _, end_gen = message
-            if job is not None:
-                events = job["sink"].events if job["sink"] else []
+            if registry is not None:
                 results_q.put(("stats", end_gen, slot,
-                               job["registry"].snapshot(), events))
-            job = None
-            _SHARD_STATE.clear()
+                               registry.snapshot()))
+            registry = None
             return True
         return False  # "stop"
 
@@ -511,12 +413,8 @@ def _pool_worker_main(slot: int, control_q, task_q, results_q, steal_q,
         try:
             task = task_q.get(timeout=_WORKER_POLL)
         except Empty:
-            if job is not None:
-                if idle_since is None:
-                    idle_since = time.perf_counter()
-                if job["steal"] and not cancel.is_set() \
-                        and steal_q.empty():
-                    steal_q.put((slot, time.time()))
+            if registry is not None and idle_since is None:
+                idle_since = time.perf_counter()
             continue
         task_id, task_gen, func, args, enqueued = task
         while task_gen > gen:
@@ -524,16 +422,14 @@ def _pool_worker_main(slot: int, control_q, task_q, results_q, steal_q,
             # parent's send order; block on the control queue for it
             if not apply(control_q.get()):
                 return
-        if task_gen < gen or job is None:
+        if task_gen < gen or registry is None:
             continue  # stale task from an ended generation
-        registry = job["registry"]
         if idle_since is not None:
             registry.histogram("parallel.worker_idle_seconds").record(
                 time.perf_counter() - idle_since)
             idle_since = None
-        if job["meter"] and enqueued is not None:
-            registry.histogram("parallel.queue_wait_seconds").record(
-                max(time.time() - enqueued, 0.0))
+        registry.histogram("parallel.queue_wait_seconds").record(
+            max(time.time() - enqueued, 0.0))
         try:
             with telemetry.scoped(registry):
                 result = func(*args)
@@ -557,9 +453,8 @@ class _PoolJob:
     """One generation of tasks on a :class:`WorkerPool`.
 
     Created by :meth:`WorkerPool.begin_job`; the caller submits tasks,
-    consumes exactly one message per task via :meth:`next_message`
-    (plus any ``("split", prefix)`` donations), then calls
-    :meth:`finish` to collect the per-worker telemetry batch.
+    consumes exactly one message per task via :meth:`next_message`,
+    then calls :meth:`finish` to collect the per-worker telemetry batch.
     """
 
     def __init__(self, pool: "WorkerPool", gen: int,
@@ -572,7 +467,6 @@ class _PoolJob:
         self.submitted = 0
         self._finished = False
         self._snapshots: List[Dict] = []
-        self._events: List[Dict] = []
 
     def submit(self, func: Callable, *args) -> int:
         task_id = self.submitted
@@ -582,10 +476,10 @@ class _PoolJob:
                                time.time()))
         return task_id
 
-    def next_message(self) -> Tuple[str, Any, Any]:
-        """Next ``("done", task_id, result)``, ``("err", task_id, msg)``
-        or ``("split", prefix, None)`` message; health-checks worker
-        processes while the results queue is quiet."""
+    def next_message(self) -> Tuple[str, int, Any]:
+        """Next ``("done", task_id, result)`` or ``("err", task_id,
+        msg)`` message; health-checks worker processes while the
+        results queue is quiet."""
         pool = self.pool
         while True:
             try:
@@ -598,8 +492,6 @@ class _PoolJob:
                             f"code {proc.exitcode}) mid-job")
                 continue
             kind = message[0]
-            if kind == "split":
-                return ("split", message[1], None)
             if kind in ("done", "err"):
                 _, task_id, gen, body = message
                 if gen != self.gen:
@@ -607,16 +499,15 @@ class _PoolJob:
                 return (kind, task_id, body)
             # stray "stats" from a prior job's late worker: drop
 
-    def finish(self) -> Tuple[List[Dict], List[Dict]]:
+    def finish(self) -> List[Dict]:
         """End the generation; collect each worker's batched stats.
 
         The caller must have consumed all its task outcomes first (the
         workers only see the ``end`` marker once they drain back to the
-        control queue).  Returns ``(snapshots, events)`` — one metric
-        snapshot per worker plus their buffered event streams.
+        control queue).  Returns one metric snapshot per worker.
         """
         if self._finished:
-            return self._snapshots, self._events
+            return self._snapshots
         pool = self.pool
         for control in pool._controls:
             control.put(("end", self.gen))
@@ -631,30 +522,28 @@ class _PoolJob:
                         remaining.discard(slot)  # crashed: no stats
                 continue
             if message[0] == "stats":
-                _, gen, slot, snapshot, events = message
+                _, gen, slot, snapshot = message
                 if gen != self.gen:
                     continue
                 remaining.discard(slot)
                 self._snapshots.append(snapshot)
-                self._events.extend(events)
-            # cancelled-task leftovers are dropped here by design
-        pool._drain(pool._steal_q)
+            # outcomes of tasks the caller abandoned are dropped here
         pool._active_job = None
         pool._last_used = time.monotonic()
         self._finished = True
-        return self._snapshots, self._events
+        return self._snapshots
 
 
 class WorkerPool:
     """A persistent, generation-tagged pool of fork-server workers.
 
-    Spawned lazily on the first job and reused across shard searches
-    and batch items — redeploying work is a generation message on each
-    worker's control queue, not a process respawn.  All queues and the
-    shared cancel event are created before the workers so
-    multiprocessing's inheritance path (not task pickling) carries
-    them.  One job runs at a time; concurrency comes
-    from the workers, not from overlapping jobs.
+    Spawned lazily on the first job and reused across batch runs and
+    Table-1 regenerations — redeploying work is a generation message on
+    each worker's control queue, not a process respawn.  The shared
+    queues are created before the workers so multiprocessing's
+    inheritance path (not task pickling) carries them.  One job runs
+    at a time; concurrency comes from the workers, not from
+    overlapping jobs.
     """
 
     def __init__(self, workers: int, *,
@@ -671,18 +560,11 @@ class WorkerPool:
         self._ctx = multiprocessing.get_context()
         self._task_q = self._ctx.Queue()
         self._results_q = self._ctx.Queue()
-        self._steal_q = self._ctx.Queue()
-        self._cancel = self._ctx.Event()
         self._procs: List = []
         self._controls: List = []
         self._gen = 0
         self._active_job: Optional[_PoolJob] = None
         self._last_used = time.monotonic()
-
-    @property
-    def cancel(self):
-        """The shared cooperative-cancellation event (cleared per job)."""
-        return self._cancel
 
     @property
     def alive(self) -> bool:
@@ -707,7 +589,7 @@ class WorkerPool:
         reused.  The spin-up span lands on the ambient registry, so
         ``span.parallel.pool_spinup`` feeds the overhead-attribution
         table exactly as the per-call executor's did — but at most once
-        per pool lifetime instead of once per search.
+        per pool lifetime instead of once per batch.
         """
         if self.closed:
             raise RuntimeError("worker pool is closed")
@@ -723,32 +605,22 @@ class WorkerPool:
         telemetry.count("parallel.pool.spinups")
         return span.seconds
 
-    def begin_job(self, state: Dict, *, steal: bool = False,
-                  capture_events: bool = False, context=None,
-                  meter_queue_wait: bool = True) -> _PoolJob:
-        """Start a new generation: broadcast ``state`` to every worker.
-
-        ``state`` replaces the workers' :data:`_SHARD_STATE` (the old
-        pool-initializer payload); ``steal`` arms idle-worker steal
-        tokens; ``capture_events`` buffers worker event streams for the
-        job's stats batch.  Counts a pool *reuse* when no spawn was
-        needed — the telemetry the benchmark asserts amortization on.
+    def begin_job(self, *, context=None) -> _PoolJob:
+        """Start a new generation: broadcast ``context`` (the parent's
+        trace handoff, see :meth:`Telemetry.trace_context`) to every
+        worker.  Counts a pool *reuse* when no spawn was needed — the
+        telemetry the benchmark asserts amortization on.
         """
         if self._active_job is not None:
             raise RuntimeError("pool already has an active job")
         spinup = self.ensure_workers()
-        self._cancel.clear()
-        self._drain(self._steal_q)
         self._gen += 1
         self.jobs += 1
         telemetry.count("parallel.pool.generations")
         if spinup == 0.0:
             telemetry.count("parallel.pool.reuses")
-        payload = {"state": state, "steal": steal,
-                   "capture_events": capture_events, "context": context,
-                   "meter_queue_wait": meter_queue_wait}
         for control in self._controls:
-            control.put(("gen", self._gen, payload))
+            control.put(("gen", self._gen, context))
         job = _PoolJob(self, self._gen, spinup)
         self._active_job = job
         self._last_used = time.monotonic()
@@ -791,8 +663,7 @@ class WorkerPool:
             proc = self._ctx.Process(
                 target=_pool_worker_main,
                 name=f"repro-pool-{slot}",
-                args=(slot, control, self._task_q, self._results_q,
-                      self._steal_q, self._cancel),
+                args=(slot, control, self._task_q, self._results_q),
                 daemon=True)
             proc.start()
             self._controls.append(control)
@@ -813,7 +684,7 @@ class WorkerPool:
         self._procs = []
         self._controls = []
         self._gen += 1  # invalidate any stale queued tasks
-        for q in (self._task_q, self._results_q, self._steal_q):
+        for q in (self._task_q, self._results_q):
             self._drain(q)
 
     @staticmethod
@@ -831,8 +702,8 @@ _POOL: Optional[WorkerPool] = None
 
 def get_pool(workers: int) -> WorkerPool:
     """The process-wide shared :class:`WorkerPool`, grown to at least
-    ``workers`` wide.  All pool consumers (shard searches, batches,
-    Table 1) share it, which is what amortizes the spin-up."""
+    ``workers`` wide.  All pool consumers (batches, Table 1) share it,
+    which is what amortizes the spin-up."""
     global _POOL
     if in_pool_worker():
         raise RuntimeError("nested worker pools are not supported")
@@ -863,328 +734,6 @@ def private_pool(workers: int) -> Iterator[WorkerPool]:
         yield pool
     finally:
         pool.close()
-
-
-class _StealControl:
-    """Worker-side checkpoint hook: cancellation + subspace donation.
-
-    ``checkpoint`` runs before every replay in
-    :func:`~repro.symex.gaps._search_gap_decisions`.  It aborts the
-    shard once the parent committed a winner (``cancel`` event), and
-    serves at most one pending steal token by donating the unexplored
-    half of this shard's remaining subspace: the shallowest liberated
-    decision still set to True marks a False-sibling subtree the DFS
-    has not entered (the search never returns a bit from False to
-    True), so extending the current prefix there is a sound split.  The donated prefix travels to the parent
-    (a ``("split", prefix)`` result message), which accounts for the
-    new subspace *before* requeueing it — a thief can therefore never
-    report an outcome the parent has not yet learned to expect.
-    """
-
-    def __init__(self, prefix, cancel, steal_q, results_q):
-        self.prefix = list(prefix)
-        self.cancel = cancel
-        self.steal_q = steal_q
-        self.results_q = results_q
-        self.donated = 0
-
-    def checkpoint(self, decisions: List[bool], locked_prefix: int,
-                   attempts: int) -> int:
-        if self.cancel.is_set():
-            raise SearchCancelled(attempts)
-        try:
-            thief, posted = self.steal_q.get_nowait()
-        except Empty:
-            return locked_prefix
-        # token post → service latency, on the shared wall clock; the
-        # instant events land on the *victim's* track (this process)
-        latency = max(time.time() - posted, 0.0)
-        telemetry.histogram("parallel.steal_latency_seconds").record(
-            latency)
-        telemetry.event("parallel.steal_token", thief=thief,
-                        latency_s=round(latency, 6))
-        for i in range(locked_prefix, len(decisions)):
-            if decisions[i]:
-                stolen = list(decisions[:i]) + [False]
-                self.results_q.put(("split", stolen))
-                self.donated += 1
-                telemetry.event("parallel.split", thief=thief,
-                                prefix_len=len(stolen))
-                return i + 1
-        # nothing left to halve (all remaining bits already False):
-        # drop the token; idle workers re-post while the queue is dry
-        return locked_prefix
-
-
-def _gap_shard_run(prefix: List[bool]) -> GapShardOutcome:
-    """Pool-task body: search one prefix subspace under the job state.
-
-    Fresh term scope and in-memory solver cache per shard; the
-    persistent tier (when ``cache_dir`` is set) is the only shared
-    state, so shards warm-start each other's common-prefix queries
-    through the disk file.  Telemetry goes to the ambient registry —
-    the per-job registry the pool worker scoped this task to — and
-    ships back batched in the job's stats message, so the returned
-    outcome carries only the reduced search result.
-    """
-    state = _SHARD_STATE
-    tel = telemetry.get()
-    outcome = GapShardOutcome(prefix=list(prefix), worker=os.getpid())
-    started = time.perf_counter()
-    cache_dir = state["cache_dir"]
-    cache = SolverCache(
-        persistent=DiskSolverCache(cache_dir) if cache_dir else None)
-    engine_kwargs = dict(state["engine_kwargs"])
-    if engine_kwargs.pop("incremental", False):
-        # per-shard assumption stack: each worker's DFS walks its own
-        # sibling prefixes, so retained state never crosses processes
-        cache.assumptions = AssumptionStack()
-    control = _StealControl(prefix, state["cancel"],
-                            steal_q=state["steal_q"],
-                            results_q=state["results_q"])
-    try:
-        with T.term_scope(), tel.span("parallel.shard_search",
-                                      prefix_len=len(prefix)):
-            result = _search_gap_decisions(
-                state["module"], state["trace"], state["failure"],
-                state["max_attempts"], cache, engine_kwargs,
-                initial_decisions=list(prefix), locked_prefix=len(prefix),
-                control=control)
-    except SearchCancelled as stop:
-        outcome.status = "cancelled"
-        outcome.gap_attempts = stop.attempts
-        outcome.divergence_reason = "cancelled: winner committed elsewhere"
-        tel.event("parallel.shard_cancelled", attempts=stop.attempts)
-    else:
-        outcome.status = result.status
-        outcome.gap_bits = list(result.gap_bits)
-        outcome.gap_attempts = result.gap_attempts
-        outcome.divergence_reason = result.divergence_reason
-        outcome.diverged_chunk = result.diverged_chunk
-    outcome.steals_donated = control.donated
-    outcome.wall_seconds = time.perf_counter() - started
-    return outcome
-
-
-def _steal_prefixes(trace, shards: int) -> List[List[bool]]:
-    """Seed prefixes for the stealing scheduler: one per worker, in
-    serial DFS order (True before False at every position).
-
-    There is no need to over-partition — idle workers rebalance by
-    stealing — so the depth only covers the pool width and the initial
-    tasks stay as large as possible."""
-    gaps = gap_count(trace)
-    depth = min(gaps, max(1, (shards - 1).bit_length()), MAX_SHARD_DEPTH)
-    if depth <= 0:
-        return []
-    return [list(bits) for bits in product((True, False), repeat=depth)]
-
-
-def _dfs_key(bits: Sequence[bool]) -> Tuple[int, ...]:
-    """Serial-DFS visit order as a sortable key (True before False)."""
-    return tuple(0 if bit else 1 for bit in bits)
-
-
-def _choose_outcome(outcomes: Sequence[GapShardOutcome]
-                    ) -> GapShardOutcome:
-    """Commit the winner exactly as the serial DFS would.
-
-    The first non-diverged leaf in serial DFS order wins; with none, the
-    DFS-last subspace's final divergence stands in for the serial
-    search's last attempt.  Cancelled shards never compete — they are
-    all DFS-after a finalized winner by construction.
-    """
-    candidates = [o for o in outcomes
-                  if o.status not in ("cancelled", "error")]
-    if not candidates:
-        raise RuntimeError("sharded gap search produced no outcomes")
-    solutions = [o for o in candidates if o.status != "diverged"]
-    if solutions:
-        return min(solutions, key=lambda o: (_dfs_key(o.gap_bits),
-                                             _dfs_key(o.prefix)))
-    return max(candidates, key=lambda o: _dfs_key(o.prefix))
-
-
-def _steal_shard_outcomes(pool, state, prefixes,
-                          context=None, capture_events=False):
-    """Work-stealing scheduler: a shared queue of splittable subspaces.
-
-    The parent is the only consumer of the results queue and the only
-    producer of shard tasks, which keeps the accounting exact:
-    ``pending`` counts subspaces handed to the pool minus outcomes
-    received, and a ``("split", prefix)`` message always reaches the
-    parent *before* any outcome for that prefix can exist (the donated
-    subspace is resubmitted by the parent itself).  The winner is
-    finalized — and the cancel event raised — only once no outstanding
-    subspace precedes its leaf in serial DFS order, so cancellation can
-    never starve the leaf the serial search would have returned.
-
-    Returns ``(outcomes, errors, steals, snapshots, events)`` — the
-    per-worker stats batch carries the idle-time and queue-wait
-    histograms.
-    """
-    job = pool.begin_job(state, steal=True,
-                         capture_events=capture_events, context=context)
-    pending = 0
-    outstanding = set()
-    outcomes: List[GapShardOutcome] = []
-    errors: List[BaseException] = []
-    steals = 0
-    winner: Optional[GapShardOutcome] = None
-    final = False
-    try:
-        for prefix in prefixes:
-            job.submit(_gap_shard_run, prefix)
-            pending += 1
-            outstanding.add(tuple(prefix))
-        while pending:
-            kind, task_id, body = job.next_message()
-            if kind == "split":
-                stolen = task_id  # ("split", prefix, None) message
-                pending += 1
-                steals += 1
-                outstanding.add(tuple(stolen))
-                job.submit(_gap_shard_run, stolen)
-                continue
-            pending -= 1
-            if kind == "err":
-                # the donated-prefix set no longer matches the task, so
-                # leave ``outstanding`` alone: ``final`` then stays
-                # False and the error is raised by the caller anyway
-                errors.append(RuntimeError(
-                    f"gap shard task {task_id} failed: {body}"))
-                pool.cancel.set()  # drain the rest fast, raise after
-                continue
-            outcome = body
-            outstanding.discard(tuple(outcome.prefix))
-            outcomes.append(outcome)
-            if outcome.status not in ("diverged", "cancelled", "error"):
-                if winner is None or \
-                        (_dfs_key(outcome.gap_bits),
-                         _dfs_key(outcome.prefix)) < \
-                        (_dfs_key(winner.gap_bits),
-                         _dfs_key(winner.prefix)):
-                    winner = outcome
-            if winner is not None and not final:
-                # final iff no outstanding subspace can still hold a
-                # DFS-earlier leaf; a prefix that orders equal-or-
-                # before the winner leaf blocks (tuple comparison
-                # treats a prefix of the leaf as earlier, which is
-                # conservative and therefore sound)
-                wkey = _dfs_key(winner.gap_bits)
-                if all(_dfs_key(p) > wkey for p in outstanding):
-                    final = True
-                    pool.cancel.set()
-    finally:
-        snapshots, events = job.finish()
-    return outcomes, errors, steals, snapshots, events
-
-
-def shard_gap_search(module, trace, failure, *, shards: int,
-                     max_attempts: int, solver_cache=None,
-                     cache_dir: Optional[str] = None,
-                     incremental: bool = True,
-                     pool: Optional[WorkerPool] = None,
-                     **engine_kwargs):
-    """Gap-recovery search fanned out over ``shards`` worker processes.
-
-    The serial DFS's leaf space is partitioned by decision prefixes;
-    each worker explores a subspace with the same backtracking search,
-    confined by a locked prefix, and idle workers split busy siblings'
-    subspaces.  The winning outcome is the first non-diverged one in
-    serial DFS order — identical to what the serial search returns —
-    and the parent replays its decision vector once, in-process and
-    against ``solver_cache``, to materialize the full
-    :class:`~repro.symex.result.SymexResult`.
-
-    Worker telemetry snapshots are merged via
-    :func:`repro.telemetry.merge_snapshots` and absorbed into the
-    calling registry — counters sum, histogram aggregates fold in with
-    approximate percentiles — so worker metrics (including the
-    coordination-overhead histograms) stay visible in the parent's own
-    final snapshot.  When the parent's sink is live, shard event
-    streams are shipped back and re-emitted verbatim, forming one
-    causally-linked trace across the process boundary.  The parent
-    additionally records steal/cancellation counters and a per-shard
-    attempt histogram (``parallel.shard_subspace_attempts``).
-
-    ``pool`` overrides the process-wide shared :class:`WorkerPool`
-    (used by the A/B benchmark to price a throwaway per-call pool
-    against the persistent one).
-    """
-    from .symex.gaps import replay_with_gap_recovery
-
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if solver_cache is None:
-        solver_cache = SolverCache(
-            persistent=DiskSolverCache(cache_dir) if cache_dir else None)
-    prefixes = _steal_prefixes(trace, shards)
-    if shards == 1 or not prefixes or in_pool_worker():
-        # no gaps to split on, nothing to parallelize, or already inside
-        # a (daemonic) pool worker that cannot spawn children: serial
-        return replay_with_gap_recovery(module, trace, failure,
-                                        max_attempts=max_attempts,
-                                        solver_cache=solver_cache,
-                                        incremental=incremental,
-                                        **engine_kwargs)
-    tel = telemetry.get()
-    capture_events = tel.enabled
-    # per-worker config rides inside the job's generation payload; the
-    # shard body pops what ShepherdedSymex must not see
-    state = dict(module=module, trace=trace, failure=failure,
-                 max_attempts=max_attempts,
-                 engine_kwargs=dict(engine_kwargs,
-                                    incremental=incremental),
-                 cache_dir=cache_dir)
-    with tel.span("symex.gap_shard_search", shards=shards,
-                  tasks=len(prefixes)):
-        # captured inside the span: worker root spans parent on it
-        context = tel.trace_context()
-        target = pool if pool is not None else get_pool(shards)
-        outcomes, errors, steals, snapshots, events = \
-            _steal_shard_outcomes(target, state, prefixes, context,
-                                  capture_events)
-    tel.absorb(telemetry.merge_snapshots(snapshots))
-    tel.forward(events)
-    tel.count("parallel.gap_shards", len(outcomes))
-    if steals:
-        tel.count("parallel.steals", steals)
-    cancelled = sum(1 for o in outcomes if o.status == "cancelled")
-    if cancelled:
-        tel.count("parallel.cancelled_shards", cancelled)
-    subspace_hist = tel.histogram("parallel.shard_subspace_attempts")
-    for outcome in outcomes:
-        subspace_hist.record(outcome.gap_attempts)
-    if errors:
-        raise errors[0]
-    failed = [o for o in outcomes if o.status == "error"]
-    if failed:
-        raise RuntimeError(
-            f"gap shard worker failed on prefix {failed[0].prefix}: "
-            f"{failed[0].error}")
-    total_attempts = sum(o.gap_attempts for o in outcomes)
-    chosen = _choose_outcome(outcomes)
-    # replay the chosen decision vector in-process: full result (terms,
-    # constraints, model) without shipping terms across processes
-    with T.term_scope(reuse_active=True):
-        engine = ShepherdedSymex(module, trace, failure,
-                                 gap_decisions=list(chosen.gap_bits),
-                                 solver_cache=solver_cache,
-                                 **engine_kwargs)
-        result = engine.run()
-    result.gap_attempts = total_attempts
-    if result.status != "diverged":
-        telemetry.count("symex.gap_recoveries")
-        tel.histogram("symex.gap_attempts").record(total_attempts)
-        logger.debug("sharded gap recovery converged after %d replays "
-                     "across %d shard tasks (%d stolen)", total_attempts,
-                     len(outcomes), steals)
-    else:
-        telemetry.count("symex.gap_replays")
-        result.divergence_reason += \
-            f" (after {total_attempts} gap assignments)"
-    return result
 
 
 def measure_incremental_ab(workload_name: str = "sqlite-7be932d", *,

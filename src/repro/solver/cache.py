@@ -34,8 +34,8 @@ across *processes*:
 5. **Persistence** — an optional disk tier
    (:class:`~repro.solver.diskcache.DiskSolverCache`) keyed on canonical
    term digests, shared across processes via an append-only locked
-   file.  Gap-recovery shards and successive CLI runs warm-start each
-   other through it.
+   file.  Batch workers and successive CLI runs warm-start each other
+   through it.
 
 Timeouts are never cached (they are budget-dependent), and enumeration
 results are only cached when complete or limit-truncated — never when

@@ -1,7 +1,7 @@
 """Persistent, cross-process solver-query cache (the disk tier).
 
 The in-memory :class:`~repro.solver.cache.SolverCache` dies with its
-session; every gap-recovery shard, batch worker, and successive
+session; every batch worker and successive
 ``repro reproduce``/``repro bench`` invocation re-solves the same
 queries from scratch.  This tier fixes that: query results are keyed on
 *sets of canonical term digests* (:func:`~repro.solver.terms.term_digest`
@@ -75,7 +75,7 @@ class DiskSolverCache:
 
     ``path`` may be a directory (the conventional ``--cache-dir``; the
     store lives inside it) or a ``*.jsonl`` file path.  Instances are
-    cheap; every shard/worker opens its own against the shared store.
+    cheap; every worker opens its own against the shared store.
 
     ``seal_bytes`` caps the active append segment: crossing it seals
     the segment (one atomic manifest swap) and, with ``auto_compact``,

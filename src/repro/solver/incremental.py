@@ -41,9 +41,8 @@ completed (set-exhaustive) rejections, so even a timed-out or unsat
 search contributes sound facts.
 
 Scoping: a stack belongs to one :class:`~repro.solver.cache.SolverCache`
-session and is enabled by the gap search (serial and per shard), where
-the work-stealing scheduler's checkpoints already advance prefixes one
-decision at a time.  Exact-trace replays never create one, so the
+session and is enabled by the gap search, whose backtracking advances
+prefixes one decision at a time.  Exact-trace replays never create one, so the
 default reconstruction path is bit-for-bit unchanged.
 """
 
@@ -194,12 +193,11 @@ class AssumptionStack:
             self.conflicts_learned += added
             telemetry.count("solver.incremental.conflicts_learned", added)
 
-    # -- scheduler hooks -------------------------------------------------
+    # -- search hooks ----------------------------------------------------
 
     def mark_attempt(self) -> None:
-        """Called at each gap-search attempt boundary (steal checkpoints
-        run there too): records how much stacked state survives into the
-        sibling attempt."""
+        """Called at each gap-search attempt boundary: records how much
+        stacked state survives into the sibling attempt."""
         self.attempts += 1
         telemetry.histogram(
             "solver.incremental.attempt_depth").record(len(self._terms))

@@ -32,7 +32,6 @@ import logging
 from typing import List, Optional, Tuple
 
 from .. import telemetry
-from ..errors import SearchCancelled
 from ..interp.failures import FailureInfo
 from ..ir.module import Module
 from ..solver import terms as T
@@ -47,10 +46,7 @@ logger = logging.getLogger(__name__)
 #: bound on replays (exponential worst case; divergence-guided in practice)
 MAX_GAP_ATTEMPTS = 512
 
-#: re-export: the ``control`` hook below raises :class:`SearchCancelled`,
-#: which is defined in ``repro.errors``
-__all__ = ["SearchCancelled", "SearchRecord", "replay_with_gap_recovery",
-           "MAX_GAP_ATTEMPTS"]
+__all__ = ["SearchRecord", "replay_with_gap_recovery", "MAX_GAP_ATTEMPTS"]
 
 
 class SearchRecord:
@@ -73,7 +69,7 @@ class SearchRecord:
         #: (storing whole logs would repeat every shared prefix)
         self.attempts: List[Tuple[int, List[Tuple[int, object]]]] = []
         #: deepest chunk index any attempt reached; None when the search
-        #: kept no record (it was sharded, or took no checkpoints)
+        #: kept no record (it took no checkpoints)
         self.depth: Optional[int] = None
         #: the search's outcome
         self.result: Optional[SymexResult] = None
@@ -111,8 +107,6 @@ class SearchRecord:
 def replay_with_gap_recovery(module: Module, trace: DecodedTrace,
                              failure: Optional[FailureInfo],
                              max_attempts: int = MAX_GAP_ATTEMPTS,
-                             shards: int = 1,
-                             cache_dir: Optional[str] = None,
                              incremental: bool = True,
                              record: Optional[SearchRecord] = None,
                              **engine_kwargs) -> SymexResult:
@@ -124,18 +118,11 @@ def replay_with_gap_recovery(module: Module, trace: DecodedTrace,
     first non-diverged result, or the last divergence after the search
     is exhausted.
 
-    ``shards > 1`` fans the search out over worker processes (see
-    :func:`repro.parallel.shard_gap_search`): the decision tree is split
-    into prefix subspaces explored concurrently, idle workers split a
-    busy sibling's subspace, and the first solution in serial DFS order
-    wins, so the result matches the serial search.  ``cache_dir``
-    points every worker (and the serial search) at a shared persistent
-    solver cache.  ``incremental`` (default on) gives the session an
-    :class:`AssumptionStack`, so sibling attempts' queries along a
-    shared constraint prefix re-solve only the delta; switching it off
-    re-solves every sibling from scratch (the A/B the benchmark harness
-    measures).  ``record``, when given, is filled in by a serial search
-    (see :class:`SearchRecord`); a sharded one leaves it unreplayable.
+    ``incremental`` (default on) gives the session an :class:`AssumptionStack`,
+    so sibling attempts' queries along a shared constraint prefix
+    re-solve only the delta; switching it off re-solves every sibling
+    from scratch (the A/B the benchmark harness measures).  ``record``,
+    when given, is filled in by the search (see :class:`SearchRecord`).
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
@@ -144,16 +131,7 @@ def replay_with_gap_recovery(module: Module, trace: DecodedTrace,
     # queries hit the cache instead of being re-solved per replay
     cache = engine_kwargs.pop("solver_cache", None)
     if cache is None:
-        cache = SolverCache(persistent=_open_disk_cache(cache_dir))
-    elif cache.persistent is None and cache_dir is not None:
-        cache.persistent = _open_disk_cache(cache_dir)
-    if shards > 1:
-        from ..parallel import shard_gap_search  # lazy: avoid import cycle
-        return shard_gap_search(module, trace, failure,
-                                shards=shards, max_attempts=max_attempts,
-                                solver_cache=cache, cache_dir=cache_dir,
-                                incremental=incremental,
-                                **engine_kwargs)
+        cache = SolverCache()
     if incremental and cache.assumptions is None:
         cache.assumptions = AssumptionStack()
     with T.term_scope(reuse_active=True):
@@ -161,34 +139,10 @@ def replay_with_gap_recovery(module: Module, trace: DecodedTrace,
                                      cache, engine_kwargs, record=record)
 
 
-def _open_disk_cache(cache_dir):
-    if cache_dir is None:
-        return None
-    from ..solver.diskcache import DiskSolverCache
-    return DiskSolverCache(cache_dir)
-
-
 def _search_gap_decisions(module, trace, failure, max_attempts,
                           cache, engine_kwargs,
-                          initial_decisions: Optional[List[bool]] = None,
-                          locked_prefix: int = 0,
-                          control=None,
                           record: Optional[SearchRecord] = None):
-    """Serial DFS over gap decisions, optionally confined to a subspace.
-
-    ``initial_decisions`` seeds the first replay's decision vector and
-    ``locked_prefix`` freezes its first N bits: backtracking never flips
-    a locked bit, so the search covers exactly the subspace under that
-    prefix — this is the per-shard body of the parallel search.  A
-    divergence *inside* the locked prefix exhausts the subspace
-    immediately (no sibling under this prefix can replay further).
-
-    ``control`` is the work-stealing hook: its
-    ``checkpoint(decisions, locked_prefix, attempts)`` runs before every
-    replay and returns the (possibly extended) locked prefix length —
-    extending it donates the untouched sibling half of the subspace to a
-    thief.  It may raise :class:`SearchCancelled` to stop the shard once
-    the parent has committed a winner in an earlier subspace.
+    """Serial DFS over gap decisions.
 
     Attempts share one :class:`GapPath`: the first runs from chunk 0,
     each sibling resumes from the checkpoint of the gap it flips (see
@@ -197,21 +151,17 @@ def _search_gap_decisions(module, trace, failure, max_attempts,
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-    decisions: List[bool] = list(initial_decisions or [])
+    decisions: List[bool] = []
     path = None if engine_kwargs.get("continue_on_stall") else GapPath()
     resume = None
     deepest = -1
     last: Optional[SymexResult] = None
     attempts = 0
     while attempts < max_attempts:
-        if control is not None:
-            locked_prefix = control.checkpoint(decisions, locked_prefix,
-                                               attempts)
         if cache.assumptions is not None:
-            # attempt boundary (where steal checkpoints change the
-            # prefix one decision at a time): the stack keeps the
-            # surviving common-prefix frames; the first query of this
-            # replay pops exactly the abandoned sibling's frames
+            # attempt boundary: the stack keeps the surviving
+            # common-prefix frames; the first query of this replay pops
+            # exactly the abandoned sibling's frames
             cache.assumptions.mark_attempt()
         engine = ShepherdedSymex(module, trace, failure,
                                  gap_decisions=decisions,
@@ -236,10 +186,10 @@ def _search_gap_decisions(module, trace, failure, max_attempts,
         last = result
         # the bits consumed up to the divergence are the DFS prefix
         prefix = list(result.gap_bits)
-        while len(prefix) > locked_prefix and prefix[-1] is False:
+        while prefix and prefix[-1] is False:
             prefix.pop()          # False branch exhausted: backtrack
-        if len(prefix) <= locked_prefix:
-            break                 # subspace (or whole space) explored
+        if not prefix:
+            break                 # whole space explored
         prefix[-1] = False        # try the other outcome
         decisions = prefix
         if path is not None:

@@ -3,7 +3,7 @@
 Every :class:`~repro.telemetry.registry.Telemetry` registry owns a
 ``trace_id`` and stamps each span with a ``span_id``/``parent_id``
 pair.  When work crosses a process boundary (the batch runner, the
-gap-shard schedulers), the parent captures a :class:`TraceContext` —
+Table-1 pool), the parent captures a :class:`TraceContext` —
 trace id, the currently open span's id, and the parent timeline's
 origin in wall-clock terms — and ships it to the worker, whose
 registry then

@@ -79,8 +79,9 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.seconds = time.perf_counter() - self._started
-        self.telemetry._exit_span(self, error=exc_type is not None)
+        ended = time.perf_counter()
+        self.seconds = ended - self._started
+        self.telemetry._exit_span(self, ended, error=exc_type is not None)
 
 
 class Telemetry:
@@ -175,7 +176,7 @@ class Telemetry:
         span.trace_id = self.trace_id
         stack.append(span)
 
-    def _exit_span(self, span: Span, error: bool) -> None:
+    def _exit_span(self, span: Span, ended: float, error: bool) -> None:
         stack = self._span_stack()
         depth = len(stack)
         parent = stack[-2].name if depth >= 2 else None
@@ -192,7 +193,9 @@ class Telemetry:
                 event["error"] = True
             if span.attrs:
                 event["attrs"] = span.attrs
-            self._emit(event)
+            # stamped with the close time, not the emit time, so that
+            # the exported start (ts - dur) is the span's entry time
+            self._emit(event, at=ended)
 
     # -- trace handoff ---------------------------------------------------
 
@@ -202,8 +205,8 @@ class Telemetry:
         The handoff span is the innermost span open on the calling
         thread (or this registry's own inherited handoff span when none
         is open); ``wall_origin`` re-expresses the *root* timeline's
-        zero point so chained handoffs (batch → reconstruction → shard)
-        keep one shared clock.
+        zero point so chained handoffs (a worker handing its own context
+        on) keep one shared clock.
         """
         stack = self._span_stack()
         if stack:
@@ -248,11 +251,12 @@ class Telemetry:
         self._emit({"type": "snapshot", "name": "telemetry.snapshot",
                     "metrics": self.snapshot()})
 
-    def _emit(self, event: Dict) -> None:
+    def _emit(self, event: Dict, at: Optional[float] = None) -> None:
         self._seq += 1
         event["seq"] = self._seq
-        event["ts"] = round(self._ts_base
-                            + time.perf_counter() - self._epoch, 6)
+        if at is None:
+            at = time.perf_counter()
+        event["ts"] = round(self._ts_base + at - self._epoch, 6)
         event["pid"] = self._pid
         self.sink.emit(event)
 

@@ -25,13 +25,12 @@ NESTED_SPANS = {
 }
 
 #: coordination-overhead sources: table label -> histogram name.  The
-#: first three are recorded by the parallel schedulers (worker-side,
-#: folded into the parent registry), the spans by the pool lifecycle,
-#: and the lock wait by ``DiskSolverCache`` around its ``flock`` calls.
+#: first two are recorded by the worker pool (worker-side, folded into
+#: the parent registry), the spans by the pool lifecycle, and the lock
+#: wait by ``DiskSolverCache`` around its ``flock`` calls.
 OVERHEAD_SOURCES = (
     ("worker idle", "parallel.worker_idle_seconds"),
     ("queue wait", "parallel.queue_wait_seconds"),
-    ("steal latency", "parallel.steal_latency_seconds"),
     ("pool spin-up", "span.parallel.pool_spinup"),
     ("pool teardown", "span.parallel.pool_teardown"),
     ("cache lock wait", "solver.diskcache.lock_wait_seconds"),

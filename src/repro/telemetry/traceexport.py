@@ -7,11 +7,10 @@ https://ui.perfetto.dev open directly:
 * every closed **span** becomes one complete (``"ph": "X"``) event —
   spans are emitted at close carrying their duration, so the start is
   ``ts - dur`` — on the track of the process that ran it (one ``pid``
-  track per worker, which is what makes the schedulers' load balance
+  track per worker, which is what makes the pool's load balance
   visible at a glance);
-* every point **event** (steal tokens served, subspace splits, shard
-  cancellations, solver-cache hits, ring wraps, ...) becomes an instant
-  (``"ph": "i"``) on its worker's track; and
+* every point **event** (solver-cache hits, ring wraps, divergences,
+  ...) becomes an instant (``"ph": "i"``) on its worker's track; and
 * each distinct pid gets a ``process_name`` metadata record.
 
 Cross-process comparability comes from the registries themselves:

@@ -24,7 +24,7 @@ from repro.solver import terms as T
 from repro.solver.cache import SolverCache
 from repro.solver.incremental import AssumptionStack
 from repro.symex.engine import ShepherdedSymex
-from repro.symex.gaps import MAX_GAP_ATTEMPTS, _open_disk_cache
+from repro.symex.gaps import MAX_GAP_ATTEMPTS
 from repro.symex.ordering import ambiguous_groups, candidate_orders
 from repro.symex.result import SymexResult
 from repro.trace.decoder import DecodedTrace
@@ -34,7 +34,6 @@ logger = logging.getLogger(__name__)
 
 def reference_replay_with_gap_recovery(module, trace, failure,
                                        max_attempts=MAX_GAP_ATTEMPTS,
-                                       shards=1, cache_dir=None,
                                        incremental=True,
                                        **engine_kwargs) -> SymexResult:
     """``replay_with_gap_recovery`` over the reference search."""
@@ -45,16 +44,7 @@ def reference_replay_with_gap_recovery(module, trace, failure,
     # queries hit the cache instead of being re-solved per replay
     cache = engine_kwargs.pop("solver_cache", None)
     if cache is None:
-        cache = SolverCache(persistent=_open_disk_cache(cache_dir))
-    elif cache.persistent is None and cache_dir is not None:
-        cache.persistent = _open_disk_cache(cache_dir)
-    if shards > 1:
-        from repro.parallel import shard_gap_search
-        return shard_gap_search(module, trace, failure,
-                                shards=shards, max_attempts=max_attempts,
-                                solver_cache=cache, cache_dir=cache_dir,
-                                incremental=incremental,
-                                **engine_kwargs)
+        cache = SolverCache()
     if incremental and cache.assumptions is None:
         cache.assumptions = AssumptionStack()
     with T.term_scope(reuse_active=True):
@@ -64,26 +54,18 @@ def reference_replay_with_gap_recovery(module, trace, failure,
 
 
 def reference_search_gap_decisions(module, trace, failure, max_attempts,
-                                   cache, engine_kwargs,
-                                   initial_decisions: Optional[
-                                       List[bool]] = None,
-                                   locked_prefix: int = 0,
-                                   control=None):
+                                   cache, engine_kwargs):
     """Serial DFS over gap decisions, every attempt from chunk 0."""
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-    decisions: List[bool] = list(initial_decisions or [])
+    decisions: List[bool] = []
     last: Optional[SymexResult] = None
     attempts = 0
     while attempts < max_attempts:
-        if control is not None:
-            locked_prefix = control.checkpoint(decisions, locked_prefix,
-                                               attempts)
         if cache.assumptions is not None:
-            # attempt boundary (where steal checkpoints change the
-            # prefix one decision at a time): the stack keeps the
-            # surviving common-prefix frames; the first query of this
-            # replay pops exactly the abandoned sibling's frames
+            # attempt boundary: the stack keeps the surviving
+            # common-prefix frames; the first query of this replay pops
+            # exactly the abandoned sibling's frames
             cache.assumptions.mark_attempt()
         engine = ShepherdedSymex(module, trace, failure,
                                  gap_decisions=decisions,
@@ -103,10 +85,10 @@ def reference_search_gap_decisions(module, trace, failure, max_attempts,
         last = result
         # the bits consumed up to the divergence are the DFS prefix
         prefix = list(result.gap_bits)
-        while len(prefix) > locked_prefix and prefix[-1] is False:
+        while prefix and prefix[-1] is False:
             prefix.pop()          # False branch exhausted: backtrack
-        if len(prefix) <= locked_prefix:
-            break                 # subspace (or whole space) explored
+        if not prefix:
+            break                 # whole space explored
         prefix[-1] = False        # try the other outcome
         decisions = prefix
     if last is None:

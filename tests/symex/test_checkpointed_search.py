@@ -9,7 +9,7 @@ order, counters, models, assumption-stack facts) in the same state.
 ``tests/core/test_determinism.py`` checks every driver call of the 13
 workloads' lossy reconstructions that way; the cases here cover what
 those reconstructions do not reach: evicted prefixes, a threaded trace,
-the sharded search, and the mechanisms' own accounting.
+and the mechanisms' own accounting.
 """
 
 import functools
@@ -23,7 +23,6 @@ from repro.core.reconstructor import _recovering_driver
 from repro.errors import ReconstructionError
 from repro.interp.env import Environment
 from repro.interp.interpreter import Interpreter
-from repro.solver import terms as T
 from repro.solver.cache import SolverCache
 from repro.symex import gaps
 from repro.symex import ordering
@@ -38,7 +37,6 @@ from repro.workloads import get_workload
 from tests.symex import reference_gap_search
 from tests.symex.reference_gap_search import (Canon, Lockstep, cache_state,
                                               reference_recovering_driver,
-                                              reference_search_gap_decisions,
                                               result_state)
 
 #: the benchmark's lossy-trace site: 8.5 % lost TNT bits, per-CPU merge
@@ -296,32 +294,6 @@ class TestOrderSkipping:
         pair = both_drivers(spawn_module, trace, None)
         assert pair[0][0].status == "diverged"
         assert_same(pair)
-
-
-class TestSharded:
-    @pytest.mark.parametrize("name", ["libpng-2004-0597", "pbzip2-uaf"])
-    def test_sharded_driver_matches_reference(self, few_orders, name):
-        """shards=2 keeps no record, so every order runs as before."""
-        module, trace, failure, work_limit = lossy_occurrence(name)
-        assert_same(both_drivers(module, trace, failure, shards=2,
-                                 work_limit=work_limit))
-
-    @pytest.mark.parametrize("prefix", [[True], [False], [True, False]])
-    def test_shard_body_matches_reference(self, prefix):
-        """The per-shard search (locked prefix) resumes siblings too."""
-        module, trace, failure, work_limit = \
-            lossy_occurrence("libpng-2004-0597")
-        out = []
-        for search in (reference_search_gap_decisions,
-                       gaps._search_gap_decisions):
-            cache = SolverCache()
-            with T.term_scope():
-                result = search(module, trace, failure, 512, cache,
-                                {"work_limit": work_limit},
-                                initial_decisions=list(prefix),
-                                locked_prefix=len(prefix))
-            out.append((result, cache))
-        assert_same(out)
 
 
 @pytest.mark.parametrize("name", ["sqlite-787fa71", "pbzip2-uaf"])

@@ -8,8 +8,7 @@ from repro.interp.env import Environment
 from repro.interp.interpreter import Interpreter
 from repro.solver.cache import SolverCache
 from repro.symex import gaps
-from repro.symex.gaps import (SearchCancelled, _search_gap_decisions,
-                              replay_with_gap_recovery)
+from repro.symex.gaps import _search_gap_decisions, replay_with_gap_recovery
 from repro.trace.decoder import decode
 from repro.trace.degrade import DEFAULT_LOSS, degrade_trace, gap_count
 from repro.trace.encoder import PTEncoder
@@ -170,83 +169,3 @@ class TestSearchAccounting:
     def test_zero_attempts_raises_cleanly(self, diverging_engine):
         with pytest.raises(ValueError, match="max_attempts"):
             _search_gap_decisions("m", "t", None, 0, SolverCache(), {})
-
-
-class TestLockedPrefix:
-    """Shard confinement: backtracking never crosses the locked prefix."""
-
-    def test_subspace_fully_explored(self, diverging_engine):
-        diverging_engine.depth = 3
-        result = _search_gap_decisions(
-            "m", "t", None, 512, SolverCache(), {},
-            initial_decisions=[True, False], locked_prefix=2)
-        # only the third bit is searchable: two leaves
-        assert result.gap_attempts == 2
-        assert diverging_engine.launches == \
-            [[True, False], [True, False, False]]
-        for decisions in diverging_engine.launches:
-            assert decisions[:2] == [True, False]
-
-    def test_divergence_inside_prefix_exhausts(self, diverging_engine):
-        diverging_engine.depth = 1  # diverges before the prefix ends
-        result = _search_gap_decisions(
-            "m", "t", None, 512, SolverCache(), {},
-            initial_decisions=[True, False], locked_prefix=2)
-        assert result.gap_attempts == 1
-        assert diverging_engine.launches == [[True, False]]
-
-    def test_unlocked_matches_plain_search(self, diverging_engine):
-        plain = _search_gap_decisions("m", "t", None, 512,
-                                      SolverCache(), {})
-        diverging_engine.launches = []
-        seeded = _search_gap_decisions("m", "t", None, 512,
-                                       SolverCache(), {},
-                                       initial_decisions=[],
-                                       locked_prefix=0)
-        assert seeded.gap_attempts == plain.gap_attempts
-
-
-class TestSearchControl:
-    """The work-stealing checkpoint hook (driven by repro.parallel)."""
-
-    def test_checkpoint_runs_before_every_replay(self, diverging_engine):
-        calls = []
-
-        class Recorder:
-            def checkpoint(self, decisions, locked_prefix, attempts):
-                calls.append((list(decisions), locked_prefix, attempts))
-                return locked_prefix
-
-        result = _search_gap_decisions("m", "t", None, 512, SolverCache(),
-                                       {}, control=Recorder())
-        assert len(calls) == result.gap_attempts == 4
-        # attempts counts *completed* replays at each checkpoint
-        assert [c[2] for c in calls] == [0, 1, 2, 3]
-
-    def test_cancel_stops_the_search(self, diverging_engine):
-        class CancelSecond:
-            def checkpoint(self, decisions, locked_prefix, attempts):
-                if attempts >= 1:
-                    raise SearchCancelled(attempts)
-                return locked_prefix
-
-        with pytest.raises(SearchCancelled) as err:
-            _search_gap_decisions("m", "t", None, 512, SolverCache(), {},
-                                  control=CancelSecond())
-        assert err.value.attempts == 1
-        assert len(diverging_engine.launches) == 1
-
-    def test_extended_locked_prefix_confines_backtracking(
-            self, diverging_engine):
-        # a donation (checkpoint returning a longer locked prefix) keeps
-        # the victim out of the donated half for the rest of the search
-        class DonateFirstBit:
-            def checkpoint(self, decisions, locked_prefix, attempts):
-                return max(locked_prefix, 1)
-
-        result = _search_gap_decisions("m", "t", None, 512, SolverCache(),
-                                       {}, control=DonateFirstBit())
-        # bit 0 locked at its default True: only the second bit is
-        # searched, and the donated [False, *] half is never entered
-        assert result.gap_attempts == 2
-        assert diverging_engine.launches == [[], [True, False]]

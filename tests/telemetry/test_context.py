@@ -110,7 +110,7 @@ class TestClockAlignment:
         root = Telemetry()
         mid = Telemetry(context=root.trace_context())
         leaf_ctx = mid.trace_context()
-        # batch -> reconstruction -> shard: wall_origin re-expresses the
+        # root -> worker -> nested worker: wall_origin re-expresses the
         # ROOT origin each hop, so all levels share one zero point
         assert abs(leaf_ctx.wall_origin
                    - root.trace_context().wall_origin) < 0.5

@@ -135,21 +135,21 @@ class TestRenderStats:
         assert "2 subsumption hits, 1 disk hits" in text
 
     def test_metric_histograms_rendered(self):
-        # non-span histograms (e.g. the per-shard subspace sizes) get
+        # non-span histograms (e.g. the gap-search attempt counts) get
         # their own table; span histograms keep theirs
         events = [
             iteration_end(1),
             {"type": "snapshot",
              "metrics": {"counters": {},
                          "histograms": {
-                             "parallel.shard_subspace_attempts": {
+                             "symex.gap_attempts": {
                                  "count": 4, "sum": 20.0, "mean": 5.0,
                                  "min": 1.0, "max": 14.0, "p50": 2.0,
                                  "p90": 14.0, "p99": 14.0}}}},
         ]
         text = render_stats(events)
         assert "Metric histograms" in text
-        assert "parallel.shard_subspace_attempts" in text
+        assert "symex.gap_attempts" in text
 
     def test_worker_pool_line_from_pool_counters_alone(self):
         events = [
@@ -232,14 +232,14 @@ class TestOverheadAttribution:
             {"type": "snapshot",
              "metrics": {"counters": {},
                          "histograms": {
-                             "parallel.steal_latency_seconds":
+                             "parallel.worker_idle_seconds":
                                  hist(3, 0.03),
                              "span.parallel.pool_spinup": hist(1, 0.01),
                          }}},
         ]
         text = render_stats(events)
         assert "Overhead attribution" in text
-        assert "steal latency" in text and "pool spin-up" in text
+        assert "worker idle" in text and "pool spin-up" in text
 
     def test_overhead_histograms_kept_out_of_metric_table(self):
         events = [

@@ -1,8 +1,11 @@
 """Chrome/Perfetto trace-event export: conversion, schema, end to end."""
 
+import itertools
 import json
+import time
+from types import SimpleNamespace
 
-from repro.telemetry import (MemorySink, Telemetry, build_trace,
+from repro.telemetry import (MemorySink, Telemetry, build_trace, registry,
                              validate_trace, write_trace)
 from repro.telemetry.traceexport import trace_events
 
@@ -33,6 +36,25 @@ class TestConversion:
         assert outer["ts"] <= inner["ts"]
         assert inner["args"]["parent_id"] == outer["args"]["span_id"]
         assert outer["args"]["iteration"] == 1
+
+    def test_nested_spans_start_at_their_entry_time(self, monkeypatch):
+        # a clock that steps one second per read: a span event stamped
+        # by a read after the one that closed the span would export a
+        # start (ts - dur) one step late, after its child's
+        ticks = itertools.count()
+        monkeypatch.setattr(registry, "time", SimpleNamespace(
+            perf_counter=lambda: float(next(ticks)), time=time.time))
+        sink = MemorySink()
+        tel = Telemetry(sink)
+        with tel.span("outer") as outer:
+            with tel.span("inner") as inner:
+                tel.event("tick")
+        starts = {r["name"]: r["ts"] for r in trace_events(sink.events)
+                  if r["ph"] == "X"}
+        assert starts == {
+            span.name: int((span._started - tel._epoch) * 1_000_000)
+            for span in (outer, inner)}
+        assert starts["outer"] < starts["inner"]
 
     def test_events_become_instants(self):
         _, events = _instrumented_run()
@@ -127,15 +149,15 @@ class TestWriteTrace:
         assert doc["otherData"]["trace_ids"]
 
 
-class TestShardedTraceEndToEnd:
-    """The acceptance scenario: a sharded steal run's exported trace."""
+class TestBatchTraceEndToEnd:
+    """The acceptance scenario: a pooled batch run's exported trace."""
 
-    def test_steal_run_trace_schema_and_linkage(self, tmp_path, capsys):
+    def test_batch_run_trace_schema_and_linkage(self, tmp_path, capsys):
         from repro.cli import main
 
         trace_path = tmp_path / "trace.json"
-        assert main(["reproduce", "objdump-2018-6323",
-                     "--mapping-loss", "0.085", "--shards", "2",
+        assert main(["bench", "objdump-2018-6323", "matrixssl-2014-1569",
+                     "--parallel", "2",
                      "--trace-out", str(trace_path)]) == 0
         capsys.readouterr()
         doc = json.loads(trace_path.read_text())
@@ -147,23 +169,21 @@ class TestShardedTraceEndToEnd:
         metas = {r["pid"] for r in doc["traceEvents"] if r["ph"] == "M"}
         assert pids <= metas             # every worker has a named track
 
-        # every span shares the reconstruction's trace id
+        # every span shares the run's trace id
         trace_ids = {r["args"]["trace_id"] for r in xs
                      if "trace_id" in r.get("args", {})}
         assert len(trace_ids) == 1
 
-        # shard spans link to a parent span from ANOTHER process
+        # workers' spans link to a parent span from ANOTHER process
         by_id = {r["args"]["span_id"]: r for r in xs
                  if "span_id" in r.get("args", {})}
         cross = [r for r in xs
                  if r.get("args", {}).get("parent_id") in by_id
                  and by_id[r["args"]["parent_id"]]["pid"] != r["pid"]]
         assert cross, "no span linked across the process boundary"
-        shard_spans = [r for r in xs if r["name"] == "parallel.shard_search"]
-        assert shard_spans
-        for r in shard_spans:
+        for r in cross:
             parent = by_id[r["args"]["parent_id"]]
-            assert parent["name"] == "symex.gap_shard_search"
-            assert parent["pid"] != r["pid"]
-            # aligned clocks: the shard span starts after its parent
+            assert r["name"] == "reconstruct.run"
+            assert parent["name"] == "parallel.batch"
+            # aligned clocks: the worker span starts after its parent
             assert r["ts"] >= parent["ts"]

@@ -312,10 +312,10 @@ class TestServe:
 
 class TestLoopFlags:
     """The reconstruction loop is the paper's sequential one: reproduce
-    and bench offer no pipelining, solver-portfolio, shard-scheduler or
+    and bench offer no pipelining, solver-portfolio, sharding or
     simulated-wait knobs, while serve keeps its jittered fleet wait."""
 
-    REMOVED = ["--pipeline", "--portfolio", "--steal",
+    REMOVED = ["--pipeline", "--portfolio", "--steal", "--shards",
                "--reoccurrence-delay"]
 
     @staticmethod
@@ -346,12 +346,12 @@ class TestLoopFlags:
         assert args.reoccurrence_delay == 0.2
 
 
-class TestReproduceSharded:
-    """`reproduce --shards/--cache-dir/--mapping-loss` end to end."""
+class TestReproduceRecoveryFlags:
+    """`reproduce --cache-dir/--mapping-loss` end to end."""
 
-    def test_mapping_loss_with_shards(self, capsys):
+    def test_mapping_loss(self, capsys):
         assert main(["reproduce", "objdump-2018-6323",
-                     "--mapping-loss", "0.085", "--shards", "2"]) == 0
+                     "--mapping-loss", "0.085"]) == 0
         assert "succeeded" in capsys.readouterr().out
 
     def test_cache_dir_second_run_hits(self, capsys, tmp_path):

@@ -1,23 +1,12 @@
 """The batch reconstruction runner and its telemetry merging."""
 
-import dataclasses
 import json
-import queue
-import re
-import threading
-import time
 
 import pytest
 
 from repro import telemetry
-from repro.core import ProductionSite
-from repro.ir.module import ProgramPoint
-from repro.parallel import (BatchItem, BatchResult, GapShardOutcome,
-                            _choose_outcome, _dfs_key, _StealControl,
-                            _steal_prefixes, run_batch, shard_gap_search,
+from repro.parallel import (BatchItem, BatchResult, run_batch,
                             write_merged_jsonl)
-from repro.symex.gaps import SearchCancelled, replay_with_gap_recovery
-from repro.workloads import get_workload
 
 #: small, fast workloads — the batch tests stay well under a second each
 FAST = ["objdump-2018-6323", "matrixssl-2014-1569"]
@@ -81,231 +70,6 @@ class TestRunBatch:
         warm = run_batch(FAST[:1], parallel=1, cache_dir=str(tmp_path))
         assert cold.succeeded == warm.succeeded == 1
         assert (tmp_path / "solver-cache.jsonl").exists()
-
-
-def _degraded_occurrence(name):
-    workload = get_workload(name)
-    module = workload.fresh_module()
-    site = ProductionSite(workload.failing_env, mapping_loss=0.085,
-                          per_cpu_buffers=True)
-    occurrence = site.run_once(module)
-    return workload, module, occurrence
-
-
-class TestShardedGapSearch:
-    def test_matches_serial_on_gap_heavy_workloads(self):
-        for name in FAST:
-            workload, module, occ = _degraded_occurrence(name)
-            kwargs = dict(work_limit=workload.work_limit * 20)
-            serial = replay_with_gap_recovery(module, occ.trace,
-                                              occ.failure, **kwargs)
-            sharded = replay_with_gap_recovery(module, occ.trace,
-                                               occ.failure, shards=2,
-                                               **kwargs)
-            assert sharded.status == serial.status, name
-            serial_model = (serial.model.assignment
-                            if serial.model else None)
-            sharded_model = (sharded.model.assignment
-                             if sharded.model else None)
-            assert sharded_model == serial_model, name
-
-    def test_no_gaps_degrades_to_serial(self):
-        workload = get_workload(FAST[0])
-        module = workload.fresh_module()
-        occ = ProductionSite(workload.failing_env).run_once(module)
-        kwargs = dict(max_attempts=512, work_limit=workload.work_limit)
-        serial = replay_with_gap_recovery(module, occ.trace, occ.failure,
-                                          **kwargs)
-        result = shard_gap_search(module, occ.trace, occ.failure,
-                                  shards=2, **kwargs)
-        # an intact trace has no prefixes to fan out: same code path
-        assert result.status == serial.status
-        assert result.gap_attempts == 1
-
-    def test_rejects_nonpositive_shards(self):
-        workload, module, occ = _degraded_occurrence(FAST[0])
-        with pytest.raises(ValueError, match="shards"):
-            shard_gap_search(module, occ.trace, occ.failure, shards=0,
-                             max_attempts=512)
-
-    def test_subspace_histogram_accounts_every_attempt(self):
-        workload, module, occ = _degraded_occurrence(FAST[0])
-        registry = telemetry.Telemetry()
-        with telemetry.scoped(registry):
-            result = replay_with_gap_recovery(
-                module, occ.trace, occ.failure, shards=2,
-                work_limit=workload.work_limit * 20)
-        snap = registry.snapshot()
-        hist = snap["histograms"]["parallel.shard_subspace_attempts"]
-        # one sample per shard outcome, summing to the reported total
-        assert hist["count"] == snap["counters"]["parallel.gap_shards"]
-        assert hist["sum"] == result.gap_attempts
-
-    def test_all_diverged_matches_serial(self):
-        # displace the failure point one instruction: no decision vector
-        # reaches it, so every subspace diverges and the sharded search
-        # must report the same divergence the serial walk does
-        workload, module, occ = _degraded_occurrence(FAST[0])
-        pt = occ.failure.point
-        wrong = dataclasses.replace(
-            occ.failure, point=ProgramPoint(pt.func, pt.block,
-                                            pt.index + 1))
-        kwargs = dict(work_limit=workload.work_limit * 20)
-        serial = replay_with_gap_recovery(module, occ.trace, wrong,
-                                          **kwargs)
-        sharded = replay_with_gap_recovery(module, occ.trace, wrong,
-                                           shards=2, **kwargs)
-        assert serial.status == sharded.status == "diverged"
-        assert sharded.diverged_chunk == serial.diverged_chunk
-        # the reason's base matches serial; the attempt suffix counts
-        # this mode's own replays (subspace entries re-run the serial
-        # walk's interior nodes, so totals legitimately differ)
-        suffix = r" \(after (\d+) gap assignments\)$"
-        base = lambda r: re.sub(suffix, "", r.divergence_reason)
-        count = lambda r: int(re.search(suffix,
-                                        r.divergence_reason).group(1))
-        assert base(sharded) == base(serial)
-        assert count(sharded) == sharded.gap_attempts
-        assert count(serial) == serial.gap_attempts == 1
-
-    def test_shard_counters_folded_into_caller(self):
-        workload, module, occ = _degraded_occurrence(FAST[0])
-        registry = telemetry.Telemetry()
-        with telemetry.scoped(registry):
-            replay_with_gap_recovery(module, occ.trace, occ.failure,
-                                     shards=2,
-                                     work_limit=workload.work_limit * 20)
-        counters = registry.snapshot()["counters"]
-        assert counters.get("parallel.gap_shards", 0) >= 1
-        # the shards' own replay traffic is visible in the parent view:
-        # the parent's re-run contributes exactly one recovery/replay, so
-        # a total of two or more proves the workers' counters were folded
-        replays = (counters.get("symex.gap_replays", 0)
-                   + counters.get("symex.gap_recoveries", 0))
-        assert replays >= 2
-
-
-class TestShardPrefixes:
-    def _trace(self, name=FAST[0]):
-        _, _, occ = _degraded_occurrence(name)
-        return occ.trace
-
-    def test_depth_bounded_by_gap_count(self):
-        workload = get_workload(FAST[0])
-        module = workload.fresh_module()
-        occ = ProductionSite(workload.failing_env).run_once(module)
-        assert _steal_prefixes(occ.trace, shards=4) == []  # no gaps
-
-    def test_more_shards_more_tasks(self):
-        trace = self._trace()
-        assert len(_steal_prefixes(trace, shards=8)) >= \
-            len(_steal_prefixes(trace, shards=2))
-
-    def test_steal_prefixes_cover_pool_width_only(self):
-        # stealing rebalances at runtime, so the seed fan-out stays at
-        # one task per worker instead of over-partitioning
-        trace = self._trace()
-        assert len(_steal_prefixes(trace, shards=2)) == 2
-        assert len(_steal_prefixes(trace, shards=4)) == 4
-
-    def test_steal_prefixes_serial_dfs_order(self):
-        trace = self._trace()
-        prefixes = _steal_prefixes(trace, shards=4)
-        assert prefixes == sorted(prefixes, key=_dfs_key)
-        assert prefixes[0] == [True] * len(prefixes[0])
-
-
-class TestStealControl:
-    """The checkpoint hook, exercised with in-process queue doubles."""
-
-    def _control(self, cancel=False, tokens=0):
-        cancel_evt = threading.Event()
-        if cancel:
-            cancel_evt.set()
-        steal_q, results_q = queue.Queue(), queue.Queue()
-        for _ in range(tokens):
-            steal_q.put((0, time.time()))
-        control = _StealControl([True], cancel_evt, steal_q=steal_q,
-                                results_q=results_q)
-        return control, steal_q, results_q
-
-    def test_cancel_aborts_with_attempt_count(self):
-        control, _, _ = self._control(cancel=True)
-        with pytest.raises(SearchCancelled) as err:
-            control.checkpoint([True, False], 1, attempts=7)
-        assert err.value.attempts == 7
-
-    def test_no_token_no_change(self):
-        control, _, results_q = self._control()
-        locked = control.checkpoint([True, False, True], 1, 0)
-        assert locked == 1
-        assert results_q.empty() and control.donated == 0
-
-    def test_donates_shallowest_unexplored_sibling(self):
-        control, steal_q, results_q = self._control(tokens=1)
-        locked = control.checkpoint([True, False, True, True], 1, 0)
-        # first liberated True is at index 2: the thief gets its False
-        # sibling, the victim locks itself out of the donated half
-        assert results_q.get_nowait() == ("split", [True, False, False])
-        assert locked == 3
-        assert steal_q.empty() and control.donated == 1
-
-    def test_locked_prefix_never_donated(self):
-        control, _, results_q = self._control(tokens=1)
-        locked = control.checkpoint([True, False], 1, 0)
-        # the only True sits inside the locked prefix: nothing stealable
-        assert locked == 1
-        assert results_q.empty() and control.donated == 0
-
-    def test_all_false_remainder_drops_token(self):
-        control, steal_q, results_q = self._control(tokens=1)
-        locked = control.checkpoint([True, False, False], 1, 0)
-        assert locked == 1
-        assert results_q.empty()
-        assert steal_q.empty()  # consumed, not re-posted
-
-
-class TestWinnerCommit:
-    """Serial-DFS winner selection over shard outcomes."""
-
-    def _outcome(self, prefix, status="diverged", gap_bits=()):
-        return GapShardOutcome(prefix=list(prefix), status=status,
-                               gap_bits=list(gap_bits))
-
-    def test_dfs_key_orders_true_first(self):
-        assert _dfs_key([True]) < _dfs_key([False])
-        assert _dfs_key([True, False]) < _dfs_key([False, True])
-        assert _dfs_key([True]) < _dfs_key([True, False])  # prefix first
-
-    def test_earliest_solution_wins_regardless_of_arrival(self):
-        late_but_early = self._outcome([True], "completed",
-                                       [True, True, False])
-        first_arrived = self._outcome([False], "completed",
-                                      [False, True, True])
-        assert _choose_outcome(
-            [first_arrived, late_but_early]) is late_but_early
-        assert _choose_outcome(
-            [late_but_early, first_arrived]) is late_but_early
-
-    def test_solution_beats_any_divergence(self):
-        solved = self._outcome([False], "stalled", [False, True])
-        diverged = self._outcome([True], "diverged", [True, True])
-        assert _choose_outcome([diverged, solved]) is solved
-
-    def test_all_diverged_commits_dfs_last_subspace(self):
-        # the DFS-last subspace's final attempt is the serial search's
-        # last attempt, so its divergence stands in for serial's
-        first = self._outcome([True, True], gap_bits=[True, True])
-        last = self._outcome([False, False], gap_bits=[False, False])
-        assert _choose_outcome([last, first]) is last
-
-    def test_cancelled_and_error_never_win(self):
-        cancelled = self._outcome([True], "cancelled")
-        errored = self._outcome([True, True], "error")
-        diverged = self._outcome([False], "diverged", [False])
-        assert _choose_outcome([cancelled, errored, diverged]) is diverged
-        with pytest.raises(RuntimeError):
-            _choose_outcome([cancelled, errored])
 
 
 class TestMergedJsonl:
@@ -373,7 +137,7 @@ class TestMergeUnderSkewAndDuplicates:
 
     def test_lagging_clock_never_yields_negative_ts(self):
         parent = telemetry.Telemetry(telemetry.MemorySink())
-        with parent.span("symex.gap_shard_search"):
+        with parent.span("parallel.batch"):
             ctx = parent.trace_context()
         worker, sink = self._skewed_worker(ctx, skew_s=-3600.0)
         worker.event("tick")
@@ -383,10 +147,10 @@ class TestMergeUnderSkewAndDuplicates:
     def test_leading_clock_shifts_but_keeps_linkage(self):
         parent_sink = telemetry.MemorySink()
         parent = telemetry.Telemetry(parent_sink)
-        with parent.span("symex.gap_shard_search"):
+        with parent.span("parallel.batch"):
             ctx = parent.trace_context()
         worker, sink = self._skewed_worker(ctx, skew_s=2.0)
-        with worker.span("parallel.shard_search"):
+        with worker.span("reconstruct.run"):
             pass
         span = sink.events[0]
         # skew moves the timestamp, not the causal links
@@ -402,7 +166,7 @@ class TestMergeUnderSkewAndDuplicates:
         sinks, snaps = [], []
         for skew in (0.0, 1.0):
             worker, sink = self._skewed_worker(ctx, skew)
-            with worker.span("parallel.shard_search", prefix_len=1):
+            with worker.span("reconstruct.run"):
                 pass
             sinks.append(sink)
             snaps.append(worker.snapshot())
@@ -417,7 +181,7 @@ class TestMergeUnderSkewAndDuplicates:
         events = telemetry.read_jsonl(path)
 
         spans = [e for e in events
-                 if e.get("name") == "parallel.shard_search"]
+                 if e.get("name") == "reconstruct.run"]
         assert len(spans) == 2
         # same name, distinct identities, both parented on the handoff
         assert len({s["span_id"] for s in spans}) == 2
@@ -425,7 +189,7 @@ class TestMergeUnderSkewAndDuplicates:
         assert len({s["trace_id"] for s in spans}) == 1
         # the duration histograms folded rather than clobbered
         merged = telemetry.final_snapshot(events)
-        assert merged["histograms"]["span.parallel.shard_search"][
+        assert merged["histograms"]["span.reconstruct.run"][
             "count"] == 2
 
     def test_merged_order_follows_rebased_timeline(self, tmp_path):

@@ -26,12 +26,10 @@ def _report_in_pool(_):
 
 
 def _run_all(job, n):
-    """Collect ``n`` results keyed by task id (skipping steal splits)."""
+    """Collect ``n`` results keyed by task id."""
     out = {}
     while len(out) < n:
         kind, task_id, body = job.next_message()
-        if kind == "split":
-            continue
         out[task_id] = (kind, body)
     return out
 
@@ -49,7 +47,7 @@ class TestWorkerPool:
     def test_round_trip_and_generation_reuse(self):
         pool = WorkerPool(2)
         try:
-            job = pool.begin_job({})
+            job = pool.begin_job()
             for i in range(4):
                 job.submit(_double, i)
             results = _run_all(job, 4)
@@ -60,7 +58,7 @@ class TestWorkerPool:
             assert pool.spinups == 1
 
             # second job: same processes, new generation, no respawn
-            job = pool.begin_job({})
+            job = pool.begin_job()
             job.submit(_double, 21)
             results = _run_all(job, 1)
             job.finish()
@@ -74,7 +72,7 @@ class TestWorkerPool:
     def test_tasks_fan_out_across_workers(self):
         pool = WorkerPool(2)
         try:
-            job = pool.begin_job({})
+            job = pool.begin_job()
             for i in range(8):
                 job.submit(_pid, i)
             results = _run_all(job, 8)
@@ -87,7 +85,7 @@ class TestWorkerPool:
     def test_error_surfaces_without_killing_the_pool(self):
         pool = WorkerPool(1)
         try:
-            job = pool.begin_job({})
+            job = pool.begin_job()
             job.submit(_boom, None)
             results = _run_all(job, 1)
             job.finish()
@@ -96,7 +94,7 @@ class TestWorkerPool:
             assert "intentional task failure" in body
             assert pool.alive  # the worker caught it and kept running
 
-            job = pool.begin_job({})
+            job = pool.begin_job()
             job.submit(_double, 3)
             assert _run_all(job, 1)[0] == ("done", 6)
             job.finish()
@@ -106,18 +104,18 @@ class TestWorkerPool:
     def test_single_active_job_enforced(self):
         pool = WorkerPool(1)
         try:
-            job = pool.begin_job({})
+            job = pool.begin_job()
             with pytest.raises(RuntimeError, match="active job"):
-                pool.begin_job({})
+                pool.begin_job()
             job.finish()
-            pool.begin_job({}).finish()  # released after finish
+            pool.begin_job().finish()  # released after finish
         finally:
             pool.close()
 
     def test_idle_reap_and_respawn(self):
         pool = WorkerPool(1, idle_reap_seconds=60.0)
         try:
-            job = pool.begin_job({})
+            job = pool.begin_job()
             job.submit(_double, 1)
             _run_all(job, 1)
             job.finish()
@@ -128,7 +126,7 @@ class TestWorkerPool:
             assert not pool.closed
 
             # the next job pays a fresh spin-up, transparently
-            job = pool.begin_job({})
+            job = pool.begin_job()
             job.submit(_double, 5)
             assert _run_all(job, 1)[0] == ("done", 10)
             job.finish()
@@ -139,7 +137,7 @@ class TestWorkerPool:
     def test_reap_disabled_when_threshold_none(self):
         pool = WorkerPool(1, idle_reap_seconds=None)
         try:
-            job = pool.begin_job({})
+            job = pool.begin_job()
             job.submit(_double, 1)
             _run_all(job, 1)
             job.finish()
@@ -150,7 +148,7 @@ class TestWorkerPool:
 
     def test_close_is_idempotent_and_final(self):
         pool = WorkerPool(1)
-        job = pool.begin_job({})
+        job = pool.begin_job()
         job.submit(_double, 1)
         _run_all(job, 1)
         job.finish()
@@ -158,12 +156,12 @@ class TestWorkerPool:
         assert not pool.alive
         pool.close()  # no-op
         with pytest.raises(RuntimeError, match="closed"):
-            pool.begin_job({})
+            pool.begin_job()
 
     def test_grow_spawns_extra_workers(self):
         pool = WorkerPool(1)
         try:
-            job = pool.begin_job({})
+            job = pool.begin_job()
             job.submit(_double, 1)
             _run_all(job, 1)
             job.finish()
@@ -180,8 +178,8 @@ class TestWorkerPool:
         with telemetry.scoped(registry):
             pool = WorkerPool(1)
             try:
-                pool.begin_job({}).finish()
-                pool.begin_job({}).finish()
+                pool.begin_job().finish()
+                pool.begin_job().finish()
             finally:
                 pool.close()
         snap = registry.snapshot()
@@ -197,14 +195,14 @@ class TestPoolHelpers:
 
     def test_in_pool_worker_true_inside_worker(self):
         with private_pool(1) as pool:
-            job = pool.begin_job({})
+            job = pool.begin_job()
             job.submit(_report_in_pool, None)
             assert _run_all(job, 1)[0] == ("done", True)
             job.finish()
 
     def test_private_pool_closes_on_exit(self):
         with private_pool(1) as pool:
-            job = pool.begin_job({})
+            job = pool.begin_job()
             job.submit(_double, 2)
             assert _run_all(job, 1)[0] == ("done", 4)
             job.finish()
