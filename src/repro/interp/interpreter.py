@@ -25,10 +25,19 @@ a failing instruction raises before it counts, and the final ``ret`` of
 interpreter, so they die with the run; steps take the interpreter as an
 argument instead of capturing it, which keeps a finished run free of
 reference cycles.
+
+Straight-line register code runs faster still: each maximal run of
+non-trapping register instructions plus the ``br``/``jmp`` closing it
+is one generated function (see *fused runs* below), called when the
+whole run fits in the chunk's remaining budget.  Generated functions
+depend only on the instructions' content and capture no run, so they
+are cached across runs and modules.  Branch steps append their outcome
+to the tracer's ``tnt_bits`` list (see :class:`NullTracer`).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -36,14 +45,25 @@ from ..errors import InterpError
 from ..ir import instructions as ins
 from ..ir.module import Function, Module, ProgramPoint
 from ..ir.ops import BINOPS, CMPS
-from ..ir.types import MASK64, mask, sign_extend
+from ..ir.types import MASK64, mask, sign_extend, to_signed
 from .env import Environment
 from .failures import FailureInfo, FailureKind, MemoryFault
 from .memory import Memory, MemoryObject
 
 
 class NullTracer:
-    """Tracer that drops everything (tracing disabled)."""
+    """Tracer that drops everything (tracing disabled).
+
+    The tracer protocol: the interpreter appends each conditional
+    branch's outcome to ``tnt_bits`` and calls ``begin_chunk``,
+    ``on_ptwrite`` and ``end_chunk``.  A tracer consumes the pending bits
+    in the last two calls and empties the list in place; it never binds
+    ``tnt_bits`` to another list.  ``on_branch(taken)`` takes one bit from
+    a caller that steps by hand.
+    """
+
+    def __init__(self):
+        self.tnt_bits: List[bool] = []
 
     def begin_chunk(self, tid: int, timestamp: int) -> None:
         pass
@@ -52,10 +72,10 @@ class NullTracer:
         pass
 
     def on_ptwrite(self, tag: int, value: int) -> None:
-        pass
+        self.tnt_bits.clear()
 
     def end_chunk(self, n_instrs: int) -> None:
-        pass
+        self.tnt_bits.clear()
 
 
 @dataclass
@@ -162,8 +182,8 @@ class Interpreter:
         self._failure: Optional[FailureInfo] = None
         self._main_returned: Optional[int] = None
         self._rr_cursor = 0
-        #: function name -> block label -> compiled steps
-        self._compiled: Dict[str, Dict[str, List[Step]]] = {}
+        #: function name -> block label -> compiled code (see _enter)
+        self._compiled: Dict[str, Dict[str, list]] = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -221,15 +241,37 @@ class Interpreter:
         """
         self.chunk_count += 1
         tracer = self.tracer
+        bits = tracer.tnt_bits
         tracer.begin_chunk(thread.tid, self.steps >> self.TS_SHIFT)
         limit = min(quantum, self.max_steps - self.steps)
         executed = 0
         frame = thread.frames[-1]
+        regs = frame.regs
         label, index = frame.block, frame.index
         blocks, code = self._enter(frame.func, label)
         try:
             while executed < limit:
-                nxt = code[index](self, thread, frame)
+                step = code[index]
+                if step.__class__ is not tuple:
+                    nxt = step(self, thread, frame)
+                else:  # a fused run: (size, run, its first instruction)
+                    size, run, step = step
+                    if size > limit - executed:  # cut by the chunk edge
+                        nxt = step(self, thread, frame)
+                    else:
+                        nxt = run(self, regs, bits)
+                        if nxt.__class__ is int:
+                            # instruction ``nxt`` of the run read an unset
+                            # register or global: retire the ones before
+                            # it and run it alone, which raises its error
+                            executed += nxt
+                            index += nxt
+                            if nxt:
+                                step = code[index]
+                            nxt = step(self, thread, frame)
+                        else:  # all retired; the last one's result
+                            executed += size - 1  # is handled below
+                            index += size - 1
                 if nxt is None:
                     index += 1
                 elif nxt.__class__ is str:
@@ -243,6 +285,7 @@ class Interpreter:
                     # writes to the popped frame, which nobody reads
                     frame.block, frame.index = label, index + 1
                     frame = thread.frames[-1]
+                    regs = frame.regs
                     label, index = frame.block, frame.index
                     blocks, code = self._enter(frame.func, label)
                 elif nxt is _BLOCKED:
@@ -265,12 +308,14 @@ class Interpreter:
         finally:
             frame.block, frame.index = label, index
             self.steps += executed
+            self.branch_count += len(bits)
             tracer.end_chunk(executed)
 
     def _enter(self, func: Function,
-               label: str) -> Tuple[Dict[str, List[Step]], List[Step]]:
-        """``func``'s compiled blocks and the steps of block ``label``,
-        compiled on the run's first entry."""
+               label: str) -> Tuple[Dict[str, list], list]:
+        """``func``'s compiled blocks and the code of block ``label``,
+        compiled on the run's first entry: one step per instruction, and
+        at the start of each fused run ``(size, run, step)`` instead."""
         blocks = self._compiled.setdefault(func.name, {})
         code = blocks.get(label)
         if code is None:
@@ -281,6 +326,10 @@ class Interpreter:
                 code = [_hooked(step, ProgramPoint(func.name, label, i),
                                 instr)
                         for i, (step, instr) in enumerate(zip(code, instrs))]
+            else:
+                for start, end in _straight_runs(instrs):
+                    run = _fused_run(_content(instrs[start:end]))
+                    code[start] = (end - start, run, code[start])
             blocks[label] = code
         return blocks, code
 
@@ -519,16 +568,14 @@ def _compile_br(instr: ins.Br, func_name, module) -> Step:
                 taken = frame.regs[cond] != 0
             except KeyError:
                 raise _unset(frame.regs, func_name, cond) from None
-            interp.branch_count += 1
-            interp.tracer.on_branch(taken)
+            interp.tracer.tnt_bits.append(taken)
             return if_true if taken else if_false
         return step
     taken = mask(cond) != 0
     target = if_true if taken else if_false
 
     def step(interp, thread, frame):
-        interp.branch_count += 1
-        interp.tracer.on_branch(taken)
+        interp.tracer.tnt_bits.append(taken)
         return target
     return step
 
@@ -625,7 +672,9 @@ def _compile_ptwrite(instr: ins.PtWrite, func_name, module) -> Step:
     def step(interp, thread, frame):
         value = read(frame.regs)
         interp.ptwrite_count += 1
-        interp.tracer.on_ptwrite(tag, value)
+        tracer = interp.tracer
+        interp.branch_count += len(tracer.tnt_bits)
+        tracer.on_ptwrite(tag, value)
     return step
 
 
@@ -726,3 +775,226 @@ _COMPILERS = {
     ins.Unlock: _compile_unlock,
     ins.Nop: _compile_nop,
 }
+
+
+# ----------------------------------------------------------------------
+# fused runs: a maximal run of straight-line register instructions, plus
+# the br/jmp that closes it, as one generated function
+# ``run(interp, regs, bits)``.  It returns what the run's last step would
+# (a label, or ``None`` when the run stops before an instruction that
+# does not fuse), or, when an instruction reads an unset register or
+# global, that instruction's index in the run.  Registers always hold
+# 64-bit values, so width-64 operations need no operand masks.
+
+#: binops that never trap (division and remainder trap on zero)
+_PURE_BINOPS = frozenset(("add", "sub", "mul", "and", "or", "xor", "shl",
+                          "lshr", "ashr"))
+
+#: binop -> result expression on width-``w`` operands ``a`` and ``b``;
+#: ``m`` is the width's mask, ``s`` its sign bit and ``k`` ``w - 1``
+_BINOP_EXPRS = {
+    "add": "({a} + {b}) & {m}", "sub": "({a} - {b}) & {m}",
+    "mul": "{a} * {b} & {m}", "and": "{a} & {b} & {m}",
+    "or": "({a} | {b}) & {m}", "xor": "({a} ^ {b}) & {m}",
+    "shl": "({a} << ({b} & {k})) & {m}", "lshr": "({a} & {m}) >> ({b} & {k})",
+    "ashr": "(((({a} & {m}) ^ {s}) - {s}) >> ({b} & {k})) & {m}",
+}
+
+#: the entries that need no mask on 64-bit operands
+_BINOP_EXPRS_64 = {**_BINOP_EXPRS, "and": "{a} & {b}", "or": "{a} | {b}",
+                   "xor": "{a} ^ {b}", "lshr": "{a} >> ({b} & 63)"}
+
+#: comparison -> Python operator; ``s``-prefixed ones compare signed
+_CMP_OPS = {"eq": "==", "ne": "!=", "ult": "<", "ule": "<=", "ugt": ">",
+            "uge": ">=", "slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
+
+#: the most distinct runs whose generated functions are kept; a process
+#: running all 13 workloads, instrumented versions included, meets ~190
+_FUSED_CACHE_SIZE = 1024
+
+#: instruction types that always fuse; ``_fusible`` checks the rest
+_ALWAYS_FUSIBLE = frozenset((ins.Const, ins.Cmp, ins.Gep, ins.GlobalAddr))
+
+
+def _fusible(instr: ins.Instr) -> bool:
+    """Whether ``instr`` may join a fused run.  A ``trunc``/``sext``
+    width outside 1..64 keeps its closure: its mask literal would grow
+    with the width."""
+    cls = instr.__class__
+    if cls in _ALWAYS_FUSIBLE:
+        return True
+    if cls is ins.BinOp:
+        return instr.op in _PURE_BINOPS
+    if cls is ins.Trunc:
+        return 1 <= instr.width <= 64
+    if cls is ins.SExt:
+        return 1 <= instr.from_width <= 64
+    return False
+
+
+def _straight_runs(instrs: List[ins.Instr]) -> List[Tuple[int, int]]:
+    """``(start, end)`` of each fused run of ``instrs``: a maximal run of
+    fusible instructions and the ``br``/``jmp`` after it, two or more."""
+    runs = []
+    start = 0
+    for index, instr in enumerate(instrs):
+        if _fusible(instr):
+            continue
+        end = index + 1 if instr.__class__ in (ins.Br, ins.Jmp) else index
+        if end - start >= 2:
+            runs.append((start, end))
+        start = index + 1
+    if len(instrs) - start >= 2:
+        runs.append((start, len(instrs)))
+    return runs
+
+
+def _content(instrs: List[ins.Instr]) -> Tuple[tuple, ...]:
+    """What a fused run compiles from: each instruction's type and
+    fields.  Equal content gives an equal run, across modules and
+    clones."""
+    return tuple([(instr.__class__, *vars(instr).values())
+                  for instr in instrs])
+
+
+class _RunSource:
+    """The body of one fused run's generated function, line by line.
+
+    Values live in locals ``v<n>``; each register a run reads before
+    writing it is loaded from ``regs`` once, after ``p`` is set to the
+    reading instruction's index.  Everything bound from the instructions
+    goes through :meth:`const`, so the text holds only integer literals
+    and these fixed names."""
+
+    def __init__(self):
+        self.consts: Dict[str, str] = {}  # bound value -> ``c<n>``
+        self.lines: List[str] = []
+        self.values: Dict[str, str] = {}  # register -> local holding it
+        self.marked = -1  # the index last stored in ``p``
+
+    def const(self, value: str) -> str:
+        return self.consts.setdefault(value, f"c{len(self.consts)}")
+
+    def mark(self, index: int) -> None:
+        """Instruction ``index`` may raise ``KeyError``: record it."""
+        if self.marked != index:
+            self.lines.append(f"p = {index}")
+            self.marked = index
+
+    def read(self, operand, index: int) -> str:
+        """An operand's 64-bit value."""
+        if not isinstance(operand, str):
+            return str(mask(operand))
+        name = self.values.get(operand)
+        if name is None:
+            self.mark(index)
+            name = self.values[operand] = f"v{len(self.lines)}"
+            self.lines.append(f"{name} = regs[{self.const(operand)}]")
+        return name
+
+    def unsigned(self, operand, index: int, width: int) -> str:
+        """An operand's value truncated to ``width`` bits."""
+        if not isinstance(operand, str):
+            return str(mask(operand, width))
+        value = self.read(operand, index)
+        return value if width == 64 else f"({value} & {(1 << width) - 1})"
+
+    def signed(self, operand, index: int, width: int) -> str:
+        """An operand's value as a signed ``width``-bit integer."""
+        if not isinstance(operand, str):
+            return f"({to_signed(operand, width)})"
+        sign = 1 << (width - 1)
+        return f"(({self.unsigned(operand, index, width)} ^ {sign}) - {sign})"
+
+    def write(self, dest: str, expr: str) -> None:
+        name = self.values[dest] = f"v{len(self.lines)}"
+        self.lines.append(f"{name} = {expr}")
+        self.lines.append(f"regs[{self.const(dest)}] = {name}")
+
+    def test(self, instr: ins.Cmp, index: int) -> str:
+        """A comparison as a Python boolean expression."""
+        width, op = instr.width, instr.op
+        side = self.signed if op[0] == "s" else self.unsigned
+        lhs = side(instr.lhs, index, width)
+        rhs = side(instr.rhs, index, width)
+        return f"{lhs} {_CMP_OPS[op]} {rhs}"
+
+    def branch(self, dest: Optional[str], test: str, if_true: str,
+               if_false: str) -> List[str]:
+        """The tail that records ``test`` as a TNT bit and jumps; a
+        comparison's ``dest`` is written on each side."""
+        true, false = self.const(if_true), self.const(if_false)
+        sets = ([], []) if dest is None else (
+            [f"regs[{self.const(dest)}] = 1"],
+            [f"regs[{self.const(dest)}] = 0"])
+        return ([f"if {test}:"]
+                + ["    " + line for line in sets[0]
+                   + ["bits.append(True)", f"return {true}"]]
+                + sets[1] + ["bits.append(False)", f"return {false}"])
+
+
+@functools.lru_cache(maxsize=_FUSED_CACHE_SIZE)
+def _fused_run(content: Tuple[tuple, ...]) -> Callable:
+    """The generated function of the run whose instructions have
+    ``content``.  Register names, labels and global names come from
+    ``.eir`` files, outside input, so they are never spliced into the
+    source: they are arguments of the factory the source defines."""
+    src = _RunSource()
+    instrs = [cls(*fields) for cls, *fields in content]
+    last = instrs[-1]
+    tail = ["return None"]
+    for index, instr in enumerate(instrs):
+        cls = instr.__class__
+        if cls is ins.Cmp and last.__class__ is ins.Br \
+                and index == len(instrs) - 2 and last.cond == instr.dest:
+            # ``cmp`` then ``br`` on its result: branch on the test
+            tail = src.branch(instr.dest, src.test(instr, index),
+                              last.if_true, last.if_false)
+            break
+        if cls is ins.Const:
+            src.write(instr.dest, str(mask(instr.value)))
+        elif cls is ins.BinOp:
+            width = instr.width
+            exprs = _BINOP_EXPRS_64 if width == 64 else _BINOP_EXPRS
+            src.write(instr.dest, exprs[instr.op].format(
+                a=src.read(instr.lhs, index), b=src.read(instr.rhs, index),
+                m=(1 << width) - 1, s=1 << (width - 1), k=width - 1))
+        elif cls is ins.Cmp:
+            src.write(instr.dest, f"1 if {src.test(instr, index)} else 0")
+        elif cls is ins.Trunc:
+            src.write(instr.dest,
+                      src.unsigned(instr.value, index, instr.width))
+        elif cls is ins.SExt:
+            value = src.signed(instr.value, index, instr.from_width)
+            src.write(instr.dest, f"{value} & {MASK64}")
+        elif cls is ins.Gep:
+            base = src.read(instr.base, index)
+            offset = src.read(instr.index, index)
+            src.write(instr.dest,
+                      f"({base} + {offset} * {mask(instr.scale)}) & {MASK64}")
+        elif cls is ins.GlobalAddr:
+            src.mark(index)
+            src.write(instr.dest,
+                      f"interp.memory.global_addrs[{src.const(instr.name)}]")
+        elif cls is ins.Jmp:
+            tail = [f"return {src.const(instr.label)}"]
+        elif isinstance(instr.cond, str):  # Br
+            tail = src.branch(None, f"{src.read(instr.cond, index)} != 0",
+                              instr.if_true, instr.if_false)
+        else:
+            taken = mask(instr.cond) != 0
+            tail = [f"bits.append({taken})", "return "
+                    + src.const(instr.if_true if taken else instr.if_false)]
+    body = src.lines + tail
+    if src.marked >= 0:
+        body = (["try:"] + ["    " + line for line in body]
+                + ["except KeyError:", "    return p"])
+    source = "\n".join(
+        [f"def make({', '.join(src.consts.values())}):",
+         "    def run(interp, regs, bits):"]
+        + ["        " + line for line in body]
+        + ["    return run"])
+    namespace: Dict[str, object] = {"__builtins__": {},
+                                    "KeyError": KeyError}
+    exec(compile(source, "<fused run>", "exec"), namespace)
+    return namespace["make"](*src.consts)

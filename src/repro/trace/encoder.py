@@ -1,22 +1,34 @@
 """PT encoder: the tracer sink the interpreter streams events into.
 
-Implements the tracer protocol (``begin_chunk`` / ``on_branch`` /
-``on_ptwrite`` / ``end_chunk``) and serializes packets into a
-:class:`~repro.trace.ringbuffer.RingBuffer`.  Branch bits are buffered and
-packed six-per-TNT-packet; a pending TNT packet is flushed before any PTW
-packet so the decoder can reconstruct exact program order.
+Implements the tracer protocol.  The interpreter appends each
+conditional branch's outcome to :attr:`PTEncoder.tnt_bits` and calls
+``begin_chunk`` / ``on_ptwrite`` / ``end_chunk``; ``on_branch`` appends
+one bit for callers that step by hand.  Bits are packed six per TNT
+packet only when a PTW packet follows or the chunk ends, so the decoder
+still sees exact program order.  A chunk's packets are built in one
+``bytearray`` and reach the :class:`~repro.trace.ringbuffer.RingBuffer`
+and the ``trace.*`` counters once, at ``end_chunk``, so encoding costs
+a call per chunk rather than per branch.  The bytes are the ones the
+per-event encoder wrote (``tests/trace/reference_encoder.py``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from itertools import product
+from typing import Dict, List, Optional, Tuple
 
 from .. import telemetry
 from ..errors import TraceError
 from ..ir.types import MASK64
-from .packets import (CHD, CHE, PSB, PSB_PERIOD, TNT_CAPACITY, encode_tnt,
-                      encode_varint)
+from .packets import (CHD, CHE, PSB, PSB_PERIOD, PTW, TNT_CAPACITY,
+                      encode_tnt, encode_varint)
 from .ringbuffer import RingBuffer
+
+#: every run of 1..6 branch outcomes -> its TNT packet
+_TNT_PACKETS: Dict[Tuple[bool, ...], bytes] = {
+    bits: encode_tnt(list(bits))
+    for width in range(1, TNT_CAPACITY + 1)
+    for bits in product((False, True), repeat=width)}
 
 
 class PTEncoder:
@@ -24,11 +36,16 @@ class PTEncoder:
 
     def __init__(self, buffer: Optional[RingBuffer] = None):
         self.buffer = buffer if buffer is not None else RingBuffer()
-        self._tnt_bits: List[bool] = []
-        self._in_chunk = False
+        #: branch outcomes of the open chunk not yet packed; the
+        #: interpreter appends to this list, the encoder empties it in
+        #: place and never rebinds it
+        self.tnt_bits: List[bool] = []
+        #: the open chunk's packets, ``None`` between chunks
+        self._chunk: Optional[bytearray] = None
+        self._packets = 0
+        self._ptws = 0
+        self._bits = 0
         self._since_psb = 0
-        # counters cached once: the tracer protocol fires per branch /
-        # per packet, so updates must stay attribute arithmetic
         tel = telemetry.get()
         self._c_packets = tel.counter("trace.packets_emitted")
         self._c_tnt_bits = tel.counter("trace.tnt_bits")
@@ -40,54 +57,66 @@ class PTEncoder:
     # -- tracer protocol -------------------------------------------------
 
     def begin_chunk(self, tid: int, timestamp: int) -> None:
-        if self._in_chunk:
+        if self._chunk is not None:
             raise TraceError("begin_chunk while a chunk is open")
-        self._in_chunk = True
-        self._emit(bytes((CHD,)) + encode_varint(tid)
-                   + encode_varint(timestamp))
+        chunk = self._chunk = bytearray((CHD,))
+        chunk += encode_varint(tid)
+        chunk += encode_varint(timestamp)
+        self._packets, self._ptws, self._bits = 1, 0, 0
 
     def on_branch(self, taken: bool) -> None:
-        self._require_chunk()
-        self._tnt_bits.append(taken)
-        if len(self._tnt_bits) == TNT_CAPACITY:
-            self._flush_tnt()
+        self._open_chunk()
+        self.tnt_bits.append(bool(taken))
 
     def on_ptwrite(self, tag: int, value: int) -> None:
-        self._require_chunk()
-        self._flush_tnt()
-        payload = (value & MASK64).to_bytes(8, "little")
-        self._c_ptw.add()
-        self._emit(bytes((0x05,)) + encode_varint(tag) + payload)
+        chunk = self._open_chunk()
+        self._pack_tnt(chunk)
+        chunk.append(PTW)
+        chunk += encode_varint(tag)
+        chunk += (value & MASK64).to_bytes(8, "little")
+        self._packets += 1
+        self._ptws += 1
 
     def end_chunk(self, n_instrs: int) -> None:
-        self._require_chunk()
-        self._flush_tnt()
-        self._emit(bytes((CHE,)) + encode_varint(n_instrs))
-        self._in_chunk = False
+        chunk = self._open_chunk()
+        self._pack_tnt(chunk)
+        chunk.append(CHE)
+        chunk += encode_varint(n_instrs)
+        self._chunk = None
+        self.buffer.write(chunk)
+        self._c_packets.add(self._packets + 1)
+        self._c_tnt_bits.add(self._bits)
+        self._c_ptw.add(self._ptws)
+        self._c_bytes.add(len(chunk))
         self._c_chunks.add()
+        self._since_psb += len(chunk)
         if self._since_psb >= PSB_PERIOD:
             self._emit_psb()
 
     # -- internals ---------------------------------------------------------
 
-    def _require_chunk(self) -> None:
-        if not self._in_chunk:
+    def _open_chunk(self) -> bytearray:
+        chunk = self._chunk
+        if chunk is None:
             raise TraceError("trace event outside a chunk")
+        return chunk
 
-    def _flush_tnt(self) -> None:
-        if self._tnt_bits:
-            self._c_tnt_bits.add(len(self._tnt_bits))
-            self._emit(encode_tnt(self._tnt_bits))
-            self._tnt_bits = []
-
-    def _emit(self, data: bytes) -> None:
-        self.buffer.write(data)
-        self._c_packets.add()
-        self._c_bytes.add(len(data))
-        self._since_psb += len(data)
+    def _pack_tnt(self, chunk: bytearray) -> None:
+        """Append the pending bits to ``chunk``, six per TNT packet."""
+        bits = self.tnt_bits
+        if not bits:
+            return
+        count = len(bits)
+        for start in range(0, count, TNT_CAPACITY):
+            chunk += _TNT_PACKETS[tuple(bits[start:start + TNT_CAPACITY])]
+        self._packets += -(-count // TNT_CAPACITY)
+        self._bits += count
+        bits.clear()
 
     def _emit_psb(self) -> None:
         self.buffer.write(bytes((PSB,)))
+        self._c_packets.add()
+        self._c_bytes.add(1)
         self._since_psb = 0
 
     # -- results -----------------------------------------------------------

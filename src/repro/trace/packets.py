@@ -39,6 +39,8 @@ TNT_CAPACITY = 6
 
 def encode_varint(value: int) -> bytes:
     """Unsigned LEB128."""
+    if 0 <= value < 0x80:
+        return bytes((value,))
     if value < 0:
         raise TraceError(f"varint cannot encode negative {value}")
     out = bytearray()

@@ -1,7 +1,8 @@
 """The compiled interpreter against the per-instruction reference loop.
 
-Compiling blocks into closures may change wall time only.  Every test
-here runs one program twice, once with :class:`Interpreter` and once with
+Compiling blocks into closures, and straight-line runs into generated
+functions, may change wall time only.  Every test here runs one program
+twice, once with :class:`Interpreter` and once with
 :class:`ReferenceInterpreter` (the stepping code it replaced), and
 requires the same run result and failure, environment events, exact
 tracer call sequence, ``on_step`` sequence, final thread states and
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from repro.errors import InterpError
 from repro.interp.env import Environment
-from repro.interp.interpreter import Interpreter
+from repro.interp.interpreter import (Interpreter, _content, _fused_run,
+                                     _straight_runs)
 from repro.ir.builder import ModuleBuilder
 from repro.workloads import get_workload, workload_names
 from tests.interp.reference_interpreter import ReferenceInterpreter
@@ -27,10 +29,18 @@ _SETTINGS = dict(max_examples=25, deadline=None,
 
 
 class RecordingTracer:
-    """Records every tracer-protocol call, in order."""
+    """Records every tracer-protocol call, in order.  The compiled
+    interpreter hands over branch outcomes as a batch in ``tnt_bits``;
+    each batch is expanded back into one ``("branch", taken)`` call per
+    bit, which is what the reference interpreter makes."""
 
     def __init__(self):
         self.calls = []
+        self.tnt_bits = []
+
+    def _expand(self):
+        self.calls.extend(("branch", taken) for taken in self.tnt_bits)
+        self.tnt_bits.clear()
 
     def begin_chunk(self, tid, timestamp):
         self.calls.append(("begin", tid, timestamp))
@@ -39,9 +49,11 @@ class RecordingTracer:
         self.calls.append(("branch", taken))
 
     def on_ptwrite(self, tag, value):
+        self._expand()
         self.calls.append(("ptwrite", tag, value))
 
     def end_chunk(self, n_instrs):
+        self._expand()
         self.calls.append(("end", n_instrs))
 
 
@@ -376,3 +388,293 @@ def test_failures_identical(kind, hook):
 def test_call_and_return_identical(call_module):
     assert_same(call_module, lambda: Environment({"stdin": b"\x15"}),
                 hook=True)
+
+
+# ----------------------------------------------------------------------
+# fused runs: straight-line register code plus its closing br/jmp runs
+# as one generated function; each case below is one a naive fusion
+# gets wrong
+
+
+def _fused_program(use):
+    """main: ``%x`` is set only when the input byte is 1; block ``run``
+    holds ``use(f)`` between straight-line instructions, so whatever
+    ``use`` does happens inside a fused run.  The run's first
+    instruction increments ``%y``, so running it twice shows."""
+    b = ModuleBuilder("fused")
+    f = b.function("main", [])
+    f.block("entry")
+    c = f.input("stdin", 1, dest="%c")
+    f.const(3, dest="%y")
+    f.br(f.cmp("eq", c, 1), "def", "run")
+    f.block("def")
+    f.const(8, dest="%x")
+    f.jmp("run")
+    f.block("run")
+    f.add("%y", 1, dest="%y")
+    f.xor("%y", 5, dest="%b")
+    use(f)
+    f.shl("%b", 2, dest="%d")
+    f.br(f.cmp("ult", "%d", 100), "out", "out")
+    f.block("out")
+    f.output("stdout", "%b", 8)
+    f.ret(0)
+    return b.build(), (lambda: Environment({"stdin": b"\x00"}))
+
+
+def test_unset_register_inside_run_reports_its_point():
+    """The third instruction of the run reads unset ``%x``: the two
+    before it retire (six in the chunk), the frame points at it, and the
+    message names ``%x``; reporting the run's start instead gives
+    ("end", 4) and index 0."""
+    module, env = _fused_program(lambda f: f.add("%b", "%x", dest="%e"))
+    observed = assert_same(module, env)
+    assert observed["outcome"] == (
+        "raised", InterpError, "read of unset register %x in main")
+    assert observed["tracer"][-1] == ("end", 6)
+    assert observed["threads"][0][4][-1][1:3] == ("run", 2)
+
+
+@pytest.mark.parametrize("use", ["first", "branch", "global"])
+def test_error_at_each_position_of_a_run(use):
+    """An unset read as the run's first instruction, as its closing
+    branch's condition, and a global lookup that fails mid-run."""
+    b = ModuleBuilder("positions")
+    b.global_("G", 8)
+    f = b.function("main", [])
+    f.block("entry")
+    f.const(0, dest="%n")
+    f.jmp("run")
+    f.block("never")  # defines %x for the verifier; never entered
+    f.const(0, dest="%x")
+    f.jmp("run")
+    f.block("run")
+    if use == "first":
+        f.add("%x", 1, dest="%a")
+        f.jmp("run")
+    elif use == "branch":
+        f.add("%n", 1, dest="%n")
+        f.br("%x", "run", "run")
+    else:
+        f.add("%n", 1, dest="%n")
+        f.global_addr("G", dest="%g")
+        f.jmp("run")
+    module = b.build()
+    if use == "global":  # a global the module does not define
+        module.functions["main"].blocks["run"].instrs[1].name = "H"
+    observed = assert_same(module, lambda: Environment({}))
+    kind = observed["outcome"][:2]
+    if use == "global":
+        assert kind == ("raised", KeyError)
+        assert "unset register" not in observed["outcome"][2]
+    else:
+        assert kind == ("raised", InterpError)
+
+
+def test_division_by_zero_right_after_a_run():
+    """A run ending in ``%z = sub ...`` falls through to a trapping
+    ``udiv`` by ``%z``: the trap is recorded at the divide."""
+    def use(f):
+        f.sub("%y", 4, dest="%z")
+        f.udiv("%b", "%z", dest="%q")
+    module, env = _fused_program(use)
+    observed = assert_same(module, env)
+    failure = observed["outcome"][0]
+    assert failure.kind.name == "DIV_BY_ZERO"
+    assert (failure.point.block, failure.point.index) == ("run", 3)
+
+
+def _looping_threads():
+    """Two threads run a loop whose body is one six-instruction fused
+    run, so every chunk edge of a small quantum lands inside a run."""
+    b = ModuleBuilder("loops")
+    w = b.function("work", ["k"])
+    w.block("entry")
+    w.const(0, dest="%i")
+    w.const(0, dest="%acc")
+    w.jmp("loop")
+    w.block("loop")
+    w.mul("%i", "%k", width=32, dest="%t")
+    w.add("%acc", "%t", width=16, dest="%acc")
+    w.trunc("%acc", 8, dest="%lo")
+    w.add("%i", 1, dest="%i")
+    w.cmp("slt", "%i", 9, width=8, dest="%more")
+    w.br("%more", "loop", "done")
+    w.block("done")
+    w.output("out", "%lo", 1)
+    w.ret("%acc")
+    m = b.function("main", [])
+    m.block("entry")
+    first = m.spawn("work", [3])
+    second = m.spawn("work", [5])
+    m.join(first)
+    m.join(second)
+    m.ret(0)
+    return b.build()
+
+
+@pytest.mark.parametrize("quantum", [1, 3, 4, 50])
+def test_chunk_edges_inside_runs_identical(quantum):
+    assert_same(_looping_threads(), lambda: Environment({}, quantum=quantum))
+
+
+@pytest.mark.parametrize("hang_as_failure", [False, True])
+def test_max_steps_cut_inside_runs_identical(hang_as_failure):
+    module = _looping_threads()
+    for max_steps in range(0, 80):
+        assert_same(module, lambda: Environment({}, quantum=7),
+                    max_steps=max_steps, hang_as_failure=hang_as_failure)
+
+
+_PURE_BINOPS = ["add", "sub", "mul", "and", "or", "xor", "shl", "lshr",
+                "ashr"]
+_CMPS = ["eq", "ne", "ult", "ule", "ugt", "uge", "slt", "sle", "sgt", "sge"]
+
+
+@st.composite
+def straight_line_programs(draw):
+    """Two 64-bit inputs, then one long block of every fusible kind of
+    instruction at every width, over registers and immediates (negative
+    and wider than 64 bits too), closed by a branch."""
+    imm = st.one_of(st.integers(-5, 5), st.integers(-(1 << 70), 1 << 70),
+                    st.sampled_from([0x7F, 0x80, 0xFF, 0x8000, 1 << 63,
+                                     (1 << 64) - 1]))
+    b = ModuleBuilder("straight")
+    b.global_("G", 8)
+    f = b.function("main", [])
+    f.block("entry")
+    regs = [f.input("stdin", 8, dest="%a"), f.input("stdin", 8, dest="%b")]
+    f.jmp("run")
+    f.block("run")
+
+    def operand():
+        return draw(st.one_of(st.sampled_from(regs), imm))
+
+    for i in range(draw(st.integers(1, 12))):
+        dest = draw(st.sampled_from(regs + [f"%r{i}"]))
+        width = draw(st.sampled_from([1, 8, 16, 32, 64]))
+        kind = draw(st.sampled_from(["binop", "cmp", "trunc", "sext",
+                                     "gep", "const", "global"]))
+        if kind == "binop":
+            f.binop(draw(st.sampled_from(_PURE_BINOPS)), operand(),
+                    operand(), width=width, dest=dest)
+        elif kind == "cmp":
+            f.cmp(draw(st.sampled_from(_CMPS)), operand(), operand(),
+                  width=width, dest=dest)
+        elif kind == "trunc":
+            f.trunc(operand(), width, dest=dest)
+        elif kind == "sext":
+            f.sext(operand(), width, dest=dest)
+        elif kind == "gep":
+            f.gep(operand(), operand(), draw(imm), dest=dest)
+        elif kind == "const":
+            f.const(draw(imm), dest=dest)
+        else:
+            f.global_addr("G", dest=dest)
+        if dest not in regs:
+            regs.append(dest)
+    f.br(operand(), "yes", "no")
+    for label in ("yes", "no"):
+        f.block(label)
+        for reg in regs:
+            f.output(label, reg, 8)
+        f.ret(0)
+    return b.build()
+
+
+@settings(**_SETTINGS)
+@given(straight_line_programs(), st.binary(min_size=16, max_size=16))
+def test_straight_line_programs_identical(module, data):
+    assert_same(module, lambda: Environment({"stdin": data}))
+
+
+#: immediates whose masking matters: sign bits, all-ones, wider than 64
+_IMMEDIATES = [1, 0x81, -1, 1 << 63, (1 << 70) + 0x85]
+#: register values: the same edges, plus shift counts past the width
+_VALUES = [0, 3, 0x7F, 0x80FF, 0x8000_0001, 1 << 63, (1 << 64) - 1,
+           0x0123_4567_89AB_CDEF, 65]
+
+
+def _every_fusible_op():
+    """One block that applies every fusible instruction at every width
+    to registers and immediates, then outputs every result: a single
+    fused run of about 1,100 instructions."""
+    b = ModuleBuilder("ops")
+    b.global_("G", 8)
+    f = b.function("main", [])
+    f.block("entry")
+    f.input("stdin", 8, dest="%a")
+    f.input("stdin", 8, dest="%b")
+    f.jmp("run")
+    f.block("run")
+    results = []
+    operands = ([("%a", "%b")] + [("%a", imm) for imm in _IMMEDIATES]
+                + [(imm, "%b") for imm in _IMMEDIATES])
+    for width in (1, 8, 16, 32, 64):
+        for op in _PURE_BINOPS:
+            results += [f.binop(op, lhs, rhs, width=width)
+                        for lhs, rhs in operands]
+        for op in _CMPS:
+            results += [f.cmp(op, lhs, rhs, width=width)
+                        for lhs, rhs in operands]
+        for value in ["%a"] + _IMMEDIATES:
+            results += [f.trunc(value, width), f.sext(value, width)]
+    for scale in [1, 8, -4, 1 << 65]:
+        results += [f.gep("%a", "%b", scale), f.gep("%a", 7, scale)]
+    results += [f.global_addr("G"), f.const(-2)]
+    f.br("%a", "out", "out")
+    f.block("out")
+    for reg in results:
+        f.output("out", reg, 8)
+    f.ret(0)
+    return b.build()
+
+
+def test_every_fusible_op_identical():
+    module = _every_fusible_op()
+    run = module.functions["main"].blocks["run"].instrs
+    assert _straight_runs(run) == [(0, len(run))]
+    for a in _VALUES:
+        for b in _VALUES:
+            data = a.to_bytes(8, "little") + b.to_bytes(8, "little")
+            assert_same(module, lambda: Environment({"stdin": data},
+                                                    quantum=10_000))
+
+
+#: register names, labels and global names that would break, or run
+#: code in, source text they were spliced into
+_HOSTILE = ['%a"]; raise SystemExit  # ', "%b\n    return 0", "%{c}",
+            "%d' + __import__('os').sep + '"]
+
+
+def test_generated_runs_bind_names_never_splice_them():
+    """Register names, labels and global names reach a fused run as
+    bound values: the generated code holds only integer literals and
+    fixed names, and it runs hostile names like any others."""
+    b = ModuleBuilder("hostile")
+    b.global_(_HOSTILE[3][1:], 8)
+    f = b.function("main", [])
+    f.block(_HOSTILE[0])
+    f.input("stdin", 1, dest=_HOSTILE[0])
+    f.jmp(_HOSTILE[1])
+    f.block(_HOSTILE[1])
+    f.add(_HOSTILE[0], 1, dest=_HOSTILE[1])
+    f.global_addr(_HOSTILE[3][1:], dest=_HOSTILE[2])
+    f.br(f.cmp("ugt", _HOSTILE[1], 3, dest=_HOSTILE[3]), _HOSTILE[2],
+         _HOSTILE[0])
+    f.block(_HOSTILE[2])
+    f.output("out", _HOSTILE[2], 8)
+    f.ret(_HOSTILE[1])
+    module = b.build()
+    assert_same(module, lambda: Environment({"stdin": b"\x07"}))
+    instrs = module.functions["main"].blocks[_HOSTILE[1]].instrs
+    assert _straight_runs(instrs) == [(0, 4)]
+    run = _fused_run(_content(instrs))
+    code = run.__code__
+    assert all(isinstance(value, int) or value is None
+               for value in code.co_consts)
+    names = code.co_names + code.co_varnames + code.co_freevars
+    assert all(name.isidentifier() and name.isascii() for name in names)
+    assert set(run.__closure__[i].cell_contents
+               for i in range(len(code.co_freevars))) \
+        >= set(_HOSTILE[:3]) | {_HOSTILE[3][1:]}

@@ -4,11 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.errors import TraceError, TraceTruncatedError
+from repro.interp.interpreter import Interpreter
+from repro.telemetry import Telemetry
 from repro.trace.decoder import decode
 from repro.trace.encoder import PTEncoder
-from repro.trace.packets import PtwEvent, TntEvent
+from repro.trace.packets import PSB_PERIOD, PtwEvent, TntEvent
 from repro.trace.ringbuffer import RingBuffer
+from repro.workloads import get_workload
 
 
 class TestRingBuffer:
@@ -167,3 +171,40 @@ class TestEncoderDecoder:
             actual = [e.taken if isinstance(e, TntEvent)
                       else (e.tag, e.value) for e in chunk.events]
             assert actual == expected
+
+
+class TestEncoderCounters:
+    """``trace.bytes_emitted`` is the byte count the Fig. 6 model
+    charges (``PTEncoder.bytes_emitted``), so it counts PSB packets like
+    every other packet."""
+
+    def _counters(self, run):
+        tel = Telemetry()
+        with telemetry.scoped(tel):
+            enc = run()
+        return enc, tel.snapshot()["counters"]
+
+    def test_psb_packets_counted(self):
+        # PSB, then CHD (tid, timestamp) and CHE (count): 6 bytes
+        enc, counters = self._counters(lambda: _encode([(0, 5, [], 3)]))
+        assert enc.bytes_emitted == 6
+        assert counters["trace.bytes_emitted"] == 6
+        assert counters["trace.packets_emitted"] == 3
+
+    def test_periodic_psb_counted(self):
+        chunks = [(0, i, [True] * 13, 40) for i in range(1000)]
+        enc, counters = self._counters(lambda: _encode(chunks))
+        assert enc.bytes_emitted > 2 * PSB_PERIOD
+        assert counters["trace.bytes_emitted"] == enc.bytes_emitted
+
+    def test_workload_byte_counter_matches_encoder(self):
+        workload = get_workload("libpng-2004-0597")
+
+        def run():
+            enc = PTEncoder(RingBuffer())
+            Interpreter(workload.module(), workload.failing_env(1),
+                        tracer=enc).run()
+            return enc
+        enc, counters = self._counters(run)
+        assert enc.bytes_emitted == 458
+        assert counters["trace.bytes_emitted"] == 458
