@@ -10,8 +10,10 @@ occurrence).
 
 The recorded matrix runs one multi-iteration workload at fleet sizes
 1 → 2 → 4 under a simulated reoccurrence delay and asserts both
-halves: monotone wait shrinkage (deterministic, thanks to the
-per-(instance, version) delay jitter) and identical outcomes.
+halves: monotone wait shrinkage and identical outcomes.  Waits are
+virtual seconds from the fleet's clock and the per-(instance, version)
+delay jitter, so every figure in the artifact except ``wall_seconds``
+repeats exactly from run to run.
 """
 
 import json
@@ -24,9 +26,9 @@ from repro.workloads.registry import get_workload
 #: reoccurrence wait (pbzip2 converges in 4 occurrences)
 WORKLOAD = "pbzip2-uaf"
 FLEET_SIZES = [1, 2, 4]
-#: simulated mean delay between failure reoccurrences; jittered
-#: 0.5-1.5x per (instance, version) — §3.3's minutes-to-hours wait,
-#: scaled to keep the bench fast
+#: simulated mean delay between failure reoccurrences, in virtual
+#: seconds; jittered 0.5-1.5x per (instance, version) — §3.3's
+#: minutes-to-hours wait, scaled down
 REOCCURRENCE_DELAY = 0.3
 
 
@@ -53,6 +55,8 @@ def test_serve_scalability(artifact_dir):
             f"fleet({instances}) diverged from the single-site "
             f"reconstruction")
         assert bucket.iterations == len(single.iterations)
+        # every instance runs every deployed version exactly once
+        assert summary.instance_runs == instances * bucket.iterations
         legs.append({
             "instances": instances,
             "wait_seconds": bucket.wait_seconds,

@@ -280,6 +280,28 @@ def _parse_pool_widths(spec: str) -> List[int]:
     return widths
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"want an integer >= 1, "
+                                         f"got {text!r}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not value >= 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"want a number >= 0, "
+                                         f"got {text!r}")
+    return value
+
+
 def cmd_bench(args) -> int:
     from .parallel import run_batch, write_merged_jsonl
 
@@ -397,12 +419,10 @@ def cmd_serve(args) -> int:
     service = FleetService(
         args.workload or None,
         instances=args.instances,
-        parallel=args.parallel,
         reoccurrence_delay=args.reoccurrence_delay,
         work_limit=args.work_limit,
         max_occurrences=args.max_occurrences,
         cache_dir=args.cache_dir,
-        wait_timeout=args.wait_timeout,
         progress=echo)
     summary = service.run()
 
@@ -685,18 +705,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "reoccurrences from any instance")
     p.add_argument("workload", nargs="*",
                    help="workload names (default: all)")
-    p.add_argument("--instances", type=int, default=2, metavar="N",
+    p.add_argument("--instances", type=_positive_int, default=2,
+                   metavar="N",
                    help="simulated production instances per workload "
                         "(default: 2); the wait for each reoccurrence "
                         "ends at the first fleet-wide report")
-    p.add_argument("--parallel", type=int, default=1, metavar="N",
-                   help="bucket reconstructions to run concurrently "
-                        "(default: 1)")
-    p.add_argument("--reoccurrence-delay", type=float, default=0.0,
-                   metavar="SEC",
-                   help="simulated mean delay before each instance's "
-                        "failure reoccurrence, jittered per instance "
-                        "(affects timing only)")
+    p.add_argument("--reoccurrence-delay", type=_non_negative_float,
+                   default=0.0, metavar="SEC",
+                   help="mean virtual seconds before each instance's "
+                        "failure reoccurs, jittered per instance "
+                        "(affects reported waits only)")
     p.add_argument("--work-limit", type=int, default=None,
                    help="solver budget per query (the 30s-timeout "
                         "analog)")
@@ -704,10 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="persistent solver cache shared by all bucket "
                         "reconstructions")
-    p.add_argument("--wait-timeout", type=float, default=600.0,
-                   metavar="SEC",
-                   help="give up when no instance reports a bucket's "
-                        "signature for this long (default: 600)")
     p.add_argument("-o", "--output", default=None, metavar="SERVE.json",
                    help="write the machine-readable serve summary")
     p.add_argument("--json", action="store_true",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 import threading
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -49,13 +48,13 @@ class Occurrence:
 class DeferredOccurrence:
     """Handle to a production run executing on a background thread.
 
-    The fleet service runs each simulated instance's production wait
-    this way.  The thread runs the *same* :meth:`ProductionSite.run_once`
-    body against the process-global telemetry registry (span stacks are
-    thread-local, so concurrent production spans cannot corrupt another
-    thread's nesting), which keeps production counters and spans
-    identical to the sequential path.  Exceptions are captured and
-    re-raised on the consuming thread at :meth:`wait` time.
+    Nothing in the package runs production this way: the fleet
+    service calls :meth:`ProductionSite.run_once` on its one thread.
+    This class and :meth:`ProductionSite.start` stay only because the
+    layer benchmark wraps ``ProductionSite.start`` by name.  The thread
+    runs the *same* ``run_once`` body against the process-global
+    telemetry registry; exceptions are captured and re-raised on the
+    consuming thread at :meth:`wait` time.
     """
 
     def __init__(self, site: "ProductionSite", module: Module):
@@ -103,7 +102,12 @@ class DeferredOccurrence:
 
 
 class ProductionSite:
-    """Runs the deployed module until the monitored failure occurs."""
+    """Runs the deployed module until the monitored failure occurs.
+
+    A run returns as soon as the failure occurs: the minutes-to-hours
+    wait between occurrences (§3.3) is not slept here.  ``repro serve``
+    models it on its virtual clock instead (:mod:`repro.serve`).
+    """
 
     def __init__(self, env_factory: EnvFactory, *,
                  ring_capacity: int = DEFAULT_CAPACITY,
@@ -112,8 +116,7 @@ class ProductionSite:
                  auto_grow_buffer: bool = True,
                  trace_after: int = 0,
                  mapping_loss: float = 0.0,
-                 per_cpu_buffers: bool = False,
-                 reoccurrence_delay: float = 0.0):
+                 per_cpu_buffers: bool = False):
         self.env_factory = env_factory
         self.ring_capacity = ring_capacity
         self.max_steps = max_steps
@@ -132,11 +135,6 @@ class ProductionSite:
         #: real PT writes one buffer per CPU; merging them by coarse
         #: timestamp loses the order of equal-timestamp chunks (§3.4)
         self.per_cpu_buffers = per_cpu_buffers
-        #: simulated wall-clock seconds until the failure reoccurs (§3.3:
-        #: real deployments take minutes-to-hours between occurrences;
-        #: the fleet service jitters it per instance).  Affects timing
-        #: only, never outcomes.
-        self.reoccurrence_delay = reoccurrence_delay
         self._occurrence = 0
         self._untraced_failures = 0
         self._deferred: Optional[DeferredOccurrence] = None
@@ -151,7 +149,8 @@ class ProductionSite:
         wait runs on a background thread until the caller ``wait()``s.
         Only one deferred run may be active at a time — ``run_once``
         mutates per-site state (occurrence index, ring capacity) that
-        must not race.
+        must not race.  Kept for the layer benchmark, which wraps this
+        method by name; see :class:`DeferredOccurrence`.
         """
         if self._deferred is not None:
             if not self._deferred.done():
@@ -172,8 +171,6 @@ class ProductionSite:
     def run_once(self, module: Module) -> Occurrence:
         """Run the deployed module until it fails; ship the trace."""
         tel = telemetry.get()
-        if self.reoccurrence_delay > 0:
-            time.sleep(self.reoccurrence_delay)
         for _ in range(self.max_attempts):
             self._occurrence += 1
             env = self.env_factory(self._occurrence)

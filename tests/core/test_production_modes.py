@@ -1,6 +1,8 @@
 """ProductionSite operational modes: buffer growth, deferred tracing,
 deferred (background-thread) occurrences."""
 
+import threading
+
 import pytest
 
 from repro import telemetry
@@ -99,21 +101,37 @@ class TestDeferredOccurrence:
         assert occurrence.failure is not None
         assert occurrence.trace.chunks
 
+    @staticmethod
+    def _held_site(workload):
+        """A site whose environment factory blocks until released, so a
+        deferred run stays open for as long as the test needs."""
+        release = threading.Event()
+
+        def factory(occ):
+            assert release.wait(10.0), "test never released the run"
+            return workload.failing_env(occ)
+
+        return ProductionSite(factory), release
+
     def test_only_one_deferred_run_at_a_time(self):
         workload = get_workload("objdump-2018-6323")
-        site = ProductionSite(workload.failing_env,
-                              reoccurrence_delay=0.5)
+        site, release = self._held_site(workload)
         module = workload.fresh_module()
-        site.start(module)
-        with pytest.raises(ReconstructionError, match="already active"):
-            site.start(module)
+        deferred = site.start(module)
+        try:
+            with pytest.raises(ReconstructionError,
+                               match="already active"):
+                site.start(module)
+        finally:
+            release.set()
+        assert deferred.wait().failure is not None
 
     def test_start_returns_before_the_run_finishes(self):
         workload = get_workload("objdump-2018-6323")
-        site = ProductionSite(workload.failing_env,
-                              reoccurrence_delay=0.3)
+        site, release = self._held_site(workload)
         deferred = site.start(workload.fresh_module())
-        assert not deferred.done()  # still sleeping
+        assert not deferred.done()  # held by the environment factory
+        release.set()
         assert deferred.wait().failure is not None
 
     def test_background_exception_reraised_on_wait(self):
@@ -193,8 +211,6 @@ class TestDeferredBaseException:
         pass
 
     def test_base_exception_not_stashed(self, abort_module, monkeypatch):
-        import threading
-
         def factory(occ):
             raise self._Shutdown()
 

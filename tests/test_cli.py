@@ -290,7 +290,7 @@ class TestServe:
     def test_serve_writes_summary_artifact(self, capsys, tmp_path):
         out = tmp_path / "BENCH_serve.json"
         assert main(["serve", "sqlite-7be932d", "--instances", "2",
-                     "--parallel", "2", "-o", str(out)]) == 0
+                     "-o", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["instances"] == 2
         assert data["buckets"][0]["signature"]["digest"]
@@ -313,7 +313,8 @@ class TestServe:
 class TestLoopFlags:
     """The reconstruction loop is the paper's sequential one: reproduce
     and bench offer no pipelining, solver-portfolio, sharding or
-    simulated-wait knobs, while serve keeps its jittered fleet wait."""
+    simulated-wait knobs, while serve keeps its jittered fleet wait
+    (virtual seconds) but no bucket concurrency or wall-clock timeout."""
 
     REMOVED = ["--pipeline", "--portfolio", "--steal", "--shards",
                "--reoccurrence-delay"]
@@ -344,6 +345,23 @@ class TestLoopFlags:
         args = build_parser().parse_args(
             ["serve", "objdump-2018-6323", "--reoccurrence-delay", "0.2"])
         assert args.reoccurrence_delay == 0.2
+
+    @pytest.mark.parametrize("flag", ["--parallel", "--wait-timeout"])
+    def test_serve_flag_removed(self, capsys, flag):
+        assert flag not in self._help(capsys, "serve")
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "objdump-2018-6323", flag, "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--instances", "0"), ("--reoccurrence-delay", "-1")])
+    def test_serve_rejects_bad_value(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "objdump-2018-6323", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"argument {flag}: " in err.splitlines()[-1]
 
 
 class TestReproduceRecoveryFlags:
