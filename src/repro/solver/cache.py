@@ -16,6 +16,9 @@ that redundancy, all sound by construction:
    recent models are re-evaluated against the new constraint set with
    the three-valued evaluator (cost: one propagation pass, charged to
    the budget); a surviving model answers feasibility immediately.
+   Each model keeps the constraint prefix probes already proved it
+   satisfies, with its charges: a probe charges that prefix and
+   evaluates only the rest.
 3. **Warm-start hints** — the most recent satisfying assignment seeds
    the search's candidate ordering, so the backtracking solver tries
    "what worked last time" before anything else.  Across reconstruction
@@ -55,7 +58,7 @@ from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from .. import telemetry
 from .terms import Term, term_digest
 
-__all__ = ["SolverCache", "ValueEnumeration"]
+__all__ = ["ProvenModel", "SolverCache", "ValueEnumeration"]
 
 #: bounded windows for the in-memory subsumption scans
 _MAX_INFEASIBLE_KEYS = 256
@@ -90,6 +93,25 @@ class ValueEnumeration(List[int]):
         return f"ValueEnumeration({list(self)!r}, {state})"
 
 
+class ProvenModel(dict):
+    """A recorded model, and the longest constraint prefix a model probe
+    proved it satisfies.
+
+    ``proven[i]`` is a constraint (probes match it by identity) and
+    ``charges[i]`` the work that evaluating ``proven[:i + 1]`` under the
+    model costs, so a later probe sharing that prefix charges it
+    without evaluating it.  The dict itself is the assignment; it is
+    never mutated, or the charges would not hold.
+    """
+
+    __slots__ = ("proven", "charges")
+
+    def __init__(self, assignment: Dict[str, int]):
+        super().__init__(assignment)
+        self.proven: List[Term] = []
+        self.charges: List[int] = []
+
+
 class SolverCache:
     """Memoized query results and warm-start models for one session."""
 
@@ -108,7 +130,7 @@ class SolverCache:
         #: (term, frozenset(constraints), limit) -> ValueEnumeration
         self._values: "OrderedDict[Tuple, ValueEnumeration]" = OrderedDict()
         #: recent satisfying assignments, newest last
-        self._models: Deque[Dict[str, int]] = deque(maxlen=max_models)
+        self._models: Deque[ProvenModel] = deque(maxlen=max_models)
         #: recent infeasible keys (subset-subsumption scan window)
         self._infeasible_keys: Deque[FrozenSet[Term]] = deque(
             maxlen=_MAX_INFEASIBLE_KEYS)
@@ -331,14 +353,14 @@ class SolverCache:
         written through to the disk tier.
         """
         if assignment and assignment not in self._models:
-            self._models.append(dict(assignment))
+            self._models.append(ProvenModel(assignment))
         if key is not None and assignment:
             self._keyed_models.append((key, dict(assignment)))
             if self.persistent is not None:
                 self.persistent.store(self.digest_key(key), True,
                                       model=assignment)
 
-    def recent_models(self) -> List[Dict[str, int]]:
+    def recent_models(self) -> List[ProvenModel]:
         """Newest first — the best probe order."""
         return list(reversed(self._models))
 

@@ -17,17 +17,21 @@ Most constraint terms are small, so the walker's per-call set-up (memo
 dict, phase-tagged stack, one charge per node) costs more than their
 arithmetic.  On its first evaluation a term is therefore *compiled*, if
 it qualifies, into a nest of closures kept in its ``_compiled`` slot.  A
-term qualifies when it has no ``ite``/``read``/``store``/``array`` node
-(so the walker visits every node), no interior node reachable twice
-(closures re-evaluate shared subterms; shared ``const``/``var`` leaves
-cost one lookup each), and at most :data:`COMPILE_MAX_DEPTH` levels (the
-closures recurse once per level).  The walker charges such a term one
-unit per distinct node, so a compiled call pays that count in a single
-``charge`` and then runs the closures, which may short-circuit freely.
-A call whose charge would cross the budget's limit runs the walker, so
-totals, values and the point (and ``spent``) of every
-:class:`~repro.errors.SolverTimeout` are identical to the walker's.
-Lazy, shared and deep terms always run the walker.
+term qualifies when it has no ``ite``/``store`` node and every ``read``
+reads a bare ``array`` (so the walker visits every node but those
+arrays), no interior node reachable twice (closures re-evaluate shared
+subterms; shared ``const``/``var`` leaves cost one lookup each), and at
+most :data:`COMPILE_MAX_DEPTH` levels (the closures recurse once per
+level).  The walker charges such a term one unit per distinct node
+(arrays excluded), plus the object-size charge of every ``read`` whose
+index is unknown, also of a read the short-circuiting closures never
+reach (under a zero ``and``/``mul`` operand, say).  A compiled call
+evaluates those indices, pays the sum in a single ``charge`` and then
+runs the closures.  A call whose worst case (every index unknown)
+would cross the budget's limit runs the walker, so totals, values and
+the point (and ``spent``) of every :class:`~repro.errors.SolverTimeout`
+are identical to the walker's.  ``ite``, store chains, shared and deep
+terms always run the walker.
 """
 
 from __future__ import annotations
@@ -50,11 +54,13 @@ COMPILE_MAX_DEPTH = 32
 
 Assignment = Dict[str, int]
 Compiled = Callable[[Assignment], Optional[int]]
+#: a compiled read's index closure and its unknown-index charge
+ReadCharge = Tuple[Compiled, int]
 
 _UNKNOWN = object()  # sentinel in the memo: evaluated, value unknown
 #: ``Term._compiled`` of a term the compiled path declined
 _DECLINED = ()
-_LAZY_OPS = frozenset(("ite", "read", "store", "array"))
+_LAZY_OPS = frozenset(("ite", "store", "array"))
 _DIV_OPS = frozenset(("udiv", "sdiv", "urem", "srem"))
 
 
@@ -64,8 +70,11 @@ def tv_eval(term: Term, env: Assignment, budget: Budget) -> Optional[int]:
     if compiled is None:
         compiled = term._compiled = _compile(term)
     if compiled:
-        cost, fn = compiled
-        if budget.spent + cost <= budget.limit:
+        cost, fn, reads, worst = compiled
+        if budget.spent + worst <= budget.limit:
+            for index, unit in reads:
+                if index(env) is None:
+                    cost += unit
             budget.charge(cost)
             return fn(env)
     return _walk(term, env, budget)
@@ -81,42 +90,49 @@ def _walk(term: Term, env: Assignment, budget: Budget) -> Optional[int]:
 
 # ----------------------------------------------------------------------
 # compiled path
+#
+# The closures take their operands as default arguments, not closure
+# cells: each cell is one more object the cyclic garbage collector
+# tracks, and with cells the compiled terms a table1 round keeps alive
+# cost it one more full collection per round.
 
 class _Decline(Exception):
     """The term is lazy, shared or too deep for the compiled path."""
 
 
 def _compile(term: Term) -> tuple:
-    """``(distinct nodes, closure)`` for a qualifying term, else declined.
+    """``(distinct nodes, closure, reads, worst-case charge)`` for a
+    qualifying term, else declined.
 
     Idempotent: threads racing on one term at worst compile it twice.
     """
     seen: Set[int] = set()
+    reads: List[ReadCharge] = []
     try:
-        fn = _closure(term, seen, COMPILE_MAX_DEPTH)
+        fn = _closure(term, seen, reads, COMPILE_MAX_DEPTH)
     except _Decline:
         return _DECLINED
-    return len(seen), fn
+    cost = len(seen)
+    return cost, fn, tuple(reads), cost + sum(unit for _, unit in reads)
 
 
-def _closure(node: Term, seen: Set[int], depth: int) -> Compiled:
+def _closure(node: Term, seen: Set[int], reads: List[ReadCharge],
+             depth: int) -> Compiled:
     op = node.op
     if op == "const":
         seen.add(id(node))
-        value = node.args[0]
-        return lambda env: value
+        return lambda env, value=node.args[0]: value
     if op == "var":
         seen.add(id(node))
-        name = node.args[0]
-        return lambda env: env.get(name)
+        return lambda env, name=node.args[0]: env.get(name)
     if depth == 1 or op in _LAZY_OPS or id(node) in seen:
         raise _Decline
     seen.add(id(node))
     depth -= 1
     args = node.args
     if op in BINOP_OPS or op in CMP_OPS:
-        lhs = _closure(args[0], seen, depth)
-        rhs = _closure(args[1], seen, depth)
+        lhs = _closure(args[0], seen, reads, depth)
+        rhs = _closure(args[1], seen, reads, depth)
         if op in CMP_OPS:
             return _strict(CMPS[op], lhs, rhs, args[2])
         if op == "and" or op == "mul":
@@ -124,15 +140,23 @@ def _closure(node: Term, seen: Set[int], depth: int) -> Compiled:
         if op in _DIV_OPS:
             return _division(BINOPS[op], lhs, rhs, args[2])
         return _strict(BINOPS[op], lhs, rhs, args[2])
+    if op == "read":
+        table = args[0]
+        if table.op != "array":
+            raise _Decline  # a store chain: the walker walks it lazily
+        index = _closure(args[1], seen, reads, depth)
+        reads.append((index, max(1, table.width // OBJECT_BYTES_PER_UNIT)))
+        return _read(table.args[1], index)
     if op == "concat":
-        return _concat([_closure(part, seen, depth) for part in args])
+        return _concat([_closure(part, seen, reads, depth)
+                         for part in args])
     if op in _UNARY:
-        return _UNARY[op](_closure(args[0], seen, depth), args[1])
+        return _UNARY[op](_closure(args[0], seen, reads, depth), args[1])
     raise _Decline  # unknown op: the walker raises the SolverError
 
 
 def _strict(apply, lhs: Compiled, rhs: Compiled, width: int) -> Compiled:
-    def fn(env):
+    def fn(env, apply=apply, lhs=lhs, rhs=rhs, width=width):
         lval = lhs(env)
         if lval is None:
             return None
@@ -146,7 +170,7 @@ def _strict(apply, lhs: Compiled, rhs: Compiled, width: int) -> Compiled:
 def _zero_absorbing(apply, lhs: Compiled, rhs: Compiled,
                     width: int) -> Compiled:
     """``and``/``mul``: a known zero side makes the result 0."""
-    def fn(env):
+    def fn(env, apply=apply, lhs=lhs, rhs=rhs, width=width):
         lval = lhs(env)
         if lval == 0:
             return 0
@@ -161,9 +185,8 @@ def _zero_absorbing(apply, lhs: Compiled, rhs: Compiled,
 
 def _division(apply, lhs: Compiled, rhs: Compiled, width: int) -> Compiled:
     """Division by zero is unknown: infeasible on the recorded path."""
-    divisor_mask = (1 << width) - 1
-
-    def fn(env):
+    def fn(env, apply=apply, lhs=lhs, rhs=rhs, width=width,
+           divisor_mask=(1 << width) - 1):
         lval = lhs(env)
         if lval is None:
             return None
@@ -174,8 +197,18 @@ def _division(apply, lhs: Compiled, rhs: Compiled, width: int) -> Compiled:
     return fn
 
 
+def _read(data: bytes, index: Compiled) -> Compiled:
+    """A constant table's byte; out of bounds is unknown (infeasible)."""
+    def fn(env, data=data, index=index, size=len(data)):
+        position = index(env)
+        if position is None or not 0 <= position < size:
+            return None
+        return data[position]
+    return fn
+
+
 def _concat(parts: List[Compiled]) -> Compiled:
-    def fn(env):
+    def fn(env, parts=tuple(parts)):
         total = 0
         shift = 0
         for part in parts:
@@ -189,25 +222,21 @@ def _concat(parts: List[Compiled]) -> Compiled:
 
 
 def _trunc(inner: Compiled, to_width: int) -> Compiled:
-    keep = (1 << to_width) - 1
-
-    def fn(env):
+    def fn(env, inner=inner, keep=(1 << to_width) - 1):
         value = inner(env)
         return None if value is None else value & keep
     return fn
 
 
 def _sext(inner: Compiled, from_width: int) -> Compiled:
-    def fn(env):
+    def fn(env, inner=inner, from_width=from_width):
         value = inner(env)
         return None if value is None else sign_extend(value, from_width)
     return fn
 
 
 def _extract(inner: Compiled, byte_index: int) -> Compiled:
-    shift = 8 * byte_index
-
-    def fn(env):
+    def fn(env, inner=inner, shift=8 * byte_index):
         value = inner(env)
         return None if value is None else (value >> shift) & 0xFF
     return fn

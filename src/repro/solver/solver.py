@@ -21,22 +21,20 @@ from __future__ import annotations
 
 import logging
 from contextlib import contextmanager
+from operator import is_
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import telemetry
 from ..errors import SolverTimeout, UnsatError
 from ..ir.types import mask
 from .budget import DEFAULT_WORK_LIMIT, Budget
-from .cache import SolverCache, ValueEnumeration
+from .cache import ProvenModel, SolverCache, ValueEnumeration
 from .evaluator import tv_eval
 from .model import Model
-from .terms import (BINOP_OPS, CMP_OPS, Term, bool_term, cmp, const,
-                    iter_nodes)
+from .terms import Term, bool_term, cmp, const, iter_nodes
 
 #: Give up deriving candidates from arrays bigger than this.
 _MAX_SCAN_BYTES = 4096
-#: Ceiling on candidate values tried per variable (bytes: full range).
-_MAX_CANDIDATES = 256
 #: Model probes may spend at most this fraction of the remaining budget,
 #: so a failed probe can never turn a would-have-succeeded query into a
 #: timeout.
@@ -262,8 +260,8 @@ class Solver:
         scratch = Budget(max(1, budget.remaining() // _PROBE_BUDGET_DIVISOR),
                          "model probe")
         try:
-            for env in self.cache.recent_models():
-                if all(tv_eval(c, env, scratch) == 1 for c in constraints):
+            for model in self.cache.recent_models():
+                if _satisfies(model, constraints, scratch):
                     budget.charge(scratch.spent)
                     return True
         except SolverTimeout:
@@ -467,6 +465,7 @@ class _Search:
         order = self._variable_order(active, groups)
         self._pos = {var: i for i, var in enumerate(order)}
         buckets = self._bucket_constraints(active, order)
+        self._sources = self._candidate_sources(buckets)
         if not self._dfs(0, order, buckets, groups):
             raise UnsatError("no satisfying assignment")
         return Model(self.env)
@@ -474,15 +473,20 @@ class _Search:
     # -- propagation ---------------------------------------------------
 
     def _propagate(self) -> None:
+        budget = self.budget
         changed = True
         while changed:
             changed = False
+            #: (constraint, value, charge) of each evaluation this sweep
+            sweep = []
             for constraint in self.constraints:
                 if constraint in self.known_satisfied:
                     continue  # proven for a prefix: stays true here
-                value = tv_eval(constraint, self.env, self.budget)
+                before = budget.spent
+                value = tv_eval(constraint, self.env, budget)
                 if value == 0:
                     raise UnsatError(f"constraint is false: {constraint!r}")
+                sweep.append((constraint, value, budget.spent - before))
                 if value is not None:
                     continue
                 assignments = self._unit_assignments(constraint)
@@ -495,6 +499,9 @@ class _Search:
                             self.env_dep[name] = dep
                         self.env[name] = val
                         changed = True
+        #: the last sweep assigned nothing, so every evaluation in it saw
+        #: the final env; :meth:`_active_constraints` replays it
+        self._last_sweep = sweep
 
     def _unit_assignments(self, constraint: Term) -> Dict[str, int]:
         """var assignments forced by an ``lhs == const`` constraint."""
@@ -571,16 +578,27 @@ class _Search:
     # -- search ----------------------------------------------------------
 
     def _active_constraints(self) -> List[Term]:
-        active = []
-        for constraint in self.constraints:
-            if constraint in self.known_satisfied:
-                continue  # satisfied under a retained prefix env
-            value = tv_eval(constraint, self.env, self.budget)
-            if value == 0:
-                raise UnsatError(f"constraint is false: {constraint!r}")
-            if value is None:
-                active.append(constraint)
-        return active
+        """The constraints propagation left unknown, charged as
+        evaluating each one again under the final env would be.
+
+        Propagation's last sweep made exactly those evaluations, so its
+        values and charges are replayed.  When the sum would cross the
+        limit, the charges are replayed one by one and the constraint
+        that crosses it is evaluated again, so the timeout lands where
+        a re-evaluation's would, with the same ``spent``.
+        """
+        budget = self.budget
+        sweep = self._last_sweep
+        total = sum(charge for _, _, charge in sweep)
+        if budget.spent + total <= budget.limit:
+            budget.charge(total)
+        else:
+            for constraint, _value, charge in sweep:
+                if budget.spent + charge > budget.limit:
+                    tv_eval(constraint, self.env, budget)  # times out
+                budget.charge(charge)
+        return [constraint for constraint, value, _ in sweep
+                if value is None]
 
     def _word_groups(self, active: List[Term]) -> Dict[str, Tuple]:
         """Map each grouped variable to its word group.
@@ -653,6 +671,21 @@ class _Search:
             buckets[max(free)].append(constraint)
         return buckets
 
+    def _candidate_sources(self, buckets: List[List[Term]]
+                           ) -> Dict[str, List[Term]]:
+        """For each DFS variable, the constraints in its bucket and the
+        deeper ones that mention it, in bucket order: where
+        :meth:`_candidates` derives its values.  A constraint sits in the
+        bucket of its deepest DFS variable, so every DFS variable it
+        mentions is at or above that bucket."""
+        sources: Dict[str, List[Term]] = {name: [] for name in self._pos}
+        for bucket in buckets:
+            for constraint in bucket:
+                for name in constraint.free_vars():
+                    if name in sources:
+                        sources[name].append(constraint)
+        return sources
+
     def _dfs(self, depth: int, order: List[str],
              buckets: List[List[Term]], groups: Dict[str, Tuple]) -> bool:
         if depth == len(order):
@@ -669,7 +702,7 @@ class _Search:
                 # byte-wise search as a last resort
         excluded = self.excluded.get(name)
         learning = self.learned is not None
-        for value in self._candidates(name, buckets, depth):
+        for value in self._candidates(name):
             dep = excluded.get(value) if excluded is not None else None
             if dep is None and learning:
                 # conflicts learned earlier in this same search apply too
@@ -815,8 +848,7 @@ class _Search:
                 if value not in seen:
                     yield value
 
-    def _candidates(self, name: str, buckets: List[List[Term]],
-                    depth: int) -> Iterable[int]:
+    def _candidates(self, name: str) -> Iterable[int]:
         derived: List[int] = []
         seen: Set[int] = set()
         hint = self.hints.get(name)
@@ -824,20 +856,59 @@ class _Search:
             hint &= 0xFF
             seen.add(hint)
             derived.append(hint)  # warm start: last model's value first
-        for bucket in buckets[depth:]:
-            for constraint in bucket:
-                if name not in constraint.free_vars():
-                    continue
-                for value in _derive_candidates(constraint, name, self.env,
-                                                self.budget):
-                    value &= 0xFF
-                    if value not in seen:
-                        seen.add(value)
-                        derived.append(value)
+        for constraint in self._sources[name]:
+            for value in _derive_candidates(constraint, name, self.env,
+                                            self.budget):
+                value &= 0xFF
+                if value not in seen:
+                    seen.add(value)
+                    derived.append(value)
         yield from derived
         for value in range(256):
             if value not in seen:
                 yield value
+
+
+# ----------------------------------------------------------------------
+# model probes
+
+def _satisfies(model: ProvenModel, constraints: Sequence[Term],
+               budget: Budget) -> bool:
+    """Is every constraint 1 under ``model``?  Charged exactly as
+    evaluating them in order, stopping at the first that is not, would
+    be charged.
+
+    The prefix that ``model``'s earlier probes proved (matched by
+    identity) is charged as one recorded sum and not evaluated.  When
+    the sum would cross the limit, every constraint is evaluated, so the
+    timeout lands on the same constraint with the same ``spent``.
+    Constraints proved beyond the matched prefix become the model's
+    proven prefix.
+    """
+    proven, charges = model.proven, model.charges
+    same = list(map(is_, proven, constraints))
+    matched = len(same) if all(same) else same.index(False)
+    start = matched
+    if start and budget.spent + charges[start - 1] <= budget.limit:
+        budget.charge(charges[start - 1])
+    else:
+        start = 0
+    done = charges[start - 1] if start else 0
+    fresh: List[int] = []
+    try:
+        for constraint in constraints[start:]:
+            before = budget.spent
+            if tv_eval(constraint, model, budget) != 1:
+                return False
+            done += budget.spent - before
+            fresh.append(done)
+    finally:
+        end = start + len(fresh)
+        if end > matched:
+            del proven[start:], charges[start:]
+            proven.extend(constraints[start:end])
+            charges.extend(fresh)
+    return True
 
 
 # ----------------------------------------------------------------------

@@ -206,6 +206,8 @@ class ShepherdedSymex:
         #: path was cut back to) instead of chunk 0
         self.path: Optional[GapPath] = None
         self.resume: Optional[Checkpoint] = None
+        #: (function name, block label) -> the block's program points
+        self._points: Dict[Tuple[str, str], Tuple[ProgramPoint, ...]] = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -376,8 +378,8 @@ class ShepherdedSymex:
         thread = self._current_thread = self.threads[cp.tid]
         frame = thread.frame
         instr = frame.func.blocks[frame.block].instrs[frame.index]
-        point = self._current_point = ProgramPoint(
-            frame.func.name, frame.block, frame.index)
+        point = self._current_point = self._block_points(
+            frame.func, frame.block)[frame.index]
         cond = self._value(frame, instr.cond)
         self._take_branch(frame, instr, point, cond,
                           self._gap_outcome(cond))
@@ -387,13 +389,29 @@ class ShepherdedSymex:
 
     def _step(self, thread: SymThread) -> None:
         frame = thread.frame
-        instr = frame.func.blocks[frame.block].instrs[frame.index]
-        point = ProgramPoint(frame.func.name, frame.block, frame.index)
+        func = frame.func
+        instr = func.blocks[frame.block].instrs[frame.index]
+        points = self._points.get((func.name, frame.block))
+        if points is None:
+            points = self._block_points(func, frame.block)
+        point = points[frame.index]
         self.exec_counts[point] += 1
         self.stats.instrs_executed += 1
         self._current_point = point
         self._current_thread = thread
         self._DISPATCH[type(instr)](self, thread, frame, instr, point)
+
+    def _block_points(self, func: Function,
+                      label: str) -> Tuple[ProgramPoint, ...]:
+        """The program points of a block, built once per run: a point is
+        a value of its fields, so one instance serves every step."""
+        key = (func.name, label)
+        points = self._points.get(key)
+        if points is None:
+            points = self._points[key] = tuple(
+                ProgramPoint(func.name, label, index)
+                for index in range(len(func.blocks[label].instrs)))
+        return points
 
     # ------------------------------------------------------------------
     # solver plumbing

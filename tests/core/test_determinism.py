@@ -11,10 +11,11 @@ from repro.core import production, reconstructor
 from repro.errors import ReconstructionError
 from repro.interp.env import Environment
 from repro.ir.builder import ModuleBuilder
-from repro.solver import evaluator
+from repro.solver import evaluator, solver
 from repro.solver import terms as T
 from repro.workloads import get_workload, workload_names
 from tests.interp.reference_interpreter import ReferenceInterpreter
+from tests.solver import reference_solver
 from tests.symex.reference_gap_search import Lockstep
 
 
@@ -126,14 +127,20 @@ class TestWorkloadDeterminism:
 
     @pytest.mark.parametrize("name", workload_names())
     def test_walker_only_run_identical(self, name, monkeypatch):
-        """Compiled evaluation changes wall time only.  With the compile
-        step declining every term, every query runs the walker and must
-        charge the same work, so stalls, modelled seconds, recordings
-        and the test case stay the same."""
+        """Compiled evaluation and the solver's replays change wall time
+        only.  With the compile step declining every term, every model
+        probe evaluating every constraint and the search re-evaluating
+        every constraint after propagation, every query runs the walker
+        and must charge the same work, so stalls, modelled seconds,
+        recordings and the test case stay the same."""
         compiled = self._run(name)
         assert compiled.success and compiled.verified
         monkeypatch.setattr(evaluator, "_compile",
                             lambda term: evaluator._DECLINED)
+        monkeypatch.setattr(solver.Solver, "_probe_models",
+                            reference_solver.probe_models)
+        monkeypatch.setattr(solver._Search, "_active_constraints",
+                            reference_solver.active_constraints)
         # the only terms shared across term spaces: drop any compiled
         # form they picked up earlier in this process
         for singleton in (T.TRUE, T.FALSE):

@@ -7,6 +7,7 @@ from repro.errors import SolverTimeout
 from repro.solver import (Solver, SolverCache, UnlimitedBudget,
                           ValueEnumeration)
 from repro.solver import terms as T
+from repro.solver.cache import ProvenModel
 
 
 @pytest.fixture(autouse=True)
@@ -54,6 +55,11 @@ class TestCacheUnit:
         cache.record_model({"a": 2})
         assert cache.recent_models() == [{"a": 2}, {"a": 1}]
         assert cache.hints() == {"a": 2}
+        # probes keep their proofs on the recorded models; hints are a
+        # plain copy
+        assert all(isinstance(m, ProvenModel)
+                   for m in cache.recent_models())
+        assert type(cache.hints()) is dict
 
     def test_model_window_bounded(self):
         cache = SolverCache(max_models=2)

@@ -4,7 +4,8 @@
 iterative walker every term used to run and the reference here.  Both
 must return the same value and charge the same work, and on a timeout
 raise at the same ``work_spent``, whatever the term, the partial
-assignment and the budget.
+assignment and the budget.  Reads of constant tables compile; reads over
+store chains and ``ite`` stay on the walker.
 """
 
 import pytest
@@ -15,7 +16,7 @@ from repro.errors import SolverError, SolverTimeout
 from repro.solver import evaluator as E
 from repro.solver import terms as T
 from repro.solver.budget import Budget, UnlimitedBudget
-from repro.solver.evaluator import tv_eval
+from repro.solver.evaluator import _walk, tv_eval
 
 VARS = ("a", "b", "c", "d")
 WIDTHS = (1, 8, 16, 32, 64)
@@ -92,6 +93,13 @@ def _outcome(evaluate, term, env, budget):
     return ("value", value, budget.spent)
 
 
+def _charge(term, env):
+    """What the walker charges for ``term`` under ``env``."""
+    budget = UnlimitedBudget()
+    _walk(term, env, budget)
+    return budget.spent
+
+
 def _budget(limit, spent):
     budget = Budget(limit)
     budget.spent = spent
@@ -153,13 +161,62 @@ class TestWhatCompiles:
     @pytest.mark.parametrize("build", [
         lambda: T.ite(T.cmp("eq", T.var("c"), T.const(1), 8),
                       T.var("a"), T.var("b")),
-        lambda: T.read(T.array("A", bytes(8)), T.var("j")),
         lambda: T.cmp("eq", T.read(T.store(T.array("A", bytes(8)),
                                            T.var("i"), T.var("v")),
                                    T.var("j")), T.const(0), 8),
+        # a table read compiles only if its index does
+        lambda: T.read(T.array("A", bytes(8)),
+                       T.ite(T.cmp("eq", T.var("c"), T.const(1), 8),
+                             T.var("i"), T.var("j"))),
     ])
     def test_lazy_terms_stay_on_walker(self, build):
         assert not self._compiled(build())
+
+    def test_bare_table_read_compiles(self, monkeypatch):
+        table = T.array("A", bytes(range(40)))
+        unit = 40 // E.OBJECT_BYTES_PER_UNIT
+        term = T.cmp("eq", T.read(table, T.var("j")), T.const(7), 8)
+        assert self._compiled(term)
+        cost, _fn, reads, worst = term._compiled
+        # the walker never visits the array: eq, read, j and 7
+        assert cost == T.term_size(term) - 1 == 4
+        assert [charge for _index, charge in reads] == [unit]
+        assert worst == cost + unit
+        walks = []
+        monkeypatch.setattr(E, "_walk", lambda *args: walks.append(1)
+                            or _walk(*args))
+        for env, value, spent in (({"j": 7}, 1, cost),
+                                  ({"j": 8}, 0, cost),
+                                  ({"j": 99}, None, cost),  # out of bounds
+                                  ({}, None, cost + unit)):
+            budget = UnlimitedBudget()
+            assert tv_eval(term, env, budget) == value
+            assert budget.spent == spent == _charge(term, env)
+        assert not walks
+        # only the unknown-index charge would cross the limit: the
+        # walker runs, and with a known index it fits
+        budget = _budget(cost + unit - 1, 0)
+        assert tv_eval(term, {"j": 7}, budget) == 1
+        assert budget.spent == cost and walks == [1]
+        # with an unknown index it times out where the walker does
+        budget = _budget(cost + unit - 1, 0)
+        with pytest.raises(SolverTimeout) as raised:
+            tv_eval(term, {}, budget)
+        assert raised.value.work_spent == budget.spent == cost + unit
+        assert walks == [1, 1]
+
+    @pytest.mark.parametrize("op", ["and", "mul"])
+    def test_read_skipped_by_zero_operand_still_charges(self, op):
+        """``a & table[j]`` with ``a = 0`` is 0 without reading the
+        table, but the walker evaluates the read and charges its
+        unknown index."""
+        table = T.array("A", bytes(64))
+        term = T.binop(op, T.var("a"), T.read(table, T.var("j")), 8)
+        assert self._compiled(term)
+        budget = UnlimitedBudget()
+        assert tv_eval(term, {"a": 0}, budget) == 0
+        assert budget.spent == _charge(term, {"a": 0}) \
+            == 4 + 64 // E.OBJECT_BYTES_PER_UNIT
 
     def test_depth_cap(self):
         def chain(levels):
