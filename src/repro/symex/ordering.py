@@ -7,7 +7,10 @@ the execution"; if that order contradicts the trace, another is tried.
 
 :func:`candidate_orders` enumerates chunk orderings that respect the
 timestamp partial order, permuting only within ambiguous groups
-(equal-timestamp runs spanning more than one thread), cheapest-first.
+(equal-timestamp runs spanning more than one thread), identity order
+first and then in odometer order: the *last* group's permutation varies
+fastest, so under the :data:`MAX_TOTAL_ORDERS` cap only the last few
+groups are ever permuted.
 :func:`replay_with_order_recovery` drives shepherded symbolic execution
 over the candidates until one replays without divergence.
 """
@@ -48,11 +51,15 @@ def ambiguous_groups(chunks: List[DecodedChunk]) -> List[range]:
 def candidate_orders(chunks: List[DecodedChunk],
                      max_total: int = MAX_TOTAL_ORDERS
                      ) -> Iterator[List[DecodedChunk]]:
-    """All bounded reorderings consistent with the timestamps.
+    """Reorderings consistent with the timestamps, at most ``max_total``.
 
-    The identity order comes first (the paper's 'arbitrary selection'),
-    then permutations of each ambiguous group, combined breadth-first so
-    near-identity orders are tried before heavily-shuffled ones.
+    The identity order comes first (the paper's 'arbitrary selection').
+    The rest follow :func:`itertools.product` over each group's first
+    :data:`MAX_GROUP_PERMUTATIONS` permutations, which varies the *last*
+    group fastest: with two-chunk groups, the default cap of 256 orders
+    permutes only the last 8 groups and keeps every earlier group in
+    identity order.  Orders are not sorted by how far they stray from
+    the identity.
     """
     groups = ambiguous_groups(chunks)
     if not groups:

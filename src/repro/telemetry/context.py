@@ -2,11 +2,11 @@
 
 Every :class:`~repro.telemetry.registry.Telemetry` registry owns a
 ``trace_id`` and stamps each span with a ``span_id``/``parent_id``
-pair.  When work crosses a process boundary (the batch runner, the
-Table-1 pool), the parent captures a :class:`TraceContext` —
-trace id, the currently open span's id, and the parent timeline's
-origin in wall-clock terms — and ships it to the worker, whose
-registry then
+pair.  When work crosses a process boundary (``repro.parallel.fan_out``,
+which batch runs and Table 1 share), the parent captures a
+:class:`TraceContext` — trace id, the currently open span's id, and the
+parent timeline's origin in wall-clock terms — and passes it to every
+task as an argument; the task's registry then
 
 * adopts the parent's ``trace_id`` (worker spans join the same trace),
 * parents its root spans on the handoff span (the tree stays linked
@@ -16,9 +16,9 @@ registry then
   makes merged streams directly comparable and exportable as one
   timeline.
 
-The context is a frozen dataclass of scalars — picklable for
-``initargs``/task arguments and JSON-serializable for anything that
-needs to cross a wire instead of a fork.
+The context is a frozen dataclass of scalars — picklable as a task
+argument and JSON-serializable for anything that needs to cross a wire
+instead of a fork.
 """
 
 from __future__ import annotations

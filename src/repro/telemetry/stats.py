@@ -24,15 +24,12 @@ NESTED_SPANS = {
     "trace.decode": "decode_s",
 }
 
-#: coordination-overhead sources: table label -> histogram name.  The
-#: first two are recorded by the worker pool (worker-side, folded into
-#: the parent registry), the spans by the pool lifecycle, and the lock
-#: wait by ``DiskSolverCache`` around its ``flock`` calls.
+#: coordination-overhead sources: table label -> histogram name.  Queue
+#: wait is recorded by each fanned-out task (worker-side, folded into the
+#: parent registry), the lock wait by ``DiskSolverCache`` around its
+#: ``flock`` calls.
 OVERHEAD_SOURCES = (
-    ("worker idle", "parallel.worker_idle_seconds"),
     ("queue wait", "parallel.queue_wait_seconds"),
-    ("pool spin-up", "span.parallel.pool_spinup"),
-    ("pool teardown", "span.parallel.pool_teardown"),
     ("cache lock wait", "solver.diskcache.lock_wait_seconds"),
 )
 
@@ -224,14 +221,6 @@ def render_stats(events: Sequence[Dict]) -> str:
                 f"{counters.get('solver.incremental.skipped_candidates', 0)} "
                 f"candidates pruned")
         histograms = metrics.get("histograms", {})
-        spinups = counters.get("parallel.pool.spinups", 0)
-        generations = counters.get("parallel.pool.generations", 0)
-        if spinups or generations:
-            parts.append(
-                f"worker pool: {spinups} spin-ups over {generations} "
-                f"jobs ({counters.get('parallel.pool.reuses', 0)} "
-                f"reused, {counters.get('parallel.pool.reaps', 0)} "
-                f"idle reaps)")
         reports = counters.get("serve.reports", 0)
         if reports:
             wait = histograms.get(

@@ -3,6 +3,7 @@ paper's qualitative shape (on fast subsets where full runs are slow)."""
 
 import pytest
 
+from repro import telemetry
 from repro.evaluation.accuracy import run_accuracy
 from repro.evaluation.casestudy import run_casestudy
 from repro.evaluation.figure1 import BOUNDARY, run_figure1
@@ -72,13 +73,18 @@ class TestTable1:
     def test_parallel_rows_match_serial(self):
         names = ["objdump-2018-6323", "matrixssl-2014-1569"]
         serial = run_table1(names=names)
-        pooled = run_table1(names=names, parallel=2)
+        registry = telemetry.Telemetry()
+        with telemetry.scoped(registry):
+            pooled = run_table1(names=names, parallel=2)
         key = lambda r: (r.name, r.verified, r.occurrences,
                          r.recorded_bytes, r.max_graph_nodes)
         assert [key(r) for r in pooled.rows] == \
             [key(r) for r in serial.rows]
         # pooled rows shed the unpicklable report payload
         assert all(r.report is None for r in pooled.rows)
+        # the workers' telemetry folds into the caller's registry
+        counters = registry.snapshot()["counters"]
+        assert counters["reconstruct.runs"] == len(pooled.rows)
 
 
 class TestFigure5:

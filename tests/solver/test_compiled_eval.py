@@ -37,14 +37,19 @@ def _leaf(draw):
 
 def _array(draw, pool, depth):
     """A base array with a chain of up to three stores on top."""
-    size = draw(st.integers(1, 40))
-    data = draw(st.lists(st.integers(0, 255), min_size=size,
-                         max_size=size))
-    node = T.array(draw(st.sampled_from(("A", "B"))), bytes(data))
+    node = _table(draw)
     for _ in range(draw(st.integers(0, 3))):
         node = T.store(node, _term(draw, pool, depth - 1),
                        _term(draw, pool, depth - 1))
     return node
+
+
+def _table(draw):
+    """A bare constant table: the array a compiled ``read`` reads."""
+    size = draw(st.integers(1, 40))
+    data = draw(st.lists(st.integers(0, 255), min_size=size,
+                         max_size=size))
+    return T.array(draw(st.sampled_from(("A", "B"))), bytes(data))
 
 
 def _term(draw, pool, depth):
@@ -55,7 +60,7 @@ def _term(draw, pool, depth):
         return _leaf(draw)
     kind = draw(st.sampled_from(
         ("binop", "cmp", "trunc", "sext", "concat", "extract", "ite",
-         "read")))
+         "read", "masked_read")))
     sub = lambda: _term(draw, pool, depth - 1)  # noqa: E731
     if kind == "binop":
         op = draw(st.sampled_from(sorted(T.BINOP_OPS)))
@@ -79,10 +84,26 @@ def _term(draw, pool, depth):
         term = T.extract(sub(), draw(st.integers(0, 7)))
     elif kind == "ite":
         term = T.ite(T.bool_term(sub()), sub(), sub())
+    elif kind == "masked_read":
+        term = _masked_read(draw, sub)
     else:
         term = T.read(_array(draw, pool, depth), sub())
     pool.append(term)
     return term
+
+
+def _masked_read(draw, operand):
+    """``x & table[i]`` or ``x * table[i]``, either way round.
+
+    A zero ``x`` makes the compiled closures skip the read, but the
+    walker still charges the read's unknown index, and so must the
+    compiled call.
+    """
+    pair = [operand(), T.read(_table(draw), operand())]
+    if draw(st.booleans()):
+        pair.reverse()
+    return T.binop(draw(st.sampled_from(("and", "mul"))), *pair,
+                   draw(st.sampled_from(WIDTHS)))
 
 
 def _outcome(evaluate, term, env, budget):
@@ -108,8 +129,16 @@ def _budget(limit, spent):
 
 @st.composite
 def cases(draw):
-    term = _term(draw, [], draw(st.integers(1, 5)))
-    env = {name: draw(st.integers(0, 255)) for name in VARS
+    if draw(st.booleans()):
+        # random terms seldom put a zero operand over a read with an
+        # unknown index: half the cases are that shape over two
+        # distinct variables
+        names = iter(draw(st.permutations(VARS)))
+        term = _masked_read(draw, lambda: T.var(next(names)))
+    else:
+        term = _term(draw, [], draw(st.integers(1, 5)))
+    # zero often: a zero operand is what makes ``and``/``mul`` skip
+    env = {name: draw(st.just(0) | st.integers(0, 255)) for name in VARS
            if draw(st.booleans())}
     return term, env
 

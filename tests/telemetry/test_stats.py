@@ -151,29 +151,6 @@ class TestRenderStats:
         assert "Metric histograms" in text
         assert "symex.gap_attempts" in text
 
-    def test_worker_pool_line_from_pool_counters_alone(self):
-        events = [
-            iteration_end(1),
-            {"type": "snapshot",
-             "metrics": {"counters": {"parallel.pool.spinups": 1,
-                                      "parallel.pool.generations": 2,
-                                      "parallel.pool.reuses": 1},
-                         "histograms": {}}},
-        ]
-        text = render_stats(events)
-        assert ("worker pool: 1 spin-ups over 2 jobs (1 reused, 0 idle "
-                "reaps)") in text
-        assert "pipeline:" not in text
-
-    def test_no_worker_pool_line_without_a_pool(self):
-        events = [
-            iteration_end(1),
-            {"type": "snapshot",
-             "metrics": {"counters": {"production.runs": 4},
-                         "histograms": {}}},
-        ]
-        assert "worker pool:" not in render_stats(events)
-
     def test_older_logs_render_without_loop_summaries(self):
         # a log recorded with speculation and solver racing still loads;
         # its counters show in the table, but no summary line claims
@@ -183,16 +160,13 @@ class TestRenderStats:
             {"type": "snapshot",
              "metrics": {"counters": {"pipeline.speculations": 3,
                                       "pipeline.commits": 1,
-                                      "solver.portfolio.races": 5,
-                                      "parallel.pool.spinups": 1,
-                                      "parallel.pool.generations": 1},
+                                      "solver.portfolio.races": 5},
                          "histograms": {}}},
         ]
         text = render_stats(events)
         assert "pipeline.speculations" in text
         assert "pipeline:" not in text
         assert "solver portfolio:" not in text
-        assert "worker pool: 1 spin-ups over 1 jobs" in text
 
     def test_no_cache_line_without_cache_counters(self):
         events = [
@@ -215,7 +189,7 @@ class TestOverheadAttribution:
     def test_totals_and_means_from_histograms(self):
         metrics = {"histograms": {
             "parallel.queue_wait_seconds": hist(4, 0.2),
-            "parallel.worker_idle_seconds": hist(2, 1.0),
+            "solver.diskcache.lock_wait_seconds": hist(2, 1.0),
         }}
         out = overhead_attribution(metrics)
         wait = out["parallel.queue_wait_seconds"]
@@ -223,7 +197,7 @@ class TestOverheadAttribution:
         assert wait["count"] == 4
         assert wait["total_s"] == pytest.approx(0.2)
         assert wait["mean_s"] == pytest.approx(0.05)
-        assert out["parallel.worker_idle_seconds"]["total_s"] == \
+        assert out["solver.diskcache.lock_wait_seconds"]["total_s"] == \
             pytest.approx(1.0)
 
     def test_rendered_table_when_any_source_recorded(self):
@@ -232,14 +206,15 @@ class TestOverheadAttribution:
             {"type": "snapshot",
              "metrics": {"counters": {},
                          "histograms": {
-                             "parallel.worker_idle_seconds":
+                             "parallel.queue_wait_seconds":
                                  hist(3, 0.03),
-                             "span.parallel.pool_spinup": hist(1, 0.01),
+                             "solver.diskcache.lock_wait_seconds":
+                                 hist(1, 0.01),
                          }}},
         ]
         text = render_stats(events)
         assert "Overhead attribution" in text
-        assert "worker idle" in text and "pool spin-up" in text
+        assert "queue wait" in text and "cache lock wait" in text
 
     def test_overhead_histograms_kept_out_of_metric_table(self):
         events = [

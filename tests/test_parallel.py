@@ -1,15 +1,98 @@
-"""The batch reconstruction runner and its telemetry merging."""
+"""The batch reconstruction runner, its fan-out and telemetry merging."""
 
 import json
+import multiprocessing
+import os
+import signal
+import threading
 
 import pytest
 
-from repro import telemetry
-from repro.parallel import (BatchItem, BatchResult, run_batch,
+from repro import parallel, telemetry
+from repro.errors import ReproError
+from repro.evaluation import table1
+from repro.parallel import (BatchItem, BatchResult, fan_out, run_batch,
                             write_merged_jsonl)
 
 #: small, fast workloads — the batch tests stay well under a second each
 FAST = ["objdump-2018-6323", "matrixssl-2014-1569"]
+
+
+def _square(x):
+    return x * x
+
+
+def _fail_on_one(x):
+    if x == 1:
+        raise ValueError("task 1 failed")
+    return x
+
+
+def _killing(get_workload, victim, parent):
+    """A ``get_workload`` that SIGKILLs any worker process asking for
+    ``victim``; the workers see it because they are forked."""
+    def patched(name):
+        if name == victim and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return get_workload(name)
+    return patched
+
+
+def _raised_within(seconds, call):
+    """The exception ``call()`` raises (``None`` if it returns); fails
+    the test if ``call`` is still running after ``seconds``."""
+    raised = []
+
+    def run():
+        try:
+            call()
+        except BaseException as exc:  # noqa: BLE001 — handed to the test
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no result within {seconds} s"
+    return raised[0] if raised else None
+
+
+class TestFanOut:
+    def test_results_in_input_order(self):
+        args = [(n,) for n in range(7)]
+        assert fan_out(_square, args, 2) == [n * n for n in range(7)]
+
+    def test_tasks_run_in_worker_processes(self):
+        pids = fan_out(os.getpid, [()] * 4, 2)
+        assert os.getpid() not in pids
+        assert 1 <= len(set(pids)) <= 2
+
+    def test_task_exception_reraises(self):
+        with pytest.raises(ValueError, match="task 1 failed"):
+            fan_out(_fail_on_one, [(0,), (1,), (2,)], 2)
+
+    def test_workers_joined_before_return(self):
+        fan_out(_square, [(1,), (2,)], 2)
+        assert multiprocessing.active_children() == []
+
+
+class TestDeadWorker:
+    """A worker killed mid-batch fails the call with a ReproError, fast;
+    it never leaves the caller waiting."""
+
+    def test_run_batch(self, monkeypatch):
+        monkeypatch.setattr(parallel, "get_workload", _killing(
+            parallel.get_workload, FAST[1], os.getpid()))
+        raised = _raised_within(10, lambda: run_batch(FAST, parallel=2))
+        assert isinstance(raised, ReproError), raised
+        assert "batch worker died" in str(raised)
+
+    def test_run_table1(self, monkeypatch):
+        monkeypatch.setattr(table1, "get_workload", _killing(
+            table1.get_workload, FAST[1], os.getpid()))
+        raised = _raised_within(
+            10, lambda: table1.run_table1(FAST, parallel=2))
+        assert isinstance(raised, ReproError), raised
+        assert "batch worker died" in str(raised)
 
 
 class TestRunBatch:
@@ -64,6 +147,9 @@ class TestRunBatch:
         assert sum(entry["tasks"] for entry in load.values()) == len(FAST)
         assert all(entry["wall_seconds"] >= 0 for entry in load.values())
         assert "worker_load" in result.to_dict()
+        # every fanned-out task records its queue wait
+        wait = result.overhead["parallel.queue_wait_seconds"]
+        assert wait["count"] == len(FAST) and wait["total_s"] >= 0
 
     def test_cache_dir_shared_across_batch_runs(self, tmp_path):
         cold = run_batch(FAST[:1], parallel=1, cache_dir=str(tmp_path))
