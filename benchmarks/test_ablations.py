@@ -30,7 +30,7 @@ def test_solver_timeout_sensitivity(benchmark, save_artifact):
     def sweep():
         rows = []
         for limit in (10_000, 40_000, 160_000, 640_000):
-            er = ExecutionReconstructor(workload.fresh_module(),
+            er = ExecutionReconstructor(workload.module(),
                                         work_limit=limit,
                                         max_occurrences=15)
             report = er.reconstruct(ProductionSite(workload.failing_env))
@@ -54,7 +54,7 @@ def test_solver_timeout_sensitivity(benchmark, save_artifact):
 @pytest.mark.benchmark(group="ablation")
 def test_ring_buffer_sizing(benchmark, save_artifact):
     workload = get_workload("sqlite-7be932d")
-    module = workload.fresh_module()
+    module = workload.module()
     model = OverheadModel(noise=0.0)
 
     def measure():

@@ -32,7 +32,7 @@ def test_mapping_loss_recovery(benchmark, save_artifact):
         rows = []
         for name in TARGETS:
             workload = workloads[name]
-            module = workload.fresh_module()
+            module = workload.module()
             encoder = PTEncoder(RingBuffer())
             production = Interpreter(module, workload.failing_env(1),
                                      tracer=encoder).run()

@@ -23,7 +23,7 @@ def test_testcase_minimization(benchmark, save_artifact):
         rows = []
         for name in TARGETS:
             workload = get_workload(name)
-            er = ExecutionReconstructor(workload.fresh_module(),
+            er = ExecutionReconstructor(workload.module(),
                                         work_limit=workload.work_limit,
                                         max_occurrences=workload
                                         .max_occurrences)
@@ -31,7 +31,7 @@ def test_testcase_minimization(benchmark, save_artifact):
             original = sum(len(d) for d in
                            report.test_case.streams.values())
             minimized = minimize_test_case(
-                workload.fresh_module(), report.test_case, report.failure)
+                workload.module(), report.test_case, report.failure)
             shrunk = sum(len(d) for d in minimized.streams.values())
             rows.append((name, original, shrunk))
         return rows

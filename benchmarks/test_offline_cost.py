@@ -24,7 +24,7 @@ from repro.workloads import get_workload
 
 def _stall_for(name):
     workload = get_workload(name)
-    module = workload.fresh_module()
+    module = workload.module()
     encoder = PTEncoder(RingBuffer())
     run = Interpreter(module, workload.failing_env(1),
                       tracer=encoder).run()

@@ -35,7 +35,7 @@ REOCCURRENCE_DELAY = 0.3
 def test_serve_scalability(artifact_dir):
     workload = get_workload(WORKLOAD)
     single = ExecutionReconstructor(
-        workload.fresh_module(), work_limit=workload.work_limit,
+        workload.module(), work_limit=workload.work_limit,
         max_occurrences=workload.max_occurrences).reconstruct(
         ProductionSite(workload.failing_env))
     assert single.success

@@ -17,16 +17,16 @@ def test_seeded_fuzzing(benchmark, save_artifact):
         rows = []
         for name, stream in TARGETS:
             workload = get_workload(name)
-            er = ExecutionReconstructor(workload.fresh_module(),
+            er = ExecutionReconstructor(workload.module(),
                                         work_limit=workload.work_limit,
                                         max_occurrences=workload
                                         .max_occurrences)
             report = er.reconstruct(ProductionSite(workload.failing_env))
-            seeded = CoverageFuzzer(workload.fresh_module(), stream,
+            seeded = CoverageFuzzer(workload.module(), stream,
                                     seed=7)
             seeded.add_seed(report.test_case.streams[stream])
             s = seeded.run(budget=200)
-            blind = CoverageFuzzer(workload.fresh_module(), stream,
+            blind = CoverageFuzzer(workload.module(), stream,
                                    seed=7)
             b = blind.run(budget=200)
             rows.append((name, s.coverage_points, s.crash_count,

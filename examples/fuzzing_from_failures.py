@@ -23,7 +23,7 @@ from repro.workloads import get_workload
 
 def main():
     workload = get_workload("libpng-2004-0597")
-    module = workload.fresh_module()
+    module = workload.module()
 
     # --- reconstruct the production failure
     er = ExecutionReconstructor(module, work_limit=workload.work_limit)
@@ -42,11 +42,11 @@ def main():
 
     # --- fuzzing: ER seed vs from-scratch
     budget = 200
-    seeded = CoverageFuzzer(workload.fresh_module(), "png", seed=7)
+    seeded = CoverageFuzzer(workload.module(), "png", seed=7)
     seeded.add_seed(report.test_case.streams["png"])
     seeded_report = seeded.run(budget=budget)
 
-    blind = CoverageFuzzer(workload.fresh_module(), "png", seed=7)
+    blind = CoverageFuzzer(workload.module(), "png", seed=7)
     blind_report = blind.run(budget=budget)
 
     print(f"fuzzing budget: {budget} executions")

@@ -19,7 +19,7 @@ from repro.workloads import get_workload
 
 def main():
     workload = get_workload("memcached-2019-11596")
-    module = workload.fresh_module()
+    module = workload.module()
 
     # --- the race fires only for the right schedule
     racy_env = workload.failing_env(1)

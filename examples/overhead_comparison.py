@@ -35,7 +35,7 @@ def main():
         raise SystemExit(f"unknown workload; pick one of {workload_names()}")
     workload = get_workload(name)
 
-    er_mean, rr_mean, run = measure(workload.fresh_module(),
+    er_mean, rr_mean, run = measure(workload.module(),
                                     workload.benign_env)
     print(f"benchmark: {workload.bench_name} on {workload.app}")
     print(f"  instructions / run : {run.instr_count}")
@@ -46,7 +46,7 @@ def main():
 
     print("\nreconstructing the failure to get the last-iteration "
           "instrumentation ...")
-    er_loop = ExecutionReconstructor(workload.fresh_module(),
+    er_loop = ExecutionReconstructor(workload.module(),
                                      work_limit=workload.work_limit)
     report = er_loop.reconstruct(ProductionSite(workload.failing_env))
     recorded = [i for it in report.iterations for i in it.recorded_items]

@@ -17,7 +17,7 @@ from repro.workloads import get_workload
 
 def main():
     workload = get_workload("sqlite-7be932d")
-    module = workload.fresh_module()
+    module = workload.module()
 
     production_env = workload.failing_env(1)
     original_query = production_env.streams["sql"]

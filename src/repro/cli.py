@@ -177,7 +177,7 @@ def cmd_list(args) -> int:
 
 def cmd_reproduce(args) -> int:
     workload = get_workload(args.workload)
-    module = workload.fresh_module()
+    module = workload.module()
     recovery = bool(args.trace_recovery or args.mapping_loss > 0)
     reconstructor = ExecutionReconstructor(
         module,
@@ -196,7 +196,7 @@ def cmd_reproduce(args) -> int:
     if report.success and args.minimize:
         from .core.minimize import minimize_test_case
 
-        minimized = minimize_test_case(workload.fresh_module(),
+        minimized = minimize_test_case(workload.module(),
                                        report.test_case, report.failure)
 
     if args.json:

@@ -2,19 +2,22 @@
 
 Models the paper's 156-LoC LLVM pass (§4): given a recording plan, emit a
 new module (the 'redeployed' binary) where each selected register is
-recorded into the PT trace right after it is defined.  Inserting shifts
+recorded into the PT trace right after it is defined.  The input module
+is never changed.  The new module shares every global, function and
+block the plan does not touch: only a block that gains a ``ptwrite`` is
+rebuilt, and only its function is replaced.  Inserting shifts
 instruction indices, so insertions are applied per block in descending
-index order, and the pass returns the updated points for bookkeeping.
+index order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
 from ..errors import IRError
 from ..ir import instructions as ins
-from ..ir.module import Module
+from ..ir.module import BasicBlock, Module
 from ..ir.verifier import verify_module
 from .selection import RecordingItem
 
@@ -36,7 +39,6 @@ def instrument(module: Module, items: List[RecordingItem],
     Items must reference points in ``module``; the defining instruction's
     destination register must match the item's register.
     """
-    new_module = module.clone()
     tag_map: Dict[int, RecordingItem] = {}
 
     by_block: Dict[Tuple[str, str], List[RecordingItem]] = {}
@@ -44,15 +46,17 @@ def instrument(module: Module, items: List[RecordingItem],
         by_block.setdefault((item.point.func, item.point.block),
                             []).append(item)
 
+    functions = dict(module.functions)
     for (func_name, block_label), block_items in by_block.items():
-        block = new_module.function(func_name).block(block_label)
+        func = module.function(func_name)
+        instrs = list(func.block(block_label).instrs)
         # descending index keeps earlier indices valid while inserting
         for item in sorted(block_items, key=lambda i: i.point.index,
                            reverse=True):
             index = item.point.index
-            if index >= len(block.instrs):
+            if index >= len(instrs):
                 raise IRError(f"recording point {item.point} out of range")
-            defining = block.instrs[index]
+            defining = instrs[index]
             if defining.dest_register() != item.register:
                 raise IRError(
                     f"recording point {item.point} defines "
@@ -60,8 +64,14 @@ def instrument(module: Module, items: List[RecordingItem],
             tag = next_tag
             next_tag += 1
             tag_map[tag] = item
-            block.instrs.insert(index + 1, ins.PtWrite(item.register, tag))
+            instrs.insert(index + 1, ins.PtWrite(item.register, tag))
+        if functions[func_name] is func:  # the function's first new block
+            functions[func_name] = replace(func, blocks=dict(func.blocks))
+        functions[func_name].blocks[block_label] = BasicBlock(
+            block_label, tuple(instrs))
 
+    new_module = replace(module, globals=dict(module.globals),
+                         functions=functions)
     verify_module(new_module)
     return InstrumentationResult(module=new_module, tag_map=tag_map,
                                  next_tag=next_tag)

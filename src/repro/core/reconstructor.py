@@ -153,7 +153,7 @@ class ExecutionReconstructor:
     def _reconstruct(self,
                      production: ProductionSite) -> ReconstructionReport:
         tel = telemetry.get()
-        deployed = self.module.clone()
+        deployed = self.module
         next_tag = 0
         signature: Optional[FailureInfo] = None
         iterations: List[IterationRecord] = []

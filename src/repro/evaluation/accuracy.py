@@ -89,15 +89,15 @@ class AccuracyResult:
 def measure_accuracy_for(workload: Workload) -> AccuracyRow:
     env = workload.failing_env(1)
     analyzer = ReptAnalyzer()
-    rept: ReptReport = analyzer.analyze(workload.fresh_module(), env)
+    rept: ReptReport = analyzer.analyze(workload.module(), env)
 
     reconstructor = ExecutionReconstructor(
-        workload.fresh_module(), work_limit=workload.work_limit,
+        workload.module(), work_limit=workload.work_limit,
         max_occurrences=workload.max_occurrences)
     report = reconstructor.reconstruct(ProductionSite(workload.failing_env))
     er_exact = bool(report.success and report.verified)
 
-    failing_run = Interpreter(workload.fresh_module(),
+    failing_run = Interpreter(workload.module(),
                               workload.failing_env(1)).run()
     return AccuracyRow(
         name=workload.name,

@@ -76,7 +76,7 @@ def run_figure5(workload_name: str = "php-74194",
                 iterations: int = 3) -> Figure5Result:
     workload = get_workload(workload_name)
     production = ProductionSite(workload.failing_env)
-    deployed = workload.fresh_module()
+    deployed = workload.module()
     next_tag = 0
     already: set = set()
     labels = ["control-flow only",

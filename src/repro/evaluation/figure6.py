@@ -106,7 +106,7 @@ def measure_workload(workload: Workload, runs: int = RUNS,
     deploys the final reconstruction iteration's instrumented binary to
     measure the transient recording cost.
     """
-    module = workload.fresh_module()
+    module = workload.module()
     model = OverheadModel(seed=hash(workload.name) & 0xFFFF)
     er_samples: List[float] = []
     rr_samples: List[float] = []

@@ -77,14 +77,14 @@ def run_random_comparison(names: Optional[List[str]] = None,
         if names is not None and workload.name not in names:
             continue
         er = ExecutionReconstructor(
-            workload.fresh_module(), work_limit=workload.work_limit,
+            workload.module(), work_limit=workload.work_limit,
             max_occurrences=workload.max_occurrences)
         er_report = er.reconstruct(ProductionSite(workload.failing_env))
 
         successes = 0
         for seed in range(seeds):
             rand = ExecutionReconstructor(
-                workload.fresh_module(), work_limit=workload.work_limit,
+                workload.module(), work_limit=workload.work_limit,
                 max_occurrences=er_report.occurrences,
                 selection=random_selection(1000 + seed))
             try:

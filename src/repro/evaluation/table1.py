@@ -86,7 +86,7 @@ class Table1Result:
 
 def run_workload(workload: Workload) -> Table1Row:
     """Reconstruct one workload and collect its Table-1 row."""
-    module = workload.fresh_module()
+    module = workload.module()
     reconstructor = ExecutionReconstructor(
         module, work_limit=workload.work_limit,
         max_occurrences=workload.max_occurrences)

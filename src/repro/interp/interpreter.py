@@ -11,7 +11,7 @@ instruction quantum taken from the environment.  Context switches happen
 only at quantum boundaries or blocking operations — the *coarse
 interleaving hypothesis* the paper relies on (§3.4).
 
-Each basic block is compiled the first time a run enters it: every
+Each basic block is compiled the first time any run enters it: every
 instruction becomes one closure ``step(interp, thread, frame)`` with its
 operand kinds (register, or an immediate masked in advance), width,
 ``BINOPS``/``CMPS`` entry and branch targets resolved once.  A step
@@ -21,29 +21,33 @@ blocking.  The chunk loop in :meth:`Interpreter._run_chunk` keeps the
 block and index in locals, checks the step budget once per chunk, and
 applies the retirement rule: a blocked ``lock``/``join`` retires nothing,
 a failing instruction raises before it counts, and the final ``ret`` of
-``main`` halts without counting.  Compiled blocks live in a dict on the
-interpreter, so they die with the run; steps take the interpreter as an
-argument instead of capturing it, which keeps a finished run free of
-reference cycles.
+``main`` halts without counting.
+
+Blocks are immutable and shared between a module and its instrumented
+successors, so a block's code is kept on the block (``_compiled``) and
+reused by every later run in the process.  Code may therefore capture
+nothing that differs between modules sharing the block, and nothing
+that leads back to the block: steps take the interpreter as an argument,
+and a call or spawn looks its callee up in the running module.  A run
+with an ``on_step`` hook wraps each step in the hook, once per run, and
+never puts that code on a block.
 
 Straight-line register code runs faster still: each maximal run of
 non-trapping register instructions plus the ``br``/``jmp`` closing it
 is one generated function (see *fused runs* below), called when the
-whole run fits in the chunk's remaining budget.  Generated functions
-depend only on the instructions' content and capture no run, so they
-are cached across runs and modules.  Branch steps append their outcome
-to the tracer's ``tnt_bits`` list (see :class:`NullTracer`).
+whole run fits in the chunk's remaining budget.  Branch steps append
+their outcome to the tracer's ``tnt_bits`` list (see
+:class:`NullTracer`).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import InterpError
 from ..ir import instructions as ins
-from ..ir.module import Function, Module, ProgramPoint
+from ..ir.module import BasicBlock, Function, Module, ProgramPoint
 from ..ir.ops import BINOPS, CMPS
 from ..ir.types import MASK64, mask, sign_extend, to_signed
 from .env import Environment
@@ -182,8 +186,6 @@ class Interpreter:
         self._failure: Optional[FailureInfo] = None
         self._main_returned: Optional[int] = None
         self._rr_cursor = 0
-        #: function name -> block label -> compiled code (see _enter)
-        self._compiled: Dict[str, Dict[str, list]] = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -220,6 +222,8 @@ class Interpreter:
 
     def _schedule(self) -> None:
         quantum = max(1, self.env.quantum)
+        # a hooked run's code, which never goes on the blocks (see _code)
+        hooked = {} if self.on_step is not None else None
         while True:
             runnable = self._runnable()
             if not runnable:
@@ -230,9 +234,10 @@ class Interpreter:
             # round-robin: rotate through runnable threads in tid order
             thread = runnable[self._rr_cursor % len(runnable)]
             self._rr_cursor += 1
-            self._run_chunk(thread, quantum)
+            self._run_chunk(thread, quantum, hooked)
 
-    def _run_chunk(self, thread: ThreadState, quantum: int) -> None:
+    def _run_chunk(self, thread: ThreadState, quantum: int,
+                   hooked: Optional[Dict[int, list]]) -> None:
         """Run ``thread`` for up to ``quantum`` retired instructions.
 
         The current block and index live in locals and are written back
@@ -248,7 +253,8 @@ class Interpreter:
         frame = thread.frames[-1]
         regs = frame.regs
         label, index = frame.block, frame.index
-        blocks, code = self._enter(frame.func, label)
+        blocks = frame.func.blocks
+        code = self._code(frame.func.name, blocks[label], hooked)
         try:
             while executed < limit:
                 step = code[index]
@@ -276,10 +282,10 @@ class Interpreter:
                     index += 1
                 elif nxt.__class__ is str:
                     label, index = nxt, 0
-                    try:
-                        code = blocks[nxt]
-                    except KeyError:
-                        blocks, code = self._enter(frame.func, nxt)
+                    block = blocks[nxt]
+                    code = block._compiled
+                    if code is None or hooked is not None:
+                        code = self._code(frame.func.name, block, hooked)
                 elif nxt is _SWITCH:
                     # a call resumes after itself; after a ret this
                     # writes to the popped frame, which nobody reads
@@ -287,7 +293,8 @@ class Interpreter:
                     frame = thread.frames[-1]
                     regs = frame.regs
                     label, index = frame.block, frame.index
-                    blocks, code = self._enter(frame.func, label)
+                    blocks = frame.func.blocks
+                    code = self._code(frame.func.name, blocks[label], hooked)
                 elif nxt is _BLOCKED:
                     break
                 else:  # _DONE
@@ -311,27 +318,31 @@ class Interpreter:
             self.branch_count += len(bits)
             tracer.end_chunk(executed)
 
-    def _enter(self, func: Function,
-               label: str) -> Tuple[Dict[str, list], list]:
-        """``func``'s compiled blocks and the code of block ``label``,
-        compiled on the run's first entry: one step per instruction, and
-        at the start of each fused run ``(size, run, step)`` instead."""
-        blocks = self._compiled.setdefault(func.name, {})
-        code = blocks.get(label)
+    def _code(self, func_name: str, block: BasicBlock,
+              hooked: Optional[Dict[int, list]]) -> list:
+        """The code of ``block`` of function ``func_name``: one step per
+        instruction, and at the start of each fused run
+        ``(size, run, step)`` instead.  The first unhooked run to enter
+        the block compiles it and keeps the code on the block.  A hooked
+        run wraps each step in its hook instead, once per run: its code
+        lives in ``hooked``, by block id."""
+        code = block._compiled if hooked is None else hooked.get(id(block))
         if code is None:
-            instrs = func.blocks[label].instrs
-            code = [_COMPILERS[type(instr)](instr, func.name, self.module)
+            instrs = block.instrs
+            code = [_COMPILERS[type(instr)](instr, func_name, self.module)
                     for instr in instrs]
-            if self.on_step is not None:
-                code = [_hooked(step, ProgramPoint(func.name, label, i),
-                                instr)
-                        for i, (step, instr) in enumerate(zip(code, instrs))]
+            if hooked is not None:
+                code = hooked[id(block)] = [
+                    _hooked(step, ProgramPoint(func_name, block.label, i),
+                            instr)
+                    for i, (step, instr) in enumerate(zip(code, instrs))]
             else:
                 for start, end in _straight_runs(instrs):
-                    run = _fused_run(_content(instrs[start:end]))
-                    code[start] = (end - start, run, code[start])
-            blocks[label] = code
-        return blocks, code
+                    code[start] = (end - start,
+                                   _fused_run(instrs[start:end]),
+                                   code[start])
+                object.__setattr__(block, "_compiled", code)
+        return code
 
     def _fail_current(self, thread: ThreadState, kind: FailureKind,
                       message: str = "", address: Optional[int] = None):
@@ -581,12 +592,15 @@ def _compile_br(instr: ins.Br, func_name, module) -> Step:
 
 
 def _callee(instr, func_name: str, module: Module):
-    """A call's or spawn's callee, its entry label and one
-    ``(param, read)`` per argument."""
+    """A call's or spawn's callee name, its entry label and one
+    ``(param, read)`` per argument.  Instrumentation keeps a function's
+    params and entry label, so these hold in every module sharing the
+    calling block; the callee itself is looked up in the running
+    module."""
     callee = module.function(instr.func)
     args = [(param, _operand(arg, func_name))
             for param, arg in zip(callee.params, instr.args)]
-    return callee, next(iter(callee.blocks)), args
+    return instr.func, next(iter(callee.blocks)), args
 
 
 def _compile_call(instr: ins.Call, func_name, module) -> Step:
@@ -599,7 +613,7 @@ def _compile_call(instr: ins.Call, func_name, module) -> Step:
             raise _Trap(FailureKind.STACK_OVERFLOW,
                         f"call depth {len(frames)}")
         regs = frame.regs
-        frames.append(Frame(callee, entry, 0,
+        frames.append(Frame(interp.module.functions[callee], entry, 0,
                             {param: read(regs) for param, read in args},
                             ret_reg=ret_reg))
         return _SWITCH
@@ -687,8 +701,8 @@ def _compile_spawn(instr: ins.Spawn, func_name, module) -> Step:
         new_regs = {param: read(regs) for param, read in args}
         threads = interp.threads
         tid = len(threads)
-        threads.append(ThreadState(tid, [Frame(callee, entry, 0,
-                                               new_regs)]))
+        threads.append(ThreadState(tid, [Frame(
+            interp.module.functions[callee], entry, 0, new_regs)]))
         regs[dest] = tid
     return step
 
@@ -808,10 +822,6 @@ _BINOP_EXPRS_64 = {**_BINOP_EXPRS, "and": "{a} & {b}", "or": "{a} | {b}",
 _CMP_OPS = {"eq": "==", "ne": "!=", "ult": "<", "ule": "<=", "ugt": ">",
             "uge": ">=", "slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
 
-#: the most distinct runs whose generated functions are kept; a process
-#: running all 13 workloads, instrumented versions included, meets ~190
-_FUSED_CACHE_SIZE = 1024
-
 #: instruction types that always fuse; ``_fusible`` checks the rest
 _ALWAYS_FUSIBLE = frozenset((ins.Const, ins.Cmp, ins.Gep, ins.GlobalAddr))
 
@@ -847,14 +857,6 @@ def _straight_runs(instrs: List[ins.Instr]) -> List[Tuple[int, int]]:
     if len(instrs) - start >= 2:
         runs.append((start, len(instrs)))
     return runs
-
-
-def _content(instrs: List[ins.Instr]) -> Tuple[tuple, ...]:
-    """What a fused run compiles from: each instruction's type and
-    fields.  Equal content gives an equal run, across modules and
-    clones."""
-    return tuple([(instr.__class__, *vars(instr).values())
-                  for instr in instrs])
 
 
 class _RunSource:
@@ -933,14 +935,12 @@ class _RunSource:
                 + sets[1] + ["bits.append(False)", f"return {false}"])
 
 
-@functools.lru_cache(maxsize=_FUSED_CACHE_SIZE)
-def _fused_run(content: Tuple[tuple, ...]) -> Callable:
-    """The generated function of the run whose instructions have
-    ``content``.  Register names, labels and global names come from
-    ``.eir`` files, outside input, so they are never spliced into the
-    source: they are arguments of the factory the source defines."""
+def _fused_run(instrs: Tuple[ins.Instr, ...]) -> Callable:
+    """The generated function of the run ``instrs``.  Register names,
+    labels and global names come from ``.eir`` files, outside input, so
+    they are never spliced into the source: they are arguments of the
+    factory the source defines."""
     src = _RunSource()
-    instrs = [cls(*fields) for cls, *fields in content]
     last = instrs[-1]
     tail = ["return None"]
     for index, instr in enumerate(instrs):

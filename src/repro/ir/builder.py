@@ -61,13 +61,15 @@ class FunctionBuilder:
         return self
 
     def emit(self, instr: ins.Instr) -> ins.Instr:
-        if self._current is None:
+        """Append ``instr`` to the current block, which is immutable:
+        the function gets a new block with one more instruction."""
+        block = self._current
+        if block is None:
             raise IRError("no current block; call .block(label) first")
-        if self._current.terminator is not None:
-            raise IRError(
-                f"block {self._current.label!r} already has a terminator"
-            )
-        self._current.instrs.append(instr)
+        if block.terminator is not None:
+            raise IRError(f"block {block.label!r} already has a terminator")
+        self._current = self._func.blocks[block.label] = BasicBlock(
+            block.label, block.instrs + (instr,))
         return instr
 
     # -- value-producing emitters ------------------------------------
@@ -176,11 +178,11 @@ class FunctionBuilder:
 
     def call(self, func: str, args: Sequence[Operand] = (), dest=None) -> str:
         dest = self._dest(dest, "r")
-        self.emit(ins.Call(dest, func, [self._op(a) for a in args]))
+        self.emit(ins.Call(dest, func, tuple(self._op(a) for a in args)))
         return dest
 
     def call_void(self, func: str, args: Sequence[Operand] = ()) -> None:
-        self.emit(ins.Call(None, func, [self._op(a) for a in args]))
+        self.emit(ins.Call(None, func, tuple(self._op(a) for a in args)))
 
     def input(self, stream: str, size: int = 1, dest=None) -> str:
         dest = self._dest(dest, "in")
@@ -192,7 +194,7 @@ class FunctionBuilder:
 
     def spawn(self, func: str, args: Sequence[Operand] = (), dest=None) -> str:
         dest = self._dest(dest, "tid")
-        self.emit(ins.Spawn(dest, func, [self._op(a) for a in args]))
+        self.emit(ins.Spawn(dest, func, tuple(self._op(a) for a in args)))
         return dest
 
     def join(self, tid: Operand) -> None:

@@ -10,12 +10,16 @@ widths, byte-addressed loads/stores, direct calls, conditional branches,
 plus the pieces ER needs — ``input`` (non-deterministic environment data),
 ``ptwrite`` (key-data-value recording), threading primitives, and explicit
 heap management so that use-after-free and overflow bugs trap.
+
+Instructions are immutable values, so modules may share them: a pass
+that changes a program builds new instructions and blocks around the
+ones it keeps (see :mod:`repro.core.instrument`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Tuple, Union
 
 from .types import VALID_ACCESS_SIZES, VALID_WIDTHS
 
@@ -35,7 +39,7 @@ def is_register(operand: Operand) -> bool:
     return isinstance(operand, str)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Instr:
     """Base class for all instructions."""
 
@@ -52,7 +56,7 @@ class Instr:
         return isinstance(self, (Br, Jmp, Ret, Abort))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Const(Instr):
     """``%dest = const <value>``"""
 
@@ -60,7 +64,7 @@ class Const(Instr):
     value: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class BinOp(Instr):
     """``%dest = <op>.<width> <lhs>, <rhs>`` — result masked to ``width``."""
 
@@ -80,7 +84,7 @@ class BinOp(Instr):
         return (self.lhs, self.rhs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cmp(Instr):
     """``%dest = cmp <op>.<width> <lhs>, <rhs>`` — result is 0 or 1."""
 
@@ -100,7 +104,7 @@ class Cmp(Instr):
         return (self.lhs, self.rhs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Select(Instr):
     """``%dest = select <cond>, <if_true>, <if_false>``"""
 
@@ -113,7 +117,7 @@ class Select(Instr):
         return (self.cond, self.if_true, self.if_false)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trunc(Instr):
     """``%dest = trunc.<width> <value>`` — zero-extended back to 64 bits."""
 
@@ -125,7 +129,7 @@ class Trunc(Instr):
         return (self.value,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SExt(Instr):
     """``%dest = sext.<from_width> <value>`` — sign extend to 64 bits."""
 
@@ -137,7 +141,7 @@ class SExt(Instr):
         return (self.value,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GlobalAddr(Instr):
     """``%dest = global <name>`` — address of a module-level object."""
 
@@ -145,7 +149,7 @@ class GlobalAddr(Instr):
     name: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrameAlloc(Instr):
     """``%dest = alloca <name>, <size>`` — stack object, freed on return."""
 
@@ -154,7 +158,7 @@ class FrameAlloc(Instr):
     size: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeapAlloc(Instr):
     """``%dest = malloc <size>`` — heap object."""
 
@@ -165,7 +169,7 @@ class HeapAlloc(Instr):
         return (self.size,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeapFree(Instr):
     """``free <addr>`` — subsequent accesses trap as use-after-free."""
 
@@ -175,7 +179,7 @@ class HeapFree(Instr):
         return (self.addr,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Gep(Instr):
     """``%dest = gep <base>, <index>, <scale>`` — base + index*scale."""
 
@@ -188,7 +192,7 @@ class Gep(Instr):
         return (self.base, self.index)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Load(Instr):
     """``%dest = load.<size> <addr>`` — little-endian, size in bytes."""
 
@@ -204,7 +208,7 @@ class Load(Instr):
         return (self.addr,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Store(Instr):
     """``store.<size> <addr>, <value>``"""
 
@@ -220,14 +224,14 @@ class Store(Instr):
         return (self.addr, self.value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Jmp(Instr):
     """``jmp <label>`` — unconditional, emits no trace packet."""
 
     label: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Br(Instr):
     """``br <cond>, <if_true>, <if_false>`` — emits one TNT bit."""
 
@@ -239,19 +243,19 @@ class Br(Instr):
         return (self.cond,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Call(Instr):
     """``%dest = call <func>(<args>)`` — direct call; dest optional."""
 
     dest: Optional[str]
     func: str
-    args: List[Operand] = field(default_factory=list)
+    args: Tuple[Operand, ...] = ()
 
     def operands(self):
-        return tuple(self.args)
+        return self.args
 
 
-@dataclass
+@dataclass(frozen=True)
 class Ret(Instr):
     """``ret <value>`` or bare ``ret``."""
 
@@ -261,7 +265,7 @@ class Ret(Instr):
         return () if self.value is None else (self.value,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Input(Instr):
     """``%dest = input <stream>, <size>``.
 
@@ -279,7 +283,7 @@ class Input(Instr):
             raise ValueError(f"invalid input size {self.size}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Output(Instr):
     """``output <stream>, <value>, <size>`` — writes to the environment."""
 
@@ -291,7 +295,7 @@ class Output(Instr):
         return (self.value,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Assert(Instr):
     """``assert <cond>, "message"`` — failure if cond is zero."""
 
@@ -302,14 +306,14 @@ class Assert(Instr):
         return (self.cond,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Abort(Instr):
     """``abort "message"`` — unconditional failure (e.g. abort(3))."""
 
     message: str = "abort"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PtWrite(Instr):
     """``ptwrite <value>, <tag>`` — record a key data value into the trace.
 
@@ -324,19 +328,19 @@ class PtWrite(Instr):
         return (self.value,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Spawn(Instr):
     """``%dest = spawn <func>(<args>)`` — start a thread; dest = tid."""
 
     dest: str
     func: str
-    args: List[Operand] = field(default_factory=list)
+    args: Tuple[Operand, ...] = ()
 
     def operands(self):
-        return tuple(self.args)
+        return self.args
 
 
-@dataclass
+@dataclass(frozen=True)
 class Join(Instr):
     """``join <tid>`` — block until the thread finishes."""
 
@@ -346,7 +350,7 @@ class Join(Instr):
         return (self.tid,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lock(Instr):
     """``lock <mutex>`` — acquire mutex (identified by integer id)."""
 
@@ -356,7 +360,7 @@ class Lock(Instr):
         return (self.mutex,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Unlock(Instr):
     """``unlock <mutex>``"""
 
@@ -366,7 +370,7 @@ class Unlock(Instr):
         return (self.mutex,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Nop(Instr):
     """``nop`` — placeholder; consumes one cycle."""
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -27,12 +26,21 @@ class ProgramPoint:
         return f"{self.func}:{self.block}:{self.index}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class BasicBlock:
-    """A labelled straight-line sequence ending in a terminator."""
+    """A labelled straight-line sequence ending in a terminator.
+
+    Blocks are immutable, so modules share them: instrumenting a module
+    rebuilds only the blocks it inserts into.  ``_compiled`` is not a
+    field.  It holds the interpreter's code for the block, written once
+    by the first run that enters the block and reused by every later run
+    of any module that shares it (see :mod:`repro.interp.interpreter`).
+    """
 
     label: str
-    instrs: List[Instr] = field(default_factory=list)
+    instrs: Tuple[Instr, ...] = ()
+
+    _compiled = None
 
     @property
     def terminator(self) -> Optional[Instr]:
@@ -78,7 +86,7 @@ class Function:
         return self.block(point.block).instrs[point.index]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GlobalObject:
     """A module-level memory object.
 
@@ -97,7 +105,12 @@ class GlobalObject:
 
 @dataclass
 class Module:
-    """A whole program: globals plus functions; entry point is ``main``."""
+    """A whole program: globals plus functions; entry point is ``main``.
+
+    Only the builder and the parser add to a module.  Once built it is
+    never changed: instrumentation returns a new module that shares
+    every global, function and block it does not touch.
+    """
 
     name: str = "module"
     globals: Dict[str, GlobalObject] = field(default_factory=dict)
@@ -132,7 +145,3 @@ class Module:
     def instruction_count(self) -> int:
         """Static instruction count (the 'LoC' of a workload)."""
         return sum(1 for _ in self.points())
-
-    def clone(self) -> "Module":
-        """Deep copy, used by the instrumentation pass ('redeploying')."""
-        return copy.deepcopy(self)

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import List, Optional
+from typing import Optional, Tuple
 
 from ..errors import IRParseError
 from . import instructions as ins
 from .instructions import BINARY_OPS, CMP_OPS, Operand
-from .module import Function, Module
+from .module import BasicBlock, Function, Module
 
 _FUNC_RE = re.compile(r"^func\s+(\w+)\s*\(([^)]*)\)\s*\{$")
 _GLOBAL_RE = re.compile(r"^global\s+(\w+)\s+(\d+)(?:\s*=\s*([0-9a-fA-F]*))?$")
@@ -34,11 +34,11 @@ def _operand(token: str, line_no: int, line: str) -> Operand:
         raise IRParseError(f"bad operand {token!r}", line_no, line) from None
 
 
-def _split_args(text: str, line_no: int, line: str) -> List[Operand]:
+def _split_args(text: str, line_no: int, line: str) -> Tuple[Operand, ...]:
     text = text.strip()
     if not text:
-        return []
-    return [_operand(t, line_no, line) for t in text.split(",")]
+        return ()
+    return tuple(_operand(t, line_no, line) for t in text.split(","))
 
 
 def _string_literal(text: str, line_no: int, line: str) -> str:
@@ -107,7 +107,10 @@ class _Parser:
             return
         if self.block is None:
             raise IRParseError("instruction before first label", line_no, raw)
-        self.block.instrs.append(self._parse_instr(line, line_no, raw))
+        instr = self._parse_instr(line, line_no, raw)
+        block = self.block
+        self.block = self.func.blocks[block.label] = BasicBlock(
+            block.label, block.instrs + (instr,))
 
     def _parse_instr(self, line: str, line_no: int, raw: str) -> ins.Instr:
         match = _ASSIGN_RE.match(line)

@@ -1,8 +1,9 @@
 """Parallel batch reconstruction: many workloads, one merged report.
 
 Reconstructions of distinct failures are embarrassingly parallel — each
-one owns its module clone, production site, term space, and solver
-cache — so the batch runner fans workloads out with :func:`fan_out`.
+one owns its production site, term space, and solver cache, and reads
+its workload's module, which nothing changes — so the batch runner fans
+workloads out with :func:`fan_out`.
 Process (not thread) workers sidestep the GIL: shepherded symbolic
 execution is pure Python and CPU-bound.  Each call creates its own
 :class:`~concurrent.futures.ProcessPoolExecutor` and joins its workers
@@ -12,10 +13,11 @@ worker that dies fails the call with a :class:`~repro.errors.ReproError`.
 
 Every worker runs under its own telemetry registry and ships back a
 picklable :class:`BatchItem` — outcome summary, metric snapshot, and
-(optionally) the structured event stream.  The parent merges the
-snapshots with :func:`repro.telemetry.merge_snapshots` and can write a
-single combined JSONL log (each event tagged with its workload) that
-``repro stats`` renders like any single-run log.
+(optionally) the structured event stream.  The parent folds every
+snapshot into its own registry (:meth:`Telemetry.absorb`), merges them
+with :func:`repro.telemetry.merge_snapshots` for the batch result, and
+can write a single combined JSONL log (each event tagged with its
+workload) that ``repro stats`` renders like any single-run log.
 
 ``parallel=1`` degrades to a plain in-process loop — same code path,
 same reports, no executor — which is also the serial baseline that
@@ -232,7 +234,7 @@ def _reconstruct_one(name: str, capture_events: bool,
         try:
             workload = get_workload(name)
             reconstructor = ExecutionReconstructor(
-                workload.fresh_module(),
+                workload.module(),
                 work_limit=workload.work_limit,
                 max_occurrences=workload.max_occurrences,
                 cache_dir=cache_dir)
@@ -269,7 +271,9 @@ def run_batch(names: Optional[Sequence[str]] = None, *,
     workload that raises contributes a :class:`BatchItem` with ``error``
     set instead of aborting the batch; a worker process that dies fails
     the batch with a :class:`~repro.errors.ReproError`.  ``cache_dir``
-    points every worker at one shared persistent solver cache.
+    points every worker at one shared persistent solver cache.  Each
+    item's metrics are folded into the caller's registry, at every
+    width.
     """
     names = list(names) if names is not None else workload_names()
     if parallel < 1:
@@ -291,6 +295,8 @@ def run_batch(names: Optional[Sequence[str]] = None, *,
                             parallel)
     wall = time.perf_counter() - started
     merged = telemetry.merge_snapshots([item.telemetry for item in items])
+    for item in items:
+        tel.absorb(item.telemetry)
     telemetry.count("parallel.batches")
     telemetry.count("parallel.workloads", len(items))
     return BatchResult(items=items, parallelism=parallel,
@@ -355,7 +361,7 @@ def measure_incremental_ab(workload_name: str = "sqlite-7be932d", *,
     from .symex.gaps import replay_with_gap_recovery
 
     workload = get_workload(workload_name)
-    module = workload.fresh_module()
+    module = workload.module()
     occurrence = ProductionSite(workload.failing_env,
                                 mapping_loss=mapping_loss,
                                 per_cpu_buffers=True).run_once(module)

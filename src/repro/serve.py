@@ -411,7 +411,7 @@ class FleetService:
                                        self.reoccurrence_delay,
                                        self._progress)
                 fleets[name] = fleet
-                fleet.deploy(workload.fresh_module())
+                fleet.deploy(workload.module())
                 # a redeploy may create a bucket; the loop reaches it
                 for bucket in fleet.buckets:
                     self._reconstruct(fleet, bucket)
@@ -430,7 +430,7 @@ class FleetService:
                     telemetry.span("serve.bucket", workload=workload.name,
                                    signature=bucket.signature.digest):
                 reconstructor = ExecutionReconstructor(
-                    workload.fresh_module(),
+                    workload.module(),
                     work_limit=self.work_limit or workload.work_limit,
                     max_occurrences=(self.max_occurrences
                                      or workload.max_occurrences),

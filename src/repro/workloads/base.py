@@ -46,10 +46,11 @@ class Workload:
     _module: Optional[Module] = field(default=None, repr=False)
 
     def module(self) -> Module:
-        """The built (and cached) application module."""
+        """The built (and cached) application module.  Nothing changes a
+        built module, so every caller shares this one."""
         if self._module is None:
             self._module = self.build()
         return self._module
 
-    def fresh_module(self) -> Module:
-        return self.module().clone()
+    #: the old name of :meth:`module`, kept for the layer benchmark
+    fresh_module = module

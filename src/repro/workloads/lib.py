@@ -1,15 +1,12 @@
-"""IR 'standard library': routines shared by the workload applications.
+"""Shared workload data: the case-folding table of the SQL tokenizer.
 
-These helpers add commonly-needed functions to a module under
-construction — byte copies, string length, FNV-style hashing, a
-case-folding table — so workloads read like small programs rather than
-instruction soup, and so the same code patterns recur across apps the
-way libc does in the paper's targets.
+The SQLite workloads install it as a global and fold each input byte
+through it, the way the real tokenizer calls ``tolower()``.
 """
 
 from __future__ import annotations
 
-from ..ir.builder import FunctionBuilder, ModuleBuilder
+from ..ir.builder import ModuleBuilder
 
 #: name of the 256-byte lowercase-folding table global
 CASE_TABLE = "case_fold_table"
@@ -27,120 +24,3 @@ def add_case_table(b: ModuleBuilder) -> str:
     """Install the case-folding table global (used by the SQL tokenizer)."""
     b.module.add_global(CASE_TABLE, 256, case_fold_bytes())
     return CASE_TABLE
-
-
-def add_memcpy(b: ModuleBuilder) -> str:
-    """``memcpy(dst, src, n)``: byte copy, returns dst."""
-    f = b.function("memcpy", ["dst", "src", "n"])
-    f.block("entry")
-    f.const(0, dest="%i")
-    f.jmp("loop")
-    f.block("loop")
-    done = f.cmp("uge", "%i", "%n")
-    f.br(done, "out", "body")
-    f.block("body")
-    src_p = f.gep("%src", "%i", 1)
-    byte = f.load(src_p, 1)
-    dst_p = f.gep("%dst", "%i", 1)
-    f.store(dst_p, byte, 1)
-    f.add("%i", 1, dest="%i")
-    f.jmp("loop")
-    f.block("out")
-    f.ret("%dst")
-    return "memcpy"
-
-
-def add_memset(b: ModuleBuilder) -> str:
-    """``memset(dst, value, n)``: byte fill, returns dst."""
-    f = b.function("memset", ["dst", "value", "n"])
-    f.block("entry")
-    f.const(0, dest="%i")
-    f.jmp("loop")
-    f.block("loop")
-    done = f.cmp("uge", "%i", "%n")
-    f.br(done, "out", "body")
-    f.block("body")
-    p = f.gep("%dst", "%i", 1)
-    f.store(p, "%value", 1)
-    f.add("%i", 1, dest="%i")
-    f.jmp("loop")
-    f.block("out")
-    f.ret("%dst")
-    return "memset"
-
-
-def add_strlen(b: ModuleBuilder) -> str:
-    """``strlen(s)``: scan for NUL."""
-    f = b.function("strlen", ["s"])
-    f.block("entry")
-    f.const(0, dest="%i")
-    f.jmp("loop")
-    f.block("loop")
-    p = f.gep("%s", "%i", 1)
-    byte = f.load(p, 1)
-    done = f.cmp("eq", byte, 0, width=8)
-    f.br(done, "out", "next")
-    f.block("next")
-    f.add("%i", 1, dest="%i")
-    f.jmp("loop")
-    f.block("out")
-    f.ret("%i")
-    return "strlen"
-
-
-def add_fnv_hash(b: ModuleBuilder) -> str:
-    """``fnv(buf, n)``: 32-bit FNV-1a over n bytes (symbol-table hashing)."""
-    f = b.function("fnv", ["buf", "n"])
-    f.block("entry")
-    f.const(0x811C9DC5, dest="%h")
-    f.const(0, dest="%i")
-    f.jmp("loop")
-    f.block("loop")
-    done = f.cmp("uge", "%i", "%n")
-    f.br(done, "out", "body")
-    f.block("body")
-    p = f.gep("%buf", "%i", 1)
-    byte = f.load(p, 1)
-    f.xor("%h", byte, width=32, dest="%h")
-    f.mul("%h", 0x01000193, width=32, dest="%h")
-    f.add("%i", 1, dest="%i")
-    f.jmp("loop")
-    f.block("out")
-    f.ret("%h")
-    return "fnv"
-
-
-def add_read_bytes(b: ModuleBuilder, stream: str = "stdin") -> str:
-    """``read_bytes(dst, n)``: read n input bytes into dst; returns n."""
-    name = f"read_bytes_{stream}"
-    f = b.function(name, ["dst", "n"])
-    f.block("entry")
-    f.const(0, dest="%i")
-    f.jmp("loop")
-    f.block("loop")
-    done = f.cmp("uge", "%i", "%n")
-    f.br(done, "out", "body")
-    f.block("body")
-    byte = f.input(stream, 1)
-    p = f.gep("%dst", "%i", 1)
-    f.store(p, byte, 1)
-    f.add("%i", 1, dest="%i")
-    f.jmp("loop")
-    f.block("out")
-    f.ret("%n")
-    return name
-
-
-def emit_case_fold(f: FunctionBuilder, byte_reg: str,
-                   table_reg: str) -> str:
-    """Inline lowercase-fold of one byte via the case table."""
-    p = f.gep(table_reg, byte_reg, 1)
-    return f.load(p, 1)
-
-
-def encode_u32(value: int) -> bytes:
-    return (value & 0xFFFFFFFF).to_bytes(4, "little")
-
-
-def encode_u16(value: int) -> bytes:
-    return (value & 0xFFFF).to_bytes(2, "little")

@@ -75,7 +75,7 @@ class TestRept:
 
     def test_works_on_real_workload(self):
         wl = get_workload("bash-108885")
-        report = ReptAnalyzer().analyze(wl.fresh_module(),
+        report = ReptAnalyzer().analyze(wl.module(),
                                         wl.failing_env(1))
         assert report.total_defs > 0
 

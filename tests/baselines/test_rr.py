@@ -1,11 +1,14 @@
 """rr-style record/replay baseline."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines.rr import RRBaseline, RRRecording
 from repro.errors import ReproError
 from repro.interp.env import Environment
 from repro.interp.interpreter import Interpreter
+from repro.ir.module import ProgramPoint
 
 
 class TestRecordReplay:
@@ -37,12 +40,12 @@ class TestRecordReplay:
                                Environment({}, quantum=3)).run()
         assert replayed.outputs == original.outputs
 
-    def test_divergent_program_detected(self, abort_module):
+    def test_divergent_program_detected(self, abort_module, with_instr):
         rr = RRBaseline()
         recording = rr.record(abort_module, Environment({"stdin": b"\xff"}))
-        other = abort_module.clone()
-        block = other.function("main").block("entry")
-        block.instrs[0].stream = "other-stream"
+        point = ProgramPoint("main", "entry", 0)
+        other = with_instr(abort_module, point, replace(
+            abort_module.instr_at(point), stream="other-stream"))
         with pytest.raises(ReproError):
             rr.replay(other, recording)
 

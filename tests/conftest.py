@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.interp.env import Environment
@@ -110,3 +112,20 @@ def env_factory():
         all_streams.update(streams)
         return Environment(all_streams, quantum=quantum)
     return make
+
+
+@pytest.fixture
+def with_instr():
+    """``with_instr(module, point, instr)``: a variant of ``module`` whose
+    instruction at ``point`` is ``instr``.  Built modules are immutable,
+    so the variant is built with ``dataclasses.replace``; it shares every
+    other function and block with ``module``."""
+    def build(module, point, instr):
+        func = module.function(point.func)
+        block = func.block(point.block)
+        instrs = (block.instrs[:point.index] + (instr,)
+                  + block.instrs[point.index + 1:])
+        return replace(module, functions={
+            **module.functions, func.name: replace(func, blocks={
+                **func.blocks, block.label: replace(block, instrs=instrs)})})
+    return build

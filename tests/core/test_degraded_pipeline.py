@@ -19,7 +19,7 @@ PIPELINE_TARGETS = ["bash-108885", "libpng-2004-0597",
 @pytest.mark.parametrize("name", PIPELINE_TARGETS)
 def test_reconstruction_with_degraded_traces(name):
     workload = get_workload(name)
-    er = ExecutionReconstructor(workload.fresh_module(),
+    er = ExecutionReconstructor(workload.module(),
                                 work_limit=workload.work_limit * 20,
                                 max_occurrences=15,
                                 trace_recovery=True)
@@ -32,13 +32,13 @@ def test_reconstruction_with_degraded_traces(name):
 def test_degradation_actually_happens():
     workload = get_workload("libpng-2004-0597")
     site = ProductionSite(workload.failing_env, mapping_loss=0.5)
-    occurrence = site.run_once(workload.fresh_module())
+    occurrence = site.run_once(workload.module())
     assert gap_count(occurrence.trace) > 50
 
 
 def test_exact_pipeline_unaffected_by_recovery_driver():
     workload = get_workload("bash-108885")
-    er = ExecutionReconstructor(workload.fresh_module(),
+    er = ExecutionReconstructor(workload.module(),
                                 work_limit=workload.work_limit,
                                 trace_recovery=True)
     report = er.reconstruct(ProductionSite(workload.failing_env))
@@ -50,7 +50,7 @@ def test_exact_driver_cannot_handle_gaps():
     from repro.errors import ReconstructionError
 
     workload = get_workload("bash-108885")
-    er = ExecutionReconstructor(workload.fresh_module(),
+    er = ExecutionReconstructor(workload.module(),
                                 work_limit=workload.work_limit,
                                 max_occurrences=3,
                                 trace_recovery=False)

@@ -66,8 +66,7 @@ def _two_bug_module():
 class TestDeterminism:
     def test_back_to_back_runs_identical(self, table_module):
         def run():
-            er = ExecutionReconstructor(table_module.clone(),
-                                        work_limit=150)
+            er = ExecutionReconstructor(table_module, work_limit=150)
             return er.reconstruct(ProductionSite(
                 lambda occ: Environment({"stdin": bytes([9, 9])})))
 
@@ -84,8 +83,7 @@ class TestDeterminism:
 
         def run(name):
             module, data, work_limit = jobs[name]
-            er = ExecutionReconstructor(module.clone(),
-                                        work_limit=work_limit)
+            er = ExecutionReconstructor(module, work_limit=work_limit)
             return _report_fingerprint(er.reconstruct(ProductionSite(
                 lambda occ: Environment({"stdin": data}))))
 
@@ -105,7 +103,7 @@ class TestWorkloadDeterminism:
     @staticmethod
     def _run(name):
         workload = get_workload(name)
-        er = ExecutionReconstructor(workload.fresh_module(),
+        er = ExecutionReconstructor(workload.module(),
                                     work_limit=workload.work_limit,
                                     max_occurrences=workload.max_occurrences)
         return er.reconstruct(ProductionSite(workload.failing_env))
@@ -177,7 +175,7 @@ class TestWorkloadDeterminism:
         """The benchmark's lossy-trace reconstruction (8.5 % lost TNT
         bits, per-CPU merge): its fingerprint, or the error it raised."""
         workload = get_workload(name)
-        er = ExecutionReconstructor(workload.fresh_module(),
+        er = ExecutionReconstructor(workload.module(),
                                     work_limit=workload.work_limit,
                                     max_occurrences=workload.max_occurrences,
                                     trace_recovery=True)

@@ -13,6 +13,8 @@ from repro.interp.interpreter import Interpreter
 from repro.ir import instructions as ins
 from repro.ir.builder import ModuleBuilder
 from repro.ir.module import ProgramPoint
+from repro.ir.printer import format_module
+from repro.workloads import get_workload
 
 
 class TestInstrument:
@@ -40,6 +42,29 @@ class TestInstrument:
         instrument(module, [RecordingItem(
             ProgramPoint("main", "entry", 1), "%x", 8)])
         assert module.instruction_count() == before
+
+    @pytest.mark.parametrize("workload",
+                             ["sqlite-7be932d", "memcached-2019-11596"])
+    def test_input_unchanged_and_untouched_parts_shared(self, workload):
+        module = get_workload(workload).module()
+        before = format_module(module)
+        items = [RecordingItem(point, instr.dest_register(), 8)
+                 for point, instr in module.points()
+                 if instr.dest_register() is not None][::7]
+        deployed = instrument(module, items).module
+        assert format_module(module) == before
+        assert format_module(deployed) != before
+        touched = {(item.point.func, item.point.block) for item in items}
+        assert all(deployed.globals[name] is obj
+                   for name, obj in module.globals.items())
+        assert list(deployed.functions) == list(module.functions)
+        for func_name, func in module.functions.items():
+            new = deployed.functions[func_name]
+            labels = {label for f, label in touched if f == func_name}
+            assert (new is func) == (not labels)
+            assert list(new.blocks) == list(func.blocks)
+            for label, block in func.blocks.items():
+                assert (new.blocks[label] is block) == (label not in labels)
 
     def test_multiple_insertions_same_block(self):
         module = self._module()

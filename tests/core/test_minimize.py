@@ -106,10 +106,10 @@ class TestMinimizeTestCase:
         from repro.workloads import get_workload
 
         workload = get_workload("bash-108885")
-        er = ExecutionReconstructor(workload.fresh_module(),
+        er = ExecutionReconstructor(workload.module(),
                                     work_limit=workload.work_limit)
         report = er.reconstruct(ProductionSite(workload.failing_env))
-        minimized = minimize_test_case(workload.fresh_module(),
+        minimized = minimize_test_case(workload.module(),
                                        report.test_case, report.failure)
         assert len(minimized.streams["sh"]) <= \
             len(report.test_case.streams["sh"])

@@ -94,7 +94,7 @@ class TestDeferredOccurrence:
     def test_start_delivers_same_occurrence_as_run_once(self):
         workload = get_workload("objdump-2018-6323")
         site = ProductionSite(workload.failing_env)
-        deferred = site.start(workload.fresh_module())
+        deferred = site.start(workload.module())
         occurrence = deferred.wait()
         assert deferred.done()
         assert deferred.wait() is occurrence
@@ -116,7 +116,7 @@ class TestDeferredOccurrence:
     def test_only_one_deferred_run_at_a_time(self):
         workload = get_workload("objdump-2018-6323")
         site, release = self._held_site(workload)
-        module = workload.fresh_module()
+        module = workload.module()
         deferred = site.start(module)
         try:
             with pytest.raises(ReconstructionError,
@@ -129,7 +129,7 @@ class TestDeferredOccurrence:
     def test_start_returns_before_the_run_finishes(self):
         workload = get_workload("objdump-2018-6323")
         site, release = self._held_site(workload)
-        deferred = site.start(workload.fresh_module())
+        deferred = site.start(workload.module())
         assert not deferred.done()  # held by the environment factory
         release.set()
         assert deferred.wait().failure is not None
@@ -140,7 +140,7 @@ class TestDeferredOccurrence:
 
         site = ProductionSite(exploding_env)
         deferred = site.start(get_workload(
-            "objdump-2018-6323").fresh_module())
+            "objdump-2018-6323").module())
         with pytest.raises(RuntimeError, match="environment down"):
             deferred.wait()
 

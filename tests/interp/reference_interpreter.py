@@ -25,7 +25,10 @@ from repro.ir.types import mask, sign_extend
 class ReferenceInterpreter(Interpreter):
     """Executes one instruction per ``_step``; the compiled loop's oracle."""
 
-    def _run_chunk(self, thread: ThreadState, quantum: int) -> None:
+    def _run_chunk(self, thread: ThreadState, quantum: int,
+                   hooked=None) -> None:
+        # ``hooked`` holds the compiled loop's hook-wrapped code; this
+        # loop calls the hook itself
         self.chunk_count += 1
         self.tracer.begin_chunk(thread.tid, self.steps >> self.TS_SHIFT)
         executed = 0

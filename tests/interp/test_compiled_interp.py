@@ -10,6 +10,7 @@ memory, or the same exception type and message.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,9 +18,9 @@ from hypothesis import strategies as st
 
 from repro.errors import InterpError
 from repro.interp.env import Environment
-from repro.interp.interpreter import (Interpreter, _content, _fused_run,
-                                     _straight_runs)
+from repro.interp.interpreter import Interpreter, _fused_run, _straight_runs
 from repro.ir.builder import ModuleBuilder
+from repro.ir.module import ProgramPoint
 from repro.workloads import get_workload, workload_names
 from tests.interp.reference_interpreter import ReferenceInterpreter
 from tests.test_properties import arithmetic_programs
@@ -122,19 +123,30 @@ def test_workload_inputs_identical(name):
         assert assert_same(module, env.clone, hook=True)["steps"]
 
 
-def test_instrumented_workload_identical():
-    """ptwrite tags and values reach the tracer in the same order."""
+@pytest.mark.parametrize("callee_only", [False, True],
+                         ids=["every-7th", "callee-only"])
+@pytest.mark.parametrize("name", workload_names())
+def test_instrumented_workload_identical(name, callee_only):
+    """ptwrite tags and values reach the tracer in the same order.  The
+    instrumented module shares its untouched blocks with the workload's
+    module, which has already run, so their code is reused; recording
+    only outside ``main`` leaves the calling blocks shared."""
     from repro.core.instrument import instrument
     from repro.core.selection import RecordingItem
 
-    workload = get_workload("sqlite-7be932d")
+    workload = get_workload(name)
     module = workload.module()
+    env = workload.failing_env(1)
+    Interpreter(module, env.clone()).run()
     items = [RecordingItem(point, instr.dest_register(), 8)
              for point, instr in module.points()
-             if instr.dest_register() is not None][::7]
+             if instr.dest_register() is not None
+             and not (callee_only and point.func == "main")]
+    items = items[::5] if callee_only else items[::7]
     deployed = instrument(module, items).module
-    observed = assert_same(deployed, workload.failing_env(1).clone)
-    assert any(call[0] == "ptwrite" for call in observed["tracer"])
+    observed = assert_same(deployed, env.clone)
+    assert any(call[0] == "ptwrite" for call in observed["tracer"]) \
+        == bool(items)
 
 
 # ----------------------------------------------------------------------
@@ -436,7 +448,7 @@ def test_unset_register_inside_run_reports_its_point():
 
 
 @pytest.mark.parametrize("use", ["first", "branch", "global"])
-def test_error_at_each_position_of_a_run(use):
+def test_error_at_each_position_of_a_run(use, with_instr):
     """An unset read as the run's first instruction, as its closing
     branch's condition, and a global lookup that fails mid-run."""
     b = ModuleBuilder("positions")
@@ -461,7 +473,9 @@ def test_error_at_each_position_of_a_run(use):
         f.jmp("run")
     module = b.build()
     if use == "global":  # a global the module does not define
-        module.functions["main"].blocks["run"].instrs[1].name = "H"
+        point = ProgramPoint("main", "run", 1)
+        module = with_instr(module, point,
+                            replace(module.instr_at(point), name="H"))
     observed = assert_same(module, lambda: Environment({}))
     kind = observed["outcome"][:2]
     if use == "global":
@@ -669,7 +683,7 @@ def test_generated_runs_bind_names_never_splice_them():
     assert_same(module, lambda: Environment({"stdin": b"\x07"}))
     instrs = module.functions["main"].blocks[_HOSTILE[1]].instrs
     assert _straight_runs(instrs) == [(0, 4)]
-    run = _fused_run(_content(instrs))
+    run = _fused_run(instrs)
     code = run.__code__
     assert all(isinstance(value, int) or value is None
                for value in code.co_consts)

@@ -1,11 +1,14 @@
 """Module structure, program points, and the builder API."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import IRError
-from repro.ir import instructions as ins
+from repro.ir import format_module, instructions as ins, parse_module
 from repro.ir.builder import ModuleBuilder
 from repro.ir.module import Function, Module, ProgramPoint
+from repro.workloads import get_workload, workload_names
 
 
 class TestProgramPoint:
@@ -59,11 +62,33 @@ class TestModule:
         for point, instr in abort_module.points():
             assert abort_module.instr_at(point) is instr
 
-    def test_clone_is_deep(self, abort_module):
-        clone = abort_module.clone()
-        clone.function("main").block("entry").instrs.append(ins.Nop())
-        assert (clone.instruction_count()
-                == abort_module.instruction_count() + 1)
+
+class TestFrozen:
+    """A built module's instructions, blocks and globals are values."""
+
+    def test_every_instruction_type_frozen(self):
+        types = [cls for cls in vars(ins).values() if isinstance(cls, type)
+                 and issubclass(cls, ins.Instr)]
+        assert {ins.Instr, ins.Call, ins.PtWrite} <= set(types)
+        assert all(cls.__dataclass_params__.frozen for cls in types)
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_fields_cannot_be_assigned(self, name):
+        built = get_workload(name).module()
+        for module in (built, parse_module(format_module(built))):
+            blocks = [block for func in module.functions.values()
+                      for block in func.blocks.values()]
+            values = ([instr for block in blocks for instr in block.instrs]
+                      + blocks + list(module.globals.values()))
+            for value in values:
+                for field in dataclasses.fields(value):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(value, field.name,
+                                getattr(value, field.name))
+            assert all(type(block.instrs) is tuple for block in blocks)
+            assert all(type(instr.args) is tuple
+                       for block in blocks for instr in block.instrs
+                       if isinstance(instr, (ins.Call, ins.Spawn)))
 
 
 class TestBuilder:

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import IRError
 from repro.ir import instructions as ins
 from repro.ir.builder import ModuleBuilder
-from repro.ir.module import Function, Module
+from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.verifier import verify_module
 
 
@@ -15,11 +15,13 @@ def _module_with(func: Function) -> Module:
     return m
 
 
+def _entry(*instrs):
+    """A function's blocks: one ``entry`` block of ``instrs``."""
+    return {"entry": BasicBlock("entry", instrs)}
+
+
 def _main(*instrs) -> Module:
-    func = Function("main")
-    block = func.add_block("entry")
-    block.instrs.extend(instrs)
-    return _module_with(func)
+    return _module_with(Function("main", blocks=_entry(*instrs)))
 
 
 class TestVerifier:
@@ -49,19 +51,13 @@ class TestVerifier:
             verify_module(m)
 
     def test_call_unknown_function(self):
-        m = _main(ins.Call(None, "ghost", []), ins.Ret())
+        m = _main(ins.Call(None, "ghost"), ins.Ret())
         with pytest.raises(IRError, match="unknown function"):
             verify_module(m)
 
     def test_call_arity_mismatch(self):
-        m = Module()
-        callee = Function("callee", ["%a"])
-        callee.add_block("entry").instrs.append(ins.Ret())
-        m.add_function(callee)
-        main = Function("main")
-        main.add_block("entry").instrs.extend(
-            [ins.Call(None, "callee", []), ins.Ret()])
-        m.add_function(main)
+        m = _main(ins.Call(None, "callee"), ins.Ret())
+        m.add_function(Function("callee", ["%a"], _entry(ins.Ret())))
         with pytest.raises(IRError, match="args"):
             verify_module(m)
 

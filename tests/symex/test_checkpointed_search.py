@@ -47,7 +47,7 @@ def lossy_reconstruction(name, driver):
     """Reconstruct ``name`` on the benchmark's lossy traces; returns the
     report, or the error text of a reconstruction that raised."""
     workload = get_workload(name)
-    er = ExecutionReconstructor(workload.fresh_module(),
+    er = ExecutionReconstructor(workload.module(),
                                 work_limit=workload.work_limit,
                                 max_occurrences=workload.max_occurrences,
                                 trace_recovery=True)
@@ -64,7 +64,7 @@ def lossy_occurrence(name):
     """The first lossy occurrence of ``name``: (module, trace, failure,
     work limit)."""
     workload = get_workload(name)
-    module = workload.fresh_module()
+    module = workload.module()
     occurrence = ProductionSite(workload.failing_env, **LOSSY) \
         .run_once(module)
     return (module, occurrence.trace, occurrence.failure,
@@ -241,7 +241,7 @@ class TestOrderSkipping:
         checkpoints with queries before them: every attempt's whole log,
         rebuilt from the kept prefixes, in order."""
         workload = get_workload("memcached-2019-11596")
-        module = workload.fresh_module()
+        module = workload.module()
         encoder = PTEncoder(RingBuffer())
         run = Interpreter(module, workload.failing_env(1),
                           tracer=encoder).run()

@@ -151,7 +151,7 @@ class TestFree:
     @staticmethod
     def _reconstruct_pbzip2():
         workload = get_workload("pbzip2-uaf")
-        er = ExecutionReconstructor(workload.fresh_module(),
+        er = ExecutionReconstructor(workload.module(),
                                     work_limit=workload.work_limit,
                                     max_occurrences=workload.max_occurrences)
         return er.reconstruct(ProductionSite(workload.failing_env))

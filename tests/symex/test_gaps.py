@@ -77,7 +77,7 @@ class TestGapRecovery:
         for name in ("libpng-2004-0597", "bash-108885",
                      "objdump-2018-6323"):
             workload = get_workload(name)
-            module = workload.fresh_module()
+            module = workload.module()
             run, trace = traced_run(module, workload.failing_env(1))
             degraded = degrade_trace(trace, loss=DEFAULT_LOSS, seed=7)
             result = replay_with_gap_recovery(

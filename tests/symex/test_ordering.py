@@ -62,7 +62,7 @@ class TestCandidateOrders:
 class TestMerge:
     def _mt_trace(self, workload_name="python-2018-1000030"):
         workload = get_workload(workload_name)
-        module = workload.fresh_module()
+        module = workload.module()
         encoder = PTEncoder(RingBuffer())
         run = Interpreter(module, workload.failing_env(1),
                           tracer=encoder).run()
@@ -96,7 +96,7 @@ class TestOrderRecovery:
     def test_recovers_merged_mt_traces(self, name):
         """A timestamp-merged (order-lossy) trace still replays."""
         workload = get_workload(name)
-        module = workload.fresh_module()
+        module = workload.module()
         encoder = PTEncoder(RingBuffer())
         run = Interpreter(module, workload.failing_env(1),
                           tracer=encoder).run()

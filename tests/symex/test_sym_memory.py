@@ -118,8 +118,7 @@ class TestSymMemory:
 
 def _dummy_main():
     from repro.ir import instructions as ins
-    from repro.ir.module import Function
+    from repro.ir.module import BasicBlock, Function
 
-    func = Function("main")
-    func.add_block("entry").instrs.append(ins.Ret())
-    return func
+    return Function("main", blocks={"entry": BasicBlock("entry",
+                                                        (ins.Ret(),))})

@@ -2,13 +2,17 @@
 
 import gc
 import weakref
+from dataclasses import replace
 
 import pytest
 
+from repro.core.instrument import instrument
+from repro.core.selection import RecordingItem
 from repro.interp.env import Environment
 from repro.interp.interpreter import Interpreter
 from repro.ir import instructions as ins
 from repro.ir.builder import ModuleBuilder
+from repro.ir.module import ProgramPoint
 from repro.symex.engine import ShepherdedSymex
 from repro.trace.decoder import decode
 from repro.trace.encoder import PTEncoder
@@ -210,12 +214,13 @@ class TestPtwriteConcretization:
 
 
 class TestDivergence:
-    def test_wrong_program_version_diverges(self, abort_module):
+    def test_wrong_program_version_diverges(self, abort_module, with_instr):
         run, trace = trace_of(abort_module, Environment({"stdin": b"\xc8"}))
-        other = abort_module.clone()
         # flip the branch targets: trace no longer matches
-        br = other.function("main").block("entry").instrs[-1]
-        br.if_true, br.if_false = br.if_false, br.if_true
+        point = ProgramPoint("main", "entry", 2)
+        br = abort_module.instr_at(point)
+        other = with_instr(abort_module, point, replace(
+            br, if_true=br.if_false, if_false=br.if_true))
         res = ShepherdedSymex(other, trace, run.failure).run()
         assert res.status == "diverged"
 
@@ -265,6 +270,47 @@ class TestRunLifetime:
             runs = [weakref.ref(interp), weakref.ref(engine)]
             del interp, engine
             assert [run() for run in runs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_instrumented_run_freed_without_cycle_collector(self):
+        # an instrumented module shares the blocks its input already
+        # compiled and keeps code on the blocks it rebuilt; a recursive
+        # call's code must not lead back to its own block
+        b = ModuleBuilder("fact")
+        f = b.function("fact", ["n"])
+        f.block("entry")
+        f.br(f.cmp("eq", "%n", 0), "base", "step")
+        f.block("base")
+        f.ret(1)
+        f.block("step")
+        f.ret(f.mul("%n", f.call("fact", [f.sub("%n", 1)])))
+        f = b.function("main", [])
+        f.block("entry")
+        f.output("stdout", f.call("fact", [f.input("stdin", 1)]), 8)
+        f.ret(0)
+        module = b.build()
+        gc.disable()
+        try:
+            Interpreter(module, Environment({"stdin": b"\x05"})).run()
+            deployed = instrument(module, [
+                RecordingItem(point, instr.dest_register(), 8)
+                for point, instr in module.points()
+                if instr.dest_register() is not None]).module
+            result = Interpreter(deployed, Environment({"stdin": b"\x05"}),
+                                 tracer=PTEncoder(RingBuffer())).run()
+            assert result.outputs["stdout"] == (120).to_bytes(8, "little")
+            shared = {id(block) for func in module.functions.values()
+                      for block in func.blocks.values()}
+            rebuilt = [block for func in deployed.functions.values()
+                       for block in func.blocks.values()
+                       if id(block) not in shared]
+            assert len(rebuilt) == 3
+            assert all(block._compiled is not None for block in rebuilt)
+            refs = [weakref.ref(deployed)] + [weakref.ref(block)
+                                              for block in rebuilt]
+            del deployed, rebuilt
+            assert [ref() for ref in refs] == [None] * len(refs)
         finally:
             gc.enable()
 

@@ -15,7 +15,7 @@ def run():
     workload = get_workload("sqlite-7be932d")
     tel = Telemetry(MemorySink())
     with telemetry.scoped(tel):
-        er = ExecutionReconstructor(workload.fresh_module(),
+        er = ExecutionReconstructor(workload.module(),
                                     work_limit=workload.work_limit)
         report = er.reconstruct(ProductionSite(workload.failing_env))
     tel.emit_snapshot()
@@ -98,7 +98,7 @@ class TestJsonlPipeline:
         path = tmp_path / "tel.jsonl"
         tel = Telemetry(JsonlSink(path))
         with telemetry.scoped(tel):
-            er = ExecutionReconstructor(workload.fresh_module(),
+            er = ExecutionReconstructor(workload.module(),
                                         work_limit=workload.work_limit)
             report = er.reconstruct(ProductionSite(workload.failing_env))
         tel.close()
@@ -114,7 +114,7 @@ class TestDisabledPipeline:
         workload = get_workload("nasm-2004-1287")
         tel = Telemetry()        # null sink: no events, metrics only
         with telemetry.scoped(tel):
-            er = ExecutionReconstructor(workload.fresh_module(),
+            er = ExecutionReconstructor(workload.module(),
                                         work_limit=workload.work_limit)
             report = er.reconstruct(ProductionSite(workload.failing_env))
         assert report.success

@@ -118,6 +118,13 @@ class TestRunBatch:
         # every worker's solver traffic is visible in the merged view
         assert counters["reconstruct.successes"] == len(FAST)
 
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_caller_registry_records_the_reconstructions(self, width):
+        registry = telemetry.Telemetry()
+        with telemetry.scoped(registry):
+            run_batch(["bash-108885", "objdump-2018-6323"], parallel=width)
+        assert registry.snapshot()["counters"]["reconstruct.runs"] == 2
+
     def test_solver_cache_stats_surface(self):
         result = run_batch(FAST, parallel=1)
         stats = result.solver_cache_stats

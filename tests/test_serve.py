@@ -32,7 +32,7 @@ WORKLOAD = "sqlite-7be932d"
 def _single_site(name):
     w = get_workload(name)
     reconstructor = ExecutionReconstructor(
-        w.fresh_module(), work_limit=w.work_limit,
+        w.module(), work_limit=w.work_limit,
         max_occurrences=w.max_occurrences)
     return reconstructor.reconstruct(ProductionSite(w.failing_env))
 
@@ -54,7 +54,7 @@ def _report(instance, version, arrival, payload):
 
 def _fake_workload(abort_module, env_factory):
     return SimpleNamespace(name="fake", failing_env=env_factory,
-                           fresh_module=abort_module.clone,
+                           module=lambda: abort_module,
                            work_limit=100_000, max_occurrences=5)
 
 

@@ -15,7 +15,7 @@ from repro.workloads import get_workload
 
 def completed_symex(workload_name, extra_budget=20):
     workload = get_workload(workload_name)
-    module = workload.fresh_module()
+    module = workload.module()
     encoder = PTEncoder(RingBuffer())
     run = Interpreter(module, workload.failing_env(1),
                       tracer=encoder).run()
@@ -64,7 +64,7 @@ class TestForensics:
 class TestFuzzing:
     def test_coverage_grows_from_empty(self):
         workload = get_workload("bash-108885")
-        fuzzer = CoverageFuzzer(workload.fresh_module(), "sh", seed=5)
+        fuzzer = CoverageFuzzer(workload.module(), "sh", seed=5)
         report = fuzzer.run(budget=120)
         assert report.coverage_points > 2
         assert report.corpus_size >= 1
@@ -74,9 +74,9 @@ class TestFuzzing:
         valid-header seed unlocks the chunk machinery — the classic
         argument for good seeds."""
         workload = get_workload("libpng-2004-0597")
-        blind = CoverageFuzzer(workload.fresh_module(), "png", seed=5)
+        blind = CoverageFuzzer(workload.module(), "png", seed=5)
         blind_report = blind.run(budget=120)
-        seeded = CoverageFuzzer(workload.fresh_module(), "png", seed=5)
+        seeded = CoverageFuzzer(workload.module(), "png", seed=5)
         seeded.add_seed(b"\x89P" + bytes(12))
         seeded_report = seeded.run(budget=120)
         assert seeded_report.coverage_points > blind_report.coverage_points
@@ -85,30 +85,30 @@ class TestFuzzing:
         workload = get_workload("bash-108885")
         reports = []
         for _ in range(2):
-            fuzzer = CoverageFuzzer(workload.fresh_module(), "sh", seed=9)
+            fuzzer = CoverageFuzzer(workload.module(), "sh", seed=9)
             reports.append(fuzzer.run(budget=150))
         assert reports[0].coverage_points == reports[1].coverage_points
         assert reports[0].crash_count == reports[1].crash_count
 
     def test_crash_dedup_by_signature(self):
         workload = get_workload("bash-108885")
-        fuzzer = CoverageFuzzer(workload.fresh_module(), "sh", seed=1)
+        fuzzer = CoverageFuzzer(workload.module(), "sh", seed=1)
         fuzzer.add_seed(b")")    # the crasher itself
         fuzzer.add_seed(b")a")   # same signature
         assert fuzzer.crashes and len(fuzzer.crashes) == 1
 
     def test_er_seed_finds_crash_immediately(self):
         workload = get_workload("matrixssl-2014-1569")
-        er = ExecutionReconstructor(workload.fresh_module(),
+        er = ExecutionReconstructor(workload.module(),
                                     work_limit=workload.work_limit)
         report = er.reconstruct(ProductionSite(workload.failing_env))
         seed_bytes = report.test_case.streams["tls"]
 
-        seeded = CoverageFuzzer(workload.fresh_module(), "tls", seed=3)
+        seeded = CoverageFuzzer(workload.module(), "tls", seed=3)
         seeded.add_seed(seed_bytes)
         seeded_report = seeded.run(budget=150)
 
-        unseeded = CoverageFuzzer(workload.fresh_module(), "tls", seed=3)
+        unseeded = CoverageFuzzer(workload.module(), "tls", seed=3)
         unseeded_report = unseeded.run(budget=150)
 
         assert seeded_report.first_crash_at == 1  # the seed itself

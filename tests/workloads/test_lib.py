@@ -1,13 +1,9 @@
-"""The IR 'standard library' routines used by workload programs."""
-
-import pytest
+"""The case-folding table the SQLite workloads share."""
 
 from repro.interp.env import Environment
 from repro.interp.interpreter import Interpreter
 from repro.ir.builder import ModuleBuilder
-from repro.workloads.lib import (CASE_TABLE, add_case_table, add_fnv_hash,
-                                 add_memcpy, add_memset, add_read_bytes,
-                                 add_strlen, case_fold_bytes)
+from repro.workloads.lib import CASE_TABLE, add_case_table, case_fold_bytes
 
 
 def run_with(setup, main_body, streams=None):
@@ -44,113 +40,3 @@ class TestCaseTable:
 
         result = run_with(setup, body)
         assert result.outputs["o"] == b"q"
-
-
-class TestMemRoutines:
-    def test_memcpy(self):
-        def setup(b):
-            b.global_("src", 8, b"hello!")
-            b.global_("dst", 8)
-            add_memcpy(b)
-
-        def body(f):
-            s = f.global_addr("src")
-            d = f.global_addr("dst")
-            f.call("memcpy", [d, s, 6])
-            v = f.load(d, 4)
-            f.output("o", v, 4)
-            f.ret(0)
-
-        result = run_with(setup, body)
-        assert result.outputs["o"] == b"hell"
-
-    def test_memcpy_zero_length(self):
-        def setup(b):
-            b.global_("src", 4, b"abcd")
-            b.global_("dst", 4)
-            add_memcpy(b)
-
-        def body(f):
-            s = f.global_addr("src")
-            d = f.global_addr("dst")
-            f.call("memcpy", [d, s, 0])
-            v = f.load(d, 1)
-            f.output("o", v, 1)
-            f.ret(0)
-
-        assert run_with(setup, body).outputs["o"] == b"\x00"
-
-    def test_memset(self):
-        def setup(b):
-            b.global_("buf", 8)
-            add_memset(b)
-
-        def body(f):
-            d = f.global_addr("buf")
-            f.call("memset", [d, 0x5A, 8])
-            v = f.load(d, 8)
-            f.output("o", v, 8)
-            f.ret(0)
-
-        assert run_with(setup, body).outputs["o"] == b"\x5a" * 8
-
-    def test_strlen(self):
-        def setup(b):
-            b.string("s", "reconstruction")
-            add_strlen(b)
-
-        def body(f):
-            s = f.global_addr("s")
-            n = f.call("strlen", [s], dest="%n")
-            f.output("o", "%n", 1)
-            f.ret(0)
-
-        assert run_with(setup, body).outputs["o"] == bytes([14])
-
-    def test_strlen_empty(self):
-        def setup(b):
-            b.string("s", "")
-            add_strlen(b)
-
-        def body(f):
-            s = f.global_addr("s")
-            n = f.call("strlen", [s], dest="%n")
-            f.output("o", "%n", 1)
-            f.ret(0)
-
-        assert run_with(setup, body).outputs["o"] == bytes([0])
-
-
-class TestHashAndIo:
-    def test_fnv_known_value(self):
-        def setup(b):
-            b.global_("buf", 4, b"abcd")
-            add_fnv_hash(b)
-
-        def body(f):
-            s = f.global_addr("buf")
-            h = f.call("fnv", [s, 4], dest="%h")
-            f.output("o", "%h", 4)
-            f.ret(0)
-
-        result = run_with(setup, body)
-        # reference FNV-1a, 32-bit
-        h = 0x811C9DC5
-        for ch in b"abcd":
-            h = ((h ^ ch) * 0x01000193) & 0xFFFFFFFF
-        assert result.outputs["o"] == h.to_bytes(4, "little")
-
-    def test_read_bytes(self):
-        def setup(b):
-            b.global_("buf", 8)
-            add_read_bytes(b, "stdin")
-
-        def body(f):
-            d = f.global_addr("buf")
-            f.call("read_bytes_stdin", [d, 5])
-            v = f.load(d, 4)
-            f.output("o", v, 4)
-            f.ret(0)
-
-        result = run_with(setup, body, streams={"stdin": b"trace"})
-        assert result.outputs["o"] == b"trac"

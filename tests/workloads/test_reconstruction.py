@@ -17,7 +17,7 @@ IDS = [w.name for w in WORKLOADS]
 
 
 def reconstruct(workload):
-    er = ExecutionReconstructor(workload.fresh_module(),
+    er = ExecutionReconstructor(workload.module(),
                                 work_limit=workload.work_limit,
                                 max_occurrences=workload.max_occurrences)
     return er.reconstruct(ProductionSite(workload.failing_env))
@@ -50,7 +50,7 @@ class TestReconstruction:
         report = reports[workload.name]
         env = Environment(dict(report.test_case.streams),
                           quantum=report.test_case.quantum)
-        result = Interpreter(workload.fresh_module(), env).run()
+        result = Interpreter(workload.module(), env).run()
         assert result.failure is not None
         assert result.failure.kind == workload.expected_kind
 

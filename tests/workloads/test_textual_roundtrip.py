@@ -26,7 +26,7 @@ class TestWorkloadRoundTrip:
 
     def test_reparsed_module_reproduces_failure(self, workload):
         reparsed = parse_module(format_module(workload.module()))
-        original = Interpreter(workload.fresh_module(),
+        original = Interpreter(workload.module(),
                                workload.failing_env(1)).run()
         again = Interpreter(reparsed, workload.failing_env(1)).run()
         assert again.failure is not None

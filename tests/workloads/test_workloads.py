@@ -42,7 +42,7 @@ class TestPerWorkload:
         verify_module(workload.module())
 
     def test_failing_env_fails_with_expected_kind(self, workload):
-        result = Interpreter(workload.fresh_module(),
+        result = Interpreter(workload.module(),
                              workload.failing_env(1)).run()
         assert result.failure is not None
         assert result.failure.kind == workload.expected_kind
@@ -50,7 +50,7 @@ class TestPerWorkload:
     def test_failure_reoccurs_across_occurrences(self, workload):
         signatures = []
         for occ in range(1, 5):
-            result = Interpreter(workload.fresh_module(),
+            result = Interpreter(workload.module(),
                                  workload.failing_env(occ)).run()
             assert result.failure is not None
             signatures.append(result.failure)
@@ -58,21 +58,23 @@ class TestPerWorkload:
 
     def test_benign_envs_never_fail(self, workload):
         for seed in range(6):
-            result = Interpreter(workload.fresh_module(),
+            result = Interpreter(workload.module(),
                                  workload.benign_env(seed)).run()
             assert result.failure is None, (seed, result.failure)
 
     def test_benign_runs_do_real_work(self, workload):
-        result = Interpreter(workload.fresh_module(),
+        result = Interpreter(workload.module(),
                              workload.benign_env(0)).run()
         assert result.instr_count > 1000
 
     def test_deterministic_failing_run(self, workload):
-        a = Interpreter(workload.fresh_module(), workload.failing_env(1)).run()
-        b = Interpreter(workload.fresh_module(), workload.failing_env(1)).run()
+        a = Interpreter(workload.module(), workload.failing_env(1)).run()
+        b = Interpreter(workload.module(), workload.failing_env(1)).run()
         assert a.instr_count == b.instr_count
         assert a.failure.point == b.failure.point
 
     def test_module_cached_and_cloned(self, workload):
+        # a built module is never changed, so the old "fresh" copy is
+        # the cached module itself
         assert workload.module() is workload.module()
-        assert workload.fresh_module() is not workload.module()
+        assert workload.fresh_module() is workload.module()
