@@ -19,19 +19,14 @@ Commands
     Batch-reconstruct workloads serially and with a process pool;
     report the speedup and solver-cache hit rates (``repro bench
     --parallel 4 -o BENCH_parallel.json``).
-``cache stats|compact|merge|verify``
-    Maintain a persistent solver-cache store: show its segment layout
-    and droppable-entry counts, seal + compact it in place (``repro
-    cache compact --cache-dir DIR``), union two machines' stores
-    (``repro cache merge A B -o OUT``), or check manifest/segment
-    consistency (``verify`` exits non-zero on a corrupt or
-    inconsistent manifest, zero with warnings for tolerated states
-    like torn tails and orphan files).
+``serve``
+    Fleet-mode reconstruction: simulated production instances per
+    workload, failure reports deduplicated by fault signature, one
+    reconstruction per signature bucket.
 ``stats TELEMETRY.jsonl``
     Render the per-iteration cost breakdown of a recorded run —
     including the coordination-overhead attribution table for parallel
-    runs; ``--openmetrics`` emits the final snapshot in the
-    Prometheus/OpenMetrics text format instead.
+    runs.
 ``trace-export TELEMETRY.jsonl -o trace.json``
     Convert a recorded (possibly merged) event log into Chrome/Perfetto
     trace-event JSON, one track per worker process.
@@ -184,7 +179,6 @@ def cmd_reproduce(args) -> int:
         work_limit=args.work_limit or workload.work_limit,
         max_occurrences=args.max_occurrences or workload.max_occurrences,
         trace_recovery=recovery,
-        cache_dir=args.cache_dir,
         incremental=args.incremental)
     site = ProductionSite(workload.failing_env,
                           trace_after=args.trace_after,
@@ -314,8 +308,7 @@ def cmd_bench(args) -> int:
 
     echo(f"serial baseline over "
          f"{len(names) if names else 'all'} workload(s) ...")
-    serial = run_batch(names, parallel=1, capture_events=capture,
-                       cache_dir=args.cache_dir)
+    serial = run_batch(names, parallel=1, capture_events=capture)
     result, speedup = serial, None
     matrix = []
     for width in widths:
@@ -323,8 +316,7 @@ def cmd_bench(args) -> int:
             leg, leg_speedup = serial, None
         else:
             echo(f"parallel run, {width} worker(s) ...")
-            leg = run_batch(names, parallel=width, capture_events=capture,
-                            cache_dir=args.cache_dir)
+            leg = run_batch(names, parallel=width, capture_events=capture)
             leg_speedup = (serial.wall_seconds / leg.wall_seconds
                            if leg.wall_seconds > 0 else None)
             result, speedup = leg, leg_speedup
@@ -396,8 +388,7 @@ def cmd_bench(args) -> int:
                  f"{cache['misses']} misses "
                  f"({cache['hit_rate']:.1%} incl. "
                  f"{cache['model_probe_hits']} probe, "
-                 f"{cache['subsumption_hits']} subsumption, "
-                 f"{cache['disk_hits']} disk hits)")
+                 f"{cache['subsumption_hits']} superset-model hits)")
         print(line)
         if len(matrix) > 1:
             for leg in matrix:
@@ -422,7 +413,6 @@ def cmd_serve(args) -> int:
         reoccurrence_delay=args.reoccurrence_delay,
         work_limit=args.work_limit,
         max_occurrences=args.max_occurrences,
-        cache_dir=args.cache_dir,
         progress=echo)
     summary = service.run()
 
@@ -490,92 +480,10 @@ def _load_telemetry_log(path) -> Optional[List[Dict]]:
     return events
 
 
-def cmd_cache(args) -> int:
-    from .solver import segments
-
-    if args.cache_command == "stats":
-        stats = segments.store_stats(args.cache_dir)
-        if args.json:
-            print(json.dumps(stats, indent=2))
-            return 0
-        print(f"solver cache at {stats['directory']} "
-              f"(generation {stats['generation']})")
-        rows = [(seg["name"],
-                 "sealed" if seg["sealed"] else "active",
-                 seg["bytes"], seg["entries"])
-                for seg in stats["segments"]]
-        print(render_table(["segment", "state", "bytes", "entries"],
-                           rows, "Segments"))
-        print(f"{stats['total_entries']} entries in "
-              f"{stats['total_bytes']} bytes; compaction would drop "
-              f"{stats['droppable_entries']} "
-              f"({stats['droppable_duplicates']} duplicates, "
-              f"{stats['droppable_subsumed']} subsumed infeasible, "
-              f"{stats['droppable_tombstoned']} tombstoned)")
-        return 0
-
-    if args.cache_command == "compact":
-        manifest, stats = segments.compact_store(args.cache_dir)
-        if args.json:
-            print(json.dumps(stats.to_dict(), indent=2))
-            return 0
-        print(f"compacted {args.cache_dir}: {stats.entries_in} -> "
-              f"{stats.entries_out} entries "
-              f"({stats.bytes_in} -> {stats.bytes_out} bytes, "
-              f"{stats.dropped_duplicates} duplicates, "
-              f"{stats.dropped_subsumed} subsumed, "
-              f"{stats.dropped_tombstoned} tombstoned dropped) "
-              f"in {stats.seconds:.3f}s")
-        return 0
-
-    if args.cache_command == "merge":
-        try:
-            stats = segments.merge_caches(args.source_a, args.source_b,
-                                          args.output,
-                                          compact=args.compact)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(stats, indent=2))
-            return 0
-        print(f"merged {args.source_a} ({stats['entries_a']} entries) "
-              f"+ {args.source_b} ({stats['entries_b']} entries) -> "
-              f"{args.output} ({stats['entries_out']} entries in "
-              f"{stats['segments_out']} segment(s))")
-        return 0
-
-    # verify
-    problems, warnings = segments.verify_store(args.cache_dir)
-    if args.json:
-        print(json.dumps({"problems": problems, "warnings": warnings,
-                          "ok": not problems}, indent=2))
-        return 1 if problems else 0
-    for problem in problems:
-        print(f"problem: {problem}")
-    for warning in warnings:
-        print(f"warning: {warning}")
-    if problems:
-        print(f"{args.cache_dir}: INCONSISTENT "
-              f"({len(problems)} problem(s))")
-        return 1
-    print(f"{args.cache_dir}: ok ({len(warnings)} warning(s))")
-    return 0
-
-
 def cmd_stats(args) -> int:
     events = _load_telemetry_log(args.file)
     if events is None:
         return 2
-    if args.openmetrics:
-        metrics = telemetry.final_snapshot(events)
-        if metrics is None:
-            print(f"error: {args.file} has no metric snapshot to "
-                  "export (log truncated before close?)",
-                  file=sys.stderr)
-            return 2
-        print(telemetry.render_openmetrics(metrics), end="")
-        return 0
     if args.json:
         print(json.dumps({
             "iterations": telemetry.iteration_rows(events),
@@ -639,9 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="FRACTION",
                    help="simulate lost TNT bits (implies "
                         "--trace-recovery; the paper measures 0.085)")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="persistent cross-process solver cache "
-                        "directory (warm-starts later runs)")
     p.add_argument("--incremental", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="assumption-stack incremental solving across "
@@ -681,9 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel", default="1", metavar="N[,M,...]",
                    help="process-pool width(s); a comma list runs the "
                         "whole matrix (e.g. 1,2,4,8)")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="persistent solver cache shared by all workers "
-                        "and runs")
     p.add_argument("--ab-incremental", action="store_true",
                    help="also run the incremental-solving A/B (scratch "
                         "vs assumption stack on the sqlite gap search) "
@@ -719,52 +621,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solver budget per query (the 30s-timeout "
                         "analog)")
     p.add_argument("--max-occurrences", type=int, default=None)
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="persistent solver cache shared by all bucket "
-                        "reconstructions")
     p.add_argument("-o", "--output", default=None, metavar="SERVE.json",
                    help="write the machine-readable serve summary")
     p.add_argument("--json", action="store_true",
                    help="print the serve summary as JSON")
-
-    p = sub.add_parser("cache",
-                       help="maintain a persistent solver-cache store "
-                            "(stats, compact, merge, verify)")
-    cache_sub = p.add_subparsers(dest="cache_command", required=True)
-    for name, leaf_help in (
-            ("stats", "segment layout, sizes, droppable entries"),
-            ("compact", "seal the active segment, then rewrite all "
-                        "sealed segments dropping duplicates, subsumed "
-                        "infeasible sets, and tombstoned entries"),
-            ("verify", "check manifest/segment consistency; exits "
-                       "non-zero on a corrupt or inconsistent "
-                       "manifest")):
-        leaf = cache_sub.add_parser(name, parents=[diag],
-                                    help=leaf_help)
-        leaf.add_argument("--cache-dir", required=True, metavar="DIR",
-                          help="the store's directory (the same value "
-                               "passed to reproduce/bench/serve)")
-        leaf.add_argument("--json", action="store_true",
-                          help="machine-readable JSON output")
-    leaf = cache_sub.add_parser(
-        "merge", parents=[diag],
-        help="union two machines' stores into a fresh one "
-             "(last-writer-wins on conflicting value enumerations: "
-             "the second source wins)")
-    leaf.add_argument("source_a", metavar="CACHE_A",
-                      help="first source store directory")
-    leaf.add_argument("source_b", metavar="CACHE_B",
-                      help="second source store directory (wins "
-                           "conflicts)")
-    leaf.add_argument("-o", "--output", required=True, metavar="OUT",
-                      help="destination directory (must not already "
-                           "hold a store)")
-    leaf.add_argument("--compact", action=argparse.BooleanOptionalAction,
-                      default=True,
-                      help="compact the union after importing "
-                           "(--no-compact keeps the raw union)")
-    leaf.add_argument("--json", action="store_true",
-                      help="machine-readable JSON output")
 
     p = sub.add_parser("stats", parents=[diag],
                        help="per-iteration cost breakdown from a "
@@ -772,9 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", metavar="TELEMETRY.jsonl")
     p.add_argument("--json", action="store_true",
                    help="emit the breakdown as machine-readable JSON")
-    p.add_argument("--openmetrics", action="store_true",
-                   help="emit the final metric snapshot in the "
-                        "Prometheus/OpenMetrics text format")
 
     p = sub.add_parser("trace-export", parents=[diag],
                        help="convert a telemetry JSONL log to Chrome/"
@@ -795,7 +652,6 @@ COMMANDS = {
     "report": cmd_report,
     "bench": cmd_bench,
     "serve": cmd_serve,
-    "cache": cmd_cache,
     "stats": cmd_stats,
     "trace-export": cmd_trace_export,
 }

@@ -119,7 +119,9 @@ class ExecutionReconstructor:
         self.module = module
         self.work_limit = work_limit
         self.max_occurrences = max_occurrences
-        #: persistent cross-process solver-cache directory
+        #: disk solver-cache directory; only the fleet service passes
+        #: one, and it is kept for the layer benchmark's ``fleet``
+        #: workload (``benchmarks/layers/worker.py``)
         self.cache_dir = cache_dir
         #: assumption-stack reuse across sibling gap attempts
         self.incremental = incremental
@@ -161,8 +163,8 @@ class ExecutionReconstructor:
         #: one cache per reconstruction: each iteration's search warm-
         #: starts from the previous iteration's partial model, and the
         #: common constraint prefix hits instead of being re-solved;
-        #: with a cache_dir, a persistent tier shares results across
-        #: reconstructions and processes
+        #: with a cache_dir, a disk tier shares exact results across
+        #: reconstructions
         persistent = None
         if self.cache_dir is not None:
             from ..solver.diskcache import DiskSolverCache

@@ -14,10 +14,10 @@ worker that dies fails the call with a :class:`~repro.errors.ReproError`.
 Every worker runs under its own telemetry registry and ships back a
 picklable :class:`BatchItem` — outcome summary, metric snapshot, and
 (optionally) the structured event stream.  The parent folds every
-snapshot into its own registry (:meth:`Telemetry.absorb`), merges them
-with :func:`repro.telemetry.merge_snapshots` for the batch result, and
-can write a single combined JSONL log (each event tagged with its
-workload) that ``repro stats`` renders like any single-run log.
+snapshot, with :meth:`Telemetry.absorb`, into its own registry and into
+a fresh one whose snapshot is the batch result's, and can write a
+single combined JSONL log (each event tagged with its workload) that
+``repro stats`` renders like any single-run log.
 
 ``parallel=1`` degrades to a plain in-process loop — same code path,
 same reports, no executor — which is also the serial baseline that
@@ -149,9 +149,9 @@ class BatchResult:
 def _solver_cache_stats(counters: Dict) -> Dict[str, float]:
     """Fold every cache-hit tier into one effectiveness summary.
 
-    ``hits`` already includes exact, subsumption, and disk answers (the
-    top-level solver paths bump it alongside the tier counter), but a
-    successful *model probe* is recorded as a miss plus
+    ``hits`` already includes exact, superset-model and disk answers
+    (the top-level solver paths bump it alongside the tier counter), but
+    a successful *model probe* is recorded as a miss plus
     ``model_probe_hits`` — so queries answered without a solver search
     are ``hits + model_probe_hits`` out of ``hits + misses``.  Each
     tier is reported alongside the folded rate.
@@ -169,8 +169,6 @@ def _solver_cache_stats(counters: Dict) -> Dict[str, float]:
         "disk_hits": counters.get("solver.cache.disk_hits", 0),
         "disk_hits_exact":
             counters.get("solver.cache.disk_hits_exact", 0),
-        "disk_hits_subsume":
-            counters.get("solver.cache.disk_hits_subsume", 0),
         "disk_hits_values":
             counters.get("solver.cache.disk_hits_values", 0),
         "hit_rate": round((hits + probes) / total, 4) if total else 0.0,
@@ -213,7 +211,6 @@ def record_queue_wait(registry: telemetry.Telemetry,
 
 
 def _reconstruct_one(name: str, capture_events: bool,
-                     cache_dir: Optional[str] = None,
                      context: Optional[telemetry.TraceContext] = None,
                      submitted: Optional[float] = None) -> BatchItem:
     """Worker body: one workload under a private telemetry registry.
@@ -236,8 +233,7 @@ def _reconstruct_one(name: str, capture_events: bool,
             reconstructor = ExecutionReconstructor(
                 workload.module(),
                 work_limit=workload.work_limit,
-                max_occurrences=workload.max_occurrences,
-                cache_dir=cache_dir)
+                max_occurrences=workload.max_occurrences)
             report = reconstructor.reconstruct(
                 ProductionSite(workload.failing_env))
             item.success = report.success
@@ -263,17 +259,15 @@ def _reconstruct_one(name: str, capture_events: bool,
 
 def run_batch(names: Optional[Sequence[str]] = None, *,
               parallel: int = 1,
-              capture_events: bool = False,
-              cache_dir: Optional[str] = None) -> BatchResult:
+              capture_events: bool = False) -> BatchResult:
     """Reconstruct ``names`` (default: every workload), ``parallel``-wide.
 
     Results come back in input order regardless of completion order.  A
     workload that raises contributes a :class:`BatchItem` with ``error``
     set instead of aborting the batch; a worker process that dies fails
-    the batch with a :class:`~repro.errors.ReproError`.  ``cache_dir``
-    points every worker at one shared persistent solver cache.  Each
-    item's metrics are folded into the caller's registry, at every
-    width.
+    the batch with a :class:`~repro.errors.ReproError`.  Each item's
+    metrics are folded into the caller's registry, at every width, and
+    the same fold of the items alone is the result's ``telemetry``.
     """
     names = list(names) if names is not None else workload_names()
     if parallel < 1:
@@ -284,23 +278,23 @@ def run_batch(names: Optional[Sequence[str]] = None, *,
                   parallel=parallel):
         context = tel.trace_context()
         if parallel == 1 or len(names) <= 1:
-            items = [_reconstruct_one(name, capture_events, cache_dir,
-                                      context)
+            items = [_reconstruct_one(name, capture_events, context)
                      for name in names]
         else:
             submitted = time.time()
             items = fan_out(_reconstruct_one,
-                            [(name, capture_events, cache_dir, context,
-                              submitted) for name in names],
+                            [(name, capture_events, context, submitted)
+                             for name in names],
                             parallel)
     wall = time.perf_counter() - started
-    merged = telemetry.merge_snapshots([item.telemetry for item in items])
+    merged = telemetry.Telemetry()
     for item in items:
+        merged.absorb(item.telemetry)
         tel.absorb(item.telemetry)
     telemetry.count("parallel.batches")
     telemetry.count("parallel.workloads", len(items))
     return BatchResult(items=items, parallelism=parallel,
-                       wall_seconds=wall, telemetry=merged)
+                       wall_seconds=wall, telemetry=merged.snapshot())
 
 
 def write_merged_jsonl(result: BatchResult,

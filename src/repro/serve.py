@@ -374,6 +374,10 @@ class FleetService:
     at a time in creation order.  ``reoccurrence_delay`` is the mean
     wait, in virtual seconds, before an instance's failure reoccurs.
     ``parallel`` is accepted for older callers and ignored.
+    ``cache_dir`` gives every bucket's reconstruction one shared disk
+    solver cache (:class:`~repro.solver.diskcache.DiskSolverCache`); it
+    is kept only because the layer benchmark's ``fleet`` workload
+    (``benchmarks/layers/worker.py``) passes it.
     """
 
     def __init__(self, workloads: Optional[Sequence[str]] = None, *,

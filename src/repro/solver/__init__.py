@@ -1,11 +1,10 @@
 """Bitvector/array constraint solver with explicit work budgets."""
 
-from . import segments, terms
+from . import terms
 from .backend import ReferenceBackend
 from .budget import DEFAULT_WORK_LIMIT, WORK_PER_SECOND, Budget, UnlimitedBudget
 from .cache import SolverCache, ValueEnumeration
 from .diskcache import DiskSolverCache
-from .segments import compact_store, merge_caches, verify_store
 from .evaluator import tv_eval
 from .incremental import AssumptionStack, Retained
 from .model import Model, input_var_name, parse_var_name
@@ -15,10 +14,6 @@ from .terms import (Term, TermSpace, clear_term_cache, deserialize_term,
 
 __all__ = [
     "terms",
-    "segments",
-    "compact_store",
-    "merge_caches",
-    "verify_store",
     "Term",
     "TermSpace",
     "term_scope",

@@ -25,20 +25,17 @@ that redundancy, all sound by construction:
    iterations the reconstructor shares one cache, warm-starting each
    iteration's search from the previous iteration's partial model.
 
-Two further layers extend the session cache across query *shapes* and
-across *processes*:
+Two further layers reach past the exact memo:
 
-4. **Subsumption** — a cached constraint set answers queries it was
-   never asked verbatim: an *infeasible subset* forces the query
-   infeasible (every model of the superset would satisfy the subset),
-   and a *feasible superset with a recorded model* forces the query
-   feasible (that model satisfies every query constraint).  Both
-   directions are sound set logic over normalized keys.
+4. **Superset models** — a small window of recent (constraint set,
+   model) pairs answers ``solve`` for a set or any subset of it: the
+   model satisfies every constraint of the subset.  ``solve`` verifies
+   the model against the live constraints before returning it.
 5. **Persistence** — an optional disk tier
-   (:class:`~repro.solver.diskcache.DiskSolverCache`) keyed on canonical
-   term digests, shared across processes via an append-only locked
-   file.  Batch workers and successive CLI runs warm-start each other
-   through it.
+   (:class:`~repro.solver.diskcache.DiskSolverCache`) answers exact
+   constraint sets, keyed on canonical term digests and shared across
+   processes through one append-only locked file.  Only the fleet
+   service opens one (``FleetService(cache_dir=...)``).
 
 Timeouts are never cached (they are budget-dependent), and enumeration
 results are only cached when complete or limit-truncated — never when
@@ -60,8 +57,7 @@ from .terms import Term, term_digest
 
 __all__ = ["ProvenModel", "SolverCache", "ValueEnumeration"]
 
-#: bounded windows for the in-memory subsumption scans
-_MAX_INFEASIBLE_KEYS = 256
+#: bound of the superset-model window
 _MAX_KEYED_MODELS = 16
 #: term -> digest memo bound (serialization is O(term size); constraint
 #: sets grow monotonically, so each term is digested once per session)
@@ -131,10 +127,7 @@ class SolverCache:
         self._values: "OrderedDict[Tuple, ValueEnumeration]" = OrderedDict()
         #: recent satisfying assignments, newest last
         self._models: Deque[ProvenModel] = deque(maxlen=max_models)
-        #: recent infeasible keys (subset-subsumption scan window)
-        self._infeasible_keys: Deque[FrozenSet[Term]] = deque(
-            maxlen=_MAX_INFEASIBLE_KEYS)
-        #: recent (key, model) pairs (superset-model scan window)
+        #: recent (key, model) pairs (superset-model window)
         self._keyed_models: Deque[Tuple[FrozenSet[Term], Dict[str, int]]] = \
             deque(maxlen=_MAX_KEYED_MODELS)
         #: Term -> canonical digest memo (disk-tier keys)
@@ -185,47 +178,39 @@ class SolverCache:
             self._feasible.move_to_end(key)
         return result
 
-    def lookup_subsumed(self, key: FrozenSet[Term]):
-        """Answer an exact miss by subsumption (memory, then disk).
+    def lookup_subsumed(self, key: FrozenSet[Term]) -> Optional[bool]:
+        """Answer an exact in-memory miss from the disk tier: the stored
+        verdict for exactly ``key``, or ``None``.
 
-        Returns ``(feasible, source)`` with ``source`` one of
-        ``"memory-subsume"``, ``"disk-exact"``, ``"disk-subsume"`` — or
-        ``None``.  No hit/miss accounting beyond the subsumption/disk
-        counters; callers settle ``hits``/``misses`` once they know the
-        final outcome.  A disk model rides back into the probe window so
-        warm starts survive process boundaries.
+        The name is older than exact-only lookups; it stays because the
+        layer benchmark wraps this method by name.  No hit/miss
+        accounting beyond ``disk_hits``; callers settle
+        ``hits``/``misses`` once they know the final outcome.  A disk
+        model rides back into the probe window so warm starts survive
+        process boundaries.
         """
-        for infeasible in reversed(self._infeasible_keys):
-            if infeasible < key:
-                self.subsumption_hits += 1
-                return False, "memory-subsume"
-        for stored_key, model in reversed(self._keyed_models):
-            if stored_key > key:
-                self.subsumption_hits += 1
-                self.record_model(model)
-                return True, "memory-subsume"
-        if self.persistent is not None:
-            found = self.persistent.lookup(self.digest_key(key))
-            if found is not None:
-                feasible, model, kind = found
-                self.disk_hits += 1
-                if kind != "exact":
-                    self.subsumption_hits += 1
-                if model:
-                    self.record_model(model)
-                return feasible, f"disk-{kind}"
-        return None
+        if self.persistent is None:
+            return None
+        found = self.persistent.lookup(self.digest_key(key))
+        if found is None:
+            return None
+        feasible, model = found
+        self.disk_hits += 1
+        if model:
+            self.record_model(model)
+        return feasible
 
     def superset_model(self, key: FrozenSet[Term]):
-        """A model recorded for ``key`` or a superset, if any tier has one.
+        """A model recorded for ``key`` or a superset of it, if any.
 
-        Returns ``(model, source)`` with ``source`` ``"memory"``,
-        ``"disk-exact"``, or ``"disk-subsume"`` — or ``None``.  Sound to
-        *try* for ``solve``: a
-        superset's model satisfies every constraint in the subset.
-        Callers still verify it against the live constraints before
-        returning it, so a stale or corrupt disk tier degrades to a
-        wasted probe, never a wrong model.
+        Returns ``(model, source)``: ``source`` is ``"memory"`` for the
+        superset-model window, which may hold ``key`` or a superset, and
+        ``"disk"`` for the disk tier, which answers ``key`` only.
+        Returns ``None`` when neither has one.  A superset's model
+        satisfies every constraint in the subset, so the model is sound
+        to *try* for ``solve``; callers still verify it against the live
+        constraints before returning it, so a stale or corrupt disk tier
+        degrades to a wasted check, never a wrong model.
         """
         for stored_key, model in reversed(self._keyed_models):
             if stored_key >= key:
@@ -233,10 +218,10 @@ class SolverCache:
         if self.persistent is not None:
             found = self.persistent.lookup(self.digest_key(key))
             if found is not None:
-                feasible, model, kind = found
+                feasible, model = found
                 if feasible and model:
                     self.disk_hits += 1
-                    return dict(model), f"disk-{kind}"
+                    return dict(model), "disk"
         return None
 
     def store_feasible(self, key: FrozenSet[Term], feasible: bool, *,
@@ -245,8 +230,6 @@ class SolverCache:
         self._feasible.move_to_end(key)
         while len(self._feasible) > self.max_entries:
             self._feasible.popitem(last=False)
-        if not feasible:
-            self._infeasible_keys.append(key)
         if write_through and self.persistent is not None:
             self.persistent.store(self.digest_key(key), feasible)
 
@@ -305,10 +288,8 @@ class SolverCache:
         """
         if self.persistent is None:
             return None
-        lookup = getattr(self.persistent, "lookup_values", None)
-        if lookup is None:
-            return None
-        found = lookup(self.digest_key(key), self.term_digest(term), limit)
+        found = self.persistent.lookup_values(
+            self.digest_key(key), self.term_digest(term), limit)
         if found is None:
             return None
         values, complete, reason, witnesses = found
@@ -349,8 +330,8 @@ class SolverCache:
         """Remember a satisfying assignment for probing and warm starts.
 
         When ``key`` (the constraint set the model satisfies) is given,
-        the pair also feeds the superset-model subsumption window and is
-        written through to the disk tier.
+        the pair also feeds the superset-model window and is written
+        through to the disk tier.
         """
         if assignment and assignment not in self._models:
             self._models.append(ProvenModel(assignment))

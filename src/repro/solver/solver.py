@@ -119,17 +119,14 @@ class Solver:
                     # a model cached for this key or a superset of it
                     # satisfies all of these constraints — verified
                     # above, so even a stale/corrupt disk tier cannot
-                    # smuggle in a bad model
-                    cache.subsumption_hits += 1
-                    telemetry.count("solver.cache.subsumption_hits")
-                    if source.startswith("disk"):
+                    # smuggle in a bad model; only the memory window
+                    # answers by subsumption, the disk tier by exact key
+                    if source == "memory":
+                        cache.subsumption_hits += 1
+                        telemetry.count("solver.cache.subsumption_hits")
+                    else:
                         telemetry.count("solver.cache.disk_hits")
-                        if source == "disk-exact":
-                            telemetry.count(
-                                "solver.cache.disk_hits_exact")
-                        else:
-                            telemetry.count(
-                                "solver.cache.disk_hits_subsume")
+                        telemetry.count("solver.cache.disk_hits_exact")
                     if count:
                         cache.hits += 1
                         telemetry.count("solver.cache.hits")
@@ -212,21 +209,14 @@ class Solver:
                 telemetry.event("solver.cache_hit", query="feasible",
                                 tier="exact")
                 return cached
-            subsumed = cache.lookup_subsumed(key)
-            if subsumed is not None:
-                feasible, source = subsumed
+            feasible = cache.lookup_subsumed(key)
+            if feasible is not None:
                 cache.hits += 1
                 telemetry.count("solver.cache.hits")
                 telemetry.event("solver.cache_hit", query="feasible",
-                                tier=source)
-                if source != "disk-exact":
-                    telemetry.count("solver.cache.subsumption_hits")
-                if source.startswith("disk"):
-                    telemetry.count("solver.cache.disk_hits")
-                    if source == "disk-exact":
-                        telemetry.count("solver.cache.disk_hits_exact")
-                    else:
-                        telemetry.count("solver.cache.disk_hits_subsume")
+                                tier="disk")
+                telemetry.count("solver.cache.disk_hits")
+                telemetry.count("solver.cache.disk_hits_exact")
                 cache.store_feasible(key, feasible)  # promote to exact
                 return feasible
             cache.misses += 1

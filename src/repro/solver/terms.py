@@ -597,9 +597,9 @@ def deserialize_term(text: str) -> Term:
 def term_digest(term: Term) -> str:
     """128-bit hex digest of the canonical serialization.
 
-    Disk-cache keys are *sets* of these digests; subsumption reasoning
-    (subset ⇒ infeasible, superset ⇒ model) is sound exactly because the
-    serialization behind the digest is injective.
+    Disk-cache keys are *sets* of these digests; an entry answers only
+    its own set, which is sound exactly because the serialization behind
+    the digest is injective.
     """
     import hashlib
 

@@ -26,12 +26,11 @@ from contextlib import contextmanager
 
 from .context import TraceContext, new_trace_id
 from .metrics import Counter, Gauge, Histogram
-from .openmetrics import parse_openmetrics, render_openmetrics
 from .registry import Span, Telemetry
 from .sinks import (NULL_SINK, JsonlSink, MemorySink, NullSink, Sink,
                     TeeSink, read_jsonl)
-from .stats import (final_snapshot, iteration_rows, merge_snapshots,
-                    overhead_attribution, render_stats)
+from .stats import (final_snapshot, iteration_rows, overhead_attribution,
+                    render_stats)
 from .traceexport import build_trace, validate_trace, write_trace
 
 __all__ = [
@@ -51,14 +50,11 @@ __all__ = [
     "read_jsonl",
     "iteration_rows",
     "final_snapshot",
-    "merge_snapshots",
     "overhead_attribution",
     "render_stats",
     "build_trace",
     "write_trace",
     "validate_trace",
-    "render_openmetrics",
-    "parse_openmetrics",
     "get",
     "set_current",
     "scoped",

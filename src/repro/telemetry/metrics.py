@@ -104,8 +104,7 @@ class Histogram:
         count/sum/min/max merge exactly; the percentile sketch can only
         inherit the aggregate's quantile points (the raw samples stayed
         in the other process), so percentiles after an absorb are
-        approximate — same contract as
-        :func:`repro.telemetry.stats.merge_snapshots`.
+        approximate.
         """
         n = int(agg.get("count", 0))
         if n <= 0:

@@ -283,9 +283,10 @@ class Telemetry:
         Counters sum, gauges keep the max (the only order-independent
         merge), histograms absorb the aggregate (exact count/sum/min/
         max; the percentile sketch inherits the worker's quantile
-        points — approximate, like :func:`~.stats.merge_snapshots`).
-        Parents use this so worker metrics stay visible in their own
-        final snapshot, not just in a side-channel merge.
+        points, so percentiles are approximate).  Parents use this so
+        worker metrics stay visible in their own final snapshot; a
+        batch's merged snapshot is a fresh registry that absorbed every
+        worker's.
         """
         if not snapshot:
             return

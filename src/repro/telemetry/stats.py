@@ -107,48 +107,6 @@ def final_snapshot(events: Sequence[Dict]) -> Optional[Dict]:
     return metrics
 
 
-def merge_snapshots(snapshots: Sequence[Optional[Dict]]) -> Dict:
-    """Merge per-worker metric snapshots into one aggregate snapshot.
-
-    The batch runner gives every worker process its own registry and
-    folds them together afterwards.  Counters sum exactly; gauges are
-    last-write-wins per process, so the merge keeps the max (the only
-    order-independent choice); histograms merge count/sum/min/max
-    exactly, recompute the mean, and count-weight the percentiles
-    (approximate — the underlying samples stay in the workers).
-    """
-    counters: Dict[str, int] = {}
-    gauges: Dict[str, float] = {}
-    histograms: Dict[str, Dict] = {}
-    for snap in snapshots:
-        if not snap:
-            continue
-        for name, value in snap.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + value
-        for name, value in snap.get("gauges", {}).items():
-            gauges[name] = max(gauges.get(name, value), value)
-        for name, h in snap.get("histograms", {}).items():
-            merged = histograms.get(name)
-            if merged is None:
-                histograms[name] = dict(h)
-                continue
-            total = merged["count"] + h["count"]
-            if total:
-                for p in ("p50", "p90", "p99"):
-                    merged[p] = (merged[p] * merged["count"]
-                                 + h[p] * h["count"]) / total
-            merged["count"] = total
-            merged["sum"] += h["sum"]
-            merged["min"] = min(merged["min"], h["min"])
-            merged["max"] = max(merged["max"], h["max"])
-            merged["mean"] = merged["sum"] / total if total else 0.0
-    return {
-        "counters": dict(sorted(counters.items())),
-        "gauges": dict(sorted(gauges.items())),
-        "histograms": dict(sorted(histograms.items())),
-    }
-
-
 def render_stats(events: Sequence[Dict]) -> str:
     """Human-readable per-iteration breakdown + whole-run totals."""
     from ..evaluation.formatting import render_table
@@ -188,7 +146,7 @@ def render_stats(events: Sequence[Dict]) -> str:
             probes = counters.get("solver.cache.model_probe_hits", 0)
             # a successful model probe is counted as a miss plus
             # model_probe_hits, so fold it back into the answered side;
-            # subsumption/disk answers already ride inside `hits`
+            # superset-model and disk answers already ride inside `hits`
             rate = (hits + probes) / (hits + misses)
             line = (f"solver cache: {hits} hits / {misses} misses "
                     f"({rate:.1%} hit rate incl. "
@@ -201,10 +159,10 @@ def render_stats(events: Sequence[Dict]) -> str:
                 tiers = [
                     (name, counters.get(f"solver.cache.disk_hits_{name}",
                                         0))
-                    for name in ("exact", "subsume", "values")]
+                    for name in ("exact", "values")]
                 if any(value for _, value in tiers):
                     # per-tier disk attribution: `disk_hits` alone folds
-                    # exact, subsume, and value-enumeration answers
+                    # exact verdicts and value enumerations
                     line += (" ("
                              + ", ".join(f"{value} {name}"
                                          for name, value in tiers)

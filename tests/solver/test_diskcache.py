@@ -1,11 +1,9 @@
-"""DiskSolverCache: persistence, cross-handle sharing, subsumption.
+"""DiskSolverCache: persistence, cross-handle sharing, exact lookups.
 
-The property tests pin the soundness arguments the subsumption tiers
-rest on: a cached *infeasible subset* may force a query infeasible, a
-cached *superset model* may answer it feasible, and nothing else — in
-particular a poisoned or mismatched cache entry must never be served
-for a different key, and a poisoned *model* must never come back from
-``solve`` (the solver re-verifies models before reuse).
+The property tests pin what the disk tier may serve: an entry answers
+its own digest set and nothing else, so a poisoned or mismatched entry
+is never served for a different key, and a poisoned *model* never
+comes back from ``solve`` (the solver re-verifies models before reuse).
 """
 
 import json
@@ -14,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.solver import (DiskSolverCache, Solver, SolverCache,
                           term_digest)
 from repro.solver import terms as T
+from repro.solver.diskcache import MAX_MODEL_SCAN
 
 
 @pytest.fixture(autouse=True)
@@ -34,42 +34,23 @@ class TestDiskStore:
         first = DiskSolverCache(tmp_path)
         first.store(["d1", "d2"], True, model={"a": 5})
         second = DiskSolverCache(tmp_path)  # fresh handle, same file
-        feasible, model, kind = second.lookup(["d2", "d1"])
-        assert (feasible, model, kind) == (True, {"a": 5}, "exact")
+        assert second.lookup(["d2", "d1"]) == (True, {"a": 5})
 
     def test_refresh_sees_other_writers(self, tmp_path):
         reader = DiskSolverCache(tmp_path)
         writer = DiskSolverCache(tmp_path)
         assert reader.lookup(["x"]) is None
         writer.store(["x"], False)
-        assert reader.lookup(["x"])[:2] == (False, None)
-
-    def test_subset_infeasible_forces_superset(self, tmp_path):
-        cache = DiskSolverCache(tmp_path)
-        cache.store(["d1", "d2"], False)
-        feasible, model, kind = cache.lookup(["d1", "d2", "d3"])
-        assert (feasible, kind) == (False, "subsume")
-
-    def test_superset_model_answers_subset(self, tmp_path):
-        cache = DiskSolverCache(tmp_path)
-        cache.store(["d1", "d2", "d3"], True, model={"a": 1})
-        feasible, model, kind = cache.lookup(["d1", "d3"])
-        assert (feasible, model, kind) == (True, {"a": 1}, "subsume")
+        assert reader.lookup(["x"]) == (False, None)
 
     def test_disjoint_keys_not_served(self, tmp_path):
         # the poisoned-cache property: results keyed on other constraint
-        # sets must not leak to queries they don't subsume
+        # sets must not leak to other queries
         cache = DiskSolverCache(tmp_path)
-        cache.store(["d1", "d2"], False)          # infeasible, not subset
-        cache.store(["d9"], True, model={"a": 1})  # feasible, not superset
+        cache.store(["d1", "d2"], False)
+        cache.store(["d9"], True, model={"a": 1})
         assert cache.lookup(["d1", "d3"]) is None
-        assert cache.lookup(["d2"]) is None or \
-            cache.lookup(["d2"])[2] != "exact"
-
-    def test_infeasible_subset_never_from_feasible(self, tmp_path):
-        cache = DiskSolverCache(tmp_path)
-        cache.store(["d1"], True)
-        assert cache.lookup(["d1", "d2"]) is None
+        assert cache.lookup(["d2"]) is None
 
     def test_corrupt_lines_skipped(self, tmp_path):
         cache = DiskSolverCache(tmp_path)
@@ -80,6 +61,33 @@ class TestDiskStore:
         fresh = DiskSolverCache(tmp_path)
         assert fresh.lookup(["d1"])[0] is True
         assert fresh.lookup(["d2"])[0] is False
+
+    def test_malformed_entries_skipped(self, tmp_path):
+        # a verdict needs a boolean "f": an entry without one (such as
+        # an erase marker some older stores hold) must not read as
+        # infeasible
+        cache = DiskSolverCache(tmp_path)
+        cache.store(["d1"], True)
+        with open(cache.path, "a", encoding="utf-8") as fh:
+            for entry in ({"k": ["d1"], "x": True}, {"k": ["d2"], "x": True},
+                          {"k": ["d3"], "f": 1}, {"k": [], "f": False},
+                          {"k": ["d4"], "f": True, "m": {"a": "x"}}, [1], 7):
+                fh.write(json.dumps(entry) + "\n")
+        fresh = DiskSolverCache(tmp_path)
+        assert fresh.lookup(["d1"]) == (True, None)
+        for key in ("d2", "d3", "d4"):
+            assert fresh.lookup([key]) is None
+        assert len(fresh) == 1
+
+    def test_model_returned_for_newest_entries_only(self, tmp_path):
+        cache = DiskSolverCache(tmp_path)
+        for i in range(MAX_MODEL_SCAN + 1):
+            cache.store([f"k{i}"], True, model={"a": i})
+        for handle in (cache, DiskSolverCache(tmp_path)):
+            assert handle.lookup(["k0"]) == (True, None)
+            assert handle.lookup(["k1"]) == (True, {"a": 1})
+            assert handle.lookup([f"k{MAX_MODEL_SCAN}"]) == \
+                (True, {"a": MAX_MODEL_SCAN})
 
     def test_torn_tail_tolerated(self, tmp_path):
         cache = DiskSolverCache(tmp_path)
@@ -104,22 +112,32 @@ class TestDiskStore:
         assert stats["entries"] == 1 and stats["hits"] == 1
         assert stats["appended"] == 1
 
+    def test_lock_waits_recorded(self, tmp_path):
+        # the "cache lock wait" row of `repro stats` reads this
+        # histogram: one sample per lock taken
+        registry = telemetry.Telemetry()
+        with telemetry.scoped(registry):
+            DiskSolverCache(tmp_path).store(["d1"], True)  # exclusive
+            DiskSolverCache(tmp_path)  # shared, to read the new line
+        waits = registry.snapshot()["histograms"][
+            "solver.diskcache.lock_wait_seconds"]
+        assert waits["count"] == 2
+
     def test_hits_split_per_tier(self, tmp_path):
         # regression: one folded `hits` counter misattributed the
-        # disk tier's answers in `repro stats`; each tier now counts
-        # apart and `hits` stays the backward-compatible sum
+        # disk tier's answers in `repro stats`; verdicts and
+        # enumerations count apart and `hits` is their sum
         cache = DiskSolverCache(tmp_path)
         cache.store(["d1"], False)
         cache.store_values(["d2"], "t", 4, [1], True, None,
                            [{"a": 1}])
-        assert cache.lookup(["d1"])[2] == "exact"
-        assert cache.lookup(["d1", "dx"])[2] == "subsume"
+        assert cache.lookup(["d1"]) == (False, None)
+        assert cache.lookup(["d1", "dx"]) is None
         assert cache.lookup_values(["d2"], "t", 4) is not None
         stats = cache.stats()
         assert stats["hits_exact"] == 1
-        assert stats["hits_subsume"] == 1
         assert stats["hits_values"] == 1
-        assert stats["hits"] == 3 and cache.hits == 3
+        assert stats["hits"] == 2 and cache.hits == 2
 
 
 class TestTwoWriters:
@@ -141,9 +159,8 @@ class TestTwoWriters:
         b = DiskSolverCache(tmp_path)  # offset 0, file empty
         a.store(["k1"], True, model={"x": 1})
         b.store(["k2"], False)  # must index k1 while holding the lock
-        feasible, model, kind = b.lookup(["k1"])
-        assert (feasible, model, kind) == (True, {"x": 1}, "exact")
-        assert a.lookup(["k2"])[:2] == (False, None)
+        assert b.lookup(["k1"]) == (True, {"x": 1})
+        assert a.lookup(["k2"]) == (False, None)
         assert len(self._lines(a)) == 2
 
     def test_interleaved_writers_converge(self, tmp_path):
@@ -154,8 +171,7 @@ class TestTwoWriters:
             writer.store([f"k{i}"], i % 3 != 0)
         for handle in (a, b):
             for i in range(6):
-                feasible, _model, kind = handle.lookup([f"k{i}"])
-                assert (feasible, kind) == (i % 3 != 0, "exact")
+                assert handle.lookup([f"k{i}"]) == (i % 3 != 0, None)
         assert len(self._lines(a)) == 6
         assert a.appended == b.appended == 3
 
@@ -166,7 +182,7 @@ class TestTwoWriters:
         b.store(["dup"], True)  # absorbed under the lock: no second line
         assert b.appended == 0
         assert len(self._lines(a)) == 1
-        assert b.lookup(["dup"])[::2] == (True, "exact")
+        assert b.lookup(["dup"]) == (True, None)
 
 
 class TestTornTailAppend:
@@ -177,8 +193,7 @@ class TestTornTailAppend:
     entry on disk for every other handle — and because the writer's
     read offset could not advance past the fragment, its own entry was
     absorbed locally *and* re-absorbed from disk on a later refresh,
-    duplicating it into the bounded ``_infeasible_sets``/``_models``
-    scan windows and double-counting stats.  The append path now
+    indexing it twice and double-counting stats.  The append path now
     terminates the fragment with a newline first (the entry stays
     parseable on its own) and remembers its own line so the eventual
     re-read of that region skips it.
@@ -196,7 +211,7 @@ class TestTornTailAppend:
         b.store(["k1"], False)  # second writer appends past the tear
         fresh = DiskSolverCache(tmp_path)
         assert fresh.lookup(["k0"])[0] is True
-        assert fresh.lookup(["k1"])[:2] == (False, None)
+        assert fresh.lookup(["k1"]) == (False, None)
         assert fresh.lookup(["torn"]) is None
 
     def test_no_double_indexing_after_refresh(self, tmp_path):
@@ -204,11 +219,10 @@ class TestTornTailAppend:
         a.store(["k0"], False)
         self._torn(a)
         a.store(["k1"], False)
-        assert a.stats()["infeasible_sets"] == 2
-        a.refresh()  # used to re-absorb k1 into the deque
-        a.refresh()
+        assert a.stats()["entries"] == 2
+        assert a.refresh() == 0  # used to re-absorb k1
+        assert a.refresh() == 0
         stats = a.stats()
-        assert stats["infeasible_sets"] == 2
         assert stats["entries"] == 2
         assert a.appended == 2
 
@@ -244,6 +258,23 @@ class TestPersistentTier:
         assert second.assignment == first.assignment
         assert warm.subsumption_hits + warm.disk_hits >= 1
 
+    def test_exact_disk_model_is_not_a_subsumption_hit(self, tmp_path):
+        # regression: solve counted every verified cached model as a
+        # subsumption hit, exact disk answers included
+        cs = [_c("a", 5), _c("b", 7)]
+        digests = sorted(term_digest(c) for c in cs)
+        DiskSolverCache(tmp_path).store(digests, True,
+                                        model={"a": 5, "b": 7})
+        registry = telemetry.Telemetry()
+        cache = SolverCache(persistent=DiskSolverCache(tmp_path))
+        with telemetry.scoped(registry):
+            model = Solver(cache=cache).solve(cs)
+        assert model.assignment == {"a": 5, "b": 7}
+        counters = registry.snapshot()["counters"]
+        assert counters.get("solver.cache.disk_hits_exact") == 1
+        assert counters.get("solver.cache.subsumption_hits", 0) == 0
+        assert cache.subsumption_hits == 0
+
     def test_poisoned_model_not_returned_by_solve(self, tmp_path):
         # a cache file claiming a *wrong* model must not poison solve:
         # the model fails re-verification and the search runs instead
@@ -255,16 +286,6 @@ class TestPersistentTier:
         model = Solver(cache=cache).solve(cs)
         assert model["a"] == 5
 
-    def test_memory_subsumption_subset_infeasible(self):
-        cache = SolverCache()
-        solver = Solver(cache=cache)
-        assert not solver.is_feasible([_c("a", 1), _c("a", 2)])
-        # strict superset answered without a search
-        calls_before = cache.misses
-        assert not solver.is_feasible([_c("a", 1), _c("a", 2), _c("b", 3)])
-        assert cache.subsumption_hits == 1
-        assert cache.misses == calls_before
-
 
 DIGEST = st.sampled_from([f"d{i}" for i in range(8)])
 KEY = st.frozensets(DIGEST, min_size=1, max_size=5)
@@ -273,26 +294,25 @@ KEY = st.frozensets(DIGEST, min_size=1, max_size=5)
 class TestSubsumptionProperties:
     @settings(max_examples=60, deadline=None)
     @given(stored=KEY, query=KEY)
-    def test_infeasible_only_served_for_supersets(self, tmp_path_factory,
-                                                  stored, query):
+    def test_infeasible_served_for_its_own_key_only(self, tmp_path_factory,
+                                                    stored, query):
         cache = DiskSolverCache(tmp_path_factory.mktemp("dc"))
         cache.store(stored, False)
         found = cache.lookup(query)
-        if stored <= query:
-            assert found is not None and found[0] is False
+        if query == stored:
+            assert found == (False, None)
         else:
             assert found is None  # wrong answers never served
 
     @settings(max_examples=60, deadline=None)
     @given(stored=KEY, query=KEY)
-    def test_model_only_served_for_subsets(self, tmp_path_factory,
-                                           stored, query):
+    def test_model_served_for_its_own_key_only(self, tmp_path_factory,
+                                               stored, query):
         cache = DiskSolverCache(tmp_path_factory.mktemp("dc"))
         cache.store(stored, True, model={"a": 1})
         found = cache.lookup(query)
-        if query <= stored:
-            feasible, model, _kind = found
-            assert feasible is True and model == {"a": 1}
+        if query == stored:
+            assert found == (True, {"a": 1})
         else:
             assert found is None
 

@@ -195,7 +195,6 @@ def cache_state(cache, canon):
         "feasible": [(canon.key(k), v) for k, v in cache._feasible.items()],
         "values": [(canon.key(k), list(v), v.complete, v.truncated_reason)
                    for k, v in cache._values.items()],
-        "infeasible": [canon.key(k) for k in cache._infeasible_keys],
         "stats": cache.stats(),
         "models": list(cache._models),
         "keyed_models": [(canon.key(k), m)

@@ -250,19 +250,6 @@ class TestBench:
             with pytest.raises(SystemExit):
                 main(["bench", self.FAST[0], "--parallel", spec])
 
-    def test_bench_cache_dir_warm_start(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        assert main(["bench", self.FAST[0], "--json",
-                     "--cache-dir", str(cache)]) == 0
-        cold = json.loads(capsys.readouterr().out)
-        assert main(["bench", self.FAST[0], "--json",
-                     "--cache-dir", str(cache)]) == 0
-        warm = json.loads(capsys.readouterr().out)
-        assert (cache / "solver-cache.jsonl").exists()
-        assert warm["solver_cache"]["hit_rate"] > \
-            cold["solver_cache"]["hit_rate"]
-
     def test_bench_unknown_workload_fails(self, capsys):
         assert main(["bench", "no-such-workload"]) == 1
         assert "no-such-workload" in capsys.readouterr().out
@@ -365,109 +352,32 @@ class TestLoopFlags:
 
 
 class TestReproduceRecoveryFlags:
-    """`reproduce --cache-dir/--mapping-loss` end to end."""
+    """`reproduce --mapping-loss` end to end."""
 
     def test_mapping_loss(self, capsys):
         assert main(["reproduce", "objdump-2018-6323",
                      "--mapping-loss", "0.085"]) == 0
         assert "succeeded" in capsys.readouterr().out
 
-    def test_cache_dir_second_run_hits(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        args = ["reproduce", "objdump-2018-6323", "--json",
-                "--cache-dir", str(cache)]
-        assert main(args) == 0
-        cold = json.loads(capsys.readouterr().out)
-        assert main(args) == 0
-        warm = json.loads(capsys.readouterr().out)
 
-        def rate(report):
-            counters = report["telemetry"]["counters"]
-            hits = counters.get("solver.cache.hits", 0)
-            misses = counters.get("solver.cache.misses", 0)
-            return hits / max(1, hits + misses)
+class TestRemovedSurfaces:
+    """The disk cache has no command-line surface, and `stats` no
+    OpenMetrics export: each old spelling is an argparse error."""
 
-        assert (cache / "solver-cache.jsonl").exists()
-        assert rate(warm) > rate(cold)
-        assert warm["telemetry"]["counters"].get(
-            "solver.cache.disk_hits", 0) >= 1
-
-
-class TestCacheCommand:
-    """`repro cache stats|compact|merge|verify` against real stores."""
-
-    def _store(self, path, keys, feasible=False):
-        from repro.solver import DiskSolverCache
-        cache = DiskSolverCache(path)
-        for key in keys:
-            cache.store(key, feasible)
-        return cache
-
-    def test_stats_table(self, capsys, tmp_path):
-        self._store(tmp_path / "c", [["d1"], ["d2"]])
-        assert main(["cache", "stats", "--cache-dir",
-                     str(tmp_path / "c")]) == 0
-        out = capsys.readouterr().out
-        assert "Segments" in out and "2 entries" in out
-
-    def test_compact_drops_merged_duplicates(self, capsys, tmp_path):
-        keys = [[f"d{i}"] for i in range(10)]
-        self._store(tmp_path / "a", keys)
-        self._store(tmp_path / "b", keys)
-        assert main(["cache", "merge", str(tmp_path / "a"),
-                     str(tmp_path / "b"), "-o", str(tmp_path / "out"),
-                     "--no-compact", "--json"]) == 0
-        merged = json.loads(capsys.readouterr().out)
-        assert merged["entries_out"] == 20
-        assert main(["cache", "compact", "--cache-dir",
-                     str(tmp_path / "out"), "--json"]) == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["entries_in"] == 20 and stats["entries_out"] == 10
-        assert stats["bytes_out"] < stats["bytes_in"]
-
-    def test_merged_store_serves_both_sources(self, capsys, tmp_path):
-        from repro.solver import DiskSolverCache
-        self._store(tmp_path / "a", [["d1"]])
-        self._store(tmp_path / "b", [["d2"]])
-        assert main(["cache", "merge", str(tmp_path / "a"),
-                     str(tmp_path / "b"), "-o",
-                     str(tmp_path / "out")]) == 0
-        merged = DiskSolverCache(tmp_path / "out")
-        assert merged.lookup(["d1"])[0] is False
-        assert merged.lookup(["d2"])[0] is False
-
-    def test_merge_into_nonempty_store_fails(self, capsys, tmp_path):
-        self._store(tmp_path / "a", [["d1"]])
-        self._store(tmp_path / "b", [["d2"]])
-        self._store(tmp_path / "out", [["d3"]])
-        assert main(["cache", "merge", str(tmp_path / "a"),
-                     str(tmp_path / "b"), "-o",
-                     str(tmp_path / "out")]) == 2
-        assert "already holds" in capsys.readouterr().err
-
-    def test_verify_ok(self, capsys, tmp_path):
-        self._store(tmp_path / "c", [["d1"]])
-        assert main(["cache", "verify", "--cache-dir",
-                     str(tmp_path / "c")]) == 0
-        assert "ok" in capsys.readouterr().out
-
-    def test_verify_corrupt_manifest_nonzero(self, capsys, tmp_path):
-        self._store(tmp_path / "c", [["d1"]])
-        (tmp_path / "c" / "solver-cache.manifest.json").write_text(
-            "{broken")
-        assert main(["cache", "verify", "--cache-dir",
-                     str(tmp_path / "c")]) == 1
-        assert "INCONSISTENT" in capsys.readouterr().out
-
-    def test_verify_json_reports_problems(self, capsys, tmp_path):
-        self._store(tmp_path / "c", [["d1"]])
-        (tmp_path / "c" / "solver-cache.manifest.json").write_text(
-            json.dumps({"version": 99}))
-        assert main(["cache", "verify", "--cache-dir",
-                     str(tmp_path / "c"), "--json"]) == 1
-        report = json.loads(capsys.readouterr().out)
-        assert report["ok"] is False and report["problems"]
+    @pytest.mark.parametrize("argv", [
+        ["cache", "stats", "--cache-dir", "d"],
+        ["reproduce", "bash-108885", "--cache-dir", "d"],
+        ["bench", "bash-108885", "--cache-dir", "d"],
+        ["serve", "bash-108885", "--cache-dir", "d"],
+        ["stats", "LOG", "--openmetrics"],
+    ])
+    def test_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error:" in err.splitlines()[-1]
 
 
 class TestEirFixture:

@@ -6,8 +6,8 @@ Every literal name passed to ``telemetry.span(...)``, ``count(...)``,
 match the ``layer.verb`` convention: lowercase dotted segments of
 ``[a-z0-9_]``, at least two segments deep (``solver.cache.hits``,
 ``parallel.queue_wait_seconds``).  A flat name renders unusably in
-``repro stats`` groupings and breaks the OpenMetrics prefix mapping,
-so the convention is enforced here rather than in review.
+``repro stats`` groupings, so the convention is enforced here rather
+than in review.
 """
 
 import ast

@@ -158,11 +158,20 @@ class TestRunBatch:
         wait = result.overhead["parallel.queue_wait_seconds"]
         assert wait["count"] == len(FAST) and wait["total_s"] >= 0
 
-    def test_cache_dir_shared_across_batch_runs(self, tmp_path):
-        cold = run_batch(FAST[:1], parallel=1, cache_dir=str(tmp_path))
-        warm = run_batch(FAST[:1], parallel=1, cache_dir=str(tmp_path))
-        assert cold.succeeded == warm.succeeded == 1
-        assert (tmp_path / "solver-cache.jsonl").exists()
+    def test_result_telemetry_matches_callers_fold(self):
+        # the batch's merged snapshot and the caller's registry fold the
+        # items the same way, so `bench --telemetry` and
+        # `--merged-telemetry` agree on every histogram, percentiles too
+        registry = telemetry.Telemetry()
+        with telemetry.scoped(registry):
+            result = run_batch(FAST, parallel=1)
+        callers = registry.snapshot()
+        histograms = result.telemetry["histograms"]
+        assert "solver.work_per_query" in histograms
+        for name, merged in histograms.items():
+            assert callers["histograms"][name] == merged, name
+        for name, value in result.telemetry["counters"].items():
+            assert callers["counters"][name] == value, name
 
 
 class TestMergedJsonl:
@@ -267,8 +276,7 @@ class TestMergeUnderSkewAndDuplicates:
         result = BatchResult(
             items=[BatchItem(workload=f"w{i}", events=sink.events)
                    for i, sink in enumerate(sinks)],
-            parallelism=2, wall_seconds=0.1,
-            telemetry=telemetry.merge_snapshots(snaps))
+            parallelism=2, wall_seconds=0.1, telemetry=_fold(snaps))
         path = tmp_path / "merged.jsonl"
         write_merged_jsonl(result, path)
         events = telemetry.read_jsonl(path)
@@ -325,9 +333,18 @@ class TestSolverCacheStats:
         assert stats["hit_rate"] == 0.0
 
 
+def _fold(snapshots):
+    """Merge snapshots as ``run_batch`` does: one fresh registry absorbs
+    them all."""
+    merged = telemetry.Telemetry()
+    for snapshot in snapshots:
+        merged.absorb(snapshot)
+    return merged.snapshot()
+
+
 class TestMergeSnapshots:
     def test_counters_sum(self):
-        merged = telemetry.merge_snapshots([
+        merged = _fold([
             {"counters": {"x": 1}, "gauges": {}, "histograms": {}},
             {"counters": {"x": 2, "y": 5}, "gauges": {}, "histograms": {}},
             None,
@@ -335,7 +352,7 @@ class TestMergeSnapshots:
         assert merged["counters"] == {"x": 3, "y": 5}
 
     def test_gauges_keep_max(self):
-        merged = telemetry.merge_snapshots([
+        merged = _fold([
             {"counters": {}, "gauges": {"g": 3}, "histograms": {}},
             {"counters": {}, "gauges": {"g": 7}, "histograms": {}},
         ])
@@ -346,7 +363,7 @@ class TestMergeSnapshots:
               "mean": 5.0, "p50": 5.0, "p90": 9.0, "p99": 9.0}
         h2 = {"count": 2, "sum": 6.0, "min": 2.0, "max": 4.0,
               "mean": 3.0, "p50": 3.0, "p90": 4.0, "p99": 4.0}
-        merged = telemetry.merge_snapshots([
+        merged = _fold([
             {"counters": {}, "gauges": {}, "histograms": {"h": h1}},
             {"counters": {}, "gauges": {}, "histograms": {"h": h2}},
         ])["histograms"]["h"]
@@ -356,5 +373,5 @@ class TestMergeSnapshots:
         assert merged["mean"] == 4.0
 
     def test_empty_input(self):
-        merged = telemetry.merge_snapshots([])
+        merged = _fold([])
         assert merged == {"counters": {}, "gauges": {}, "histograms": {}}

@@ -237,6 +237,29 @@ class TestFleetService:
         assert len(summary.buckets) == 2
         assert "parallel" not in summary.to_dict()
 
+    def test_warm_cache_dir_reconstructs_the_same(self, tmp_path):
+        # FleetService(cache_dir=) is the one way into the disk tier: a
+        # cold and a warm pass must reconstruct what the service does
+        # without one, and the warm pass must read the store
+        names = [WORKLOAD, "bash-108885"]
+
+        def observed(**kwargs):
+            registry = telemetry.Telemetry()
+            with telemetry.scoped(registry):
+                summary = FleetService(names, instances=2, **kwargs).run()
+            assert summary.succeeded
+            return ([(b.workload, b.streams, b.iterations)
+                     for b in summary.buckets],
+                    registry.snapshot()["counters"])
+
+        plain, _ = observed()
+        cold, _ = observed(cache_dir=str(tmp_path))
+        warm, counters = observed(cache_dir=str(tmp_path))
+        assert cold == plain and warm == plain
+        assert counters.get("solver.cache.disk_hits_exact", 0) > 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == \
+            ["solver-cache.jsonl", "solver-cache.lock"]
+
     def test_summary_shape(self):
         summary = FleetService([WORKLOAD], instances=2).run()
         data = summary.to_dict()
