@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..ir.module import Module
-from ..ir.types import int_le
 from .failures import FailureKind, MemoryFault
 
 NULL_PAGE_END = 0x1000
@@ -46,9 +45,6 @@ class MemoryObject:
     def end(self) -> int:
         return self.base + self.size
 
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.end
-
 
 def _align(value: int) -> int:
     return ((value + _GUARD + _ALIGN - 1) & ~(_ALIGN - 1))
@@ -64,6 +60,9 @@ class Memory:
         self._next_heap = HEAP_BASE
         self._next_global = GLOBAL_BASE
         self.global_addrs: Dict[str, int] = {}
+        #: access site -> the object that site's last checked access hit;
+        #: only the interpreter's generated runs read and write it
+        self.sites: Dict[int, MemoryObject] = {}
         if module is not None:
             self.load_globals(module)
 
@@ -117,8 +116,8 @@ class Memory:
         idx = bisect.bisect_right(self._bases, addr) - 1
         if idx < 0:
             return None
-        obj = self._objects[self._bases[idx]]
-        return obj if obj.contains(addr) else None
+        obj = self._objects[self._bases[idx]]  # base <= addr
+        return obj if addr < obj.base + obj.size else None
 
     def check_access(self, addr: int, size: int) -> MemoryObject:
         """Classify and validate an access; raises MemoryFault on traps."""
@@ -131,7 +130,7 @@ class Memory:
         if not obj.live:
             raise MemoryFault(FailureKind.USE_AFTER_FREE, addr,
                               f"object {obj.name}")
-        if addr + size > obj.end:
+        if addr + size > obj.base + obj.size:
             raise MemoryFault(FailureKind.OUT_OF_BOUNDS, addr,
                               f"{size}-byte access past end of {obj.name}")
         return obj
@@ -141,7 +140,7 @@ class Memory:
     def load(self, addr: int, size: int) -> int:
         obj = self.check_access(addr, size)
         off = addr - obj.base
-        return int_le(bytes(obj.data[off:off + size]))
+        return int.from_bytes(obj.data[off:off + size], "little")
 
     def store(self, addr: int, value: int, size: int) -> None:
         obj = self.check_access(addr, size)

@@ -498,6 +498,111 @@ def test_division_by_zero_right_after_a_run():
     assert (failure.point.block, failure.point.index) == ("run", 3)
 
 
+#: faults an instruction of a run can make: ``%z`` is 0 and ``%e`` is 6
+#: bytes into an 8-byte global
+RUN_FAULTS = {
+    "null-deref": (lambda f: f.load("%z", 8), "NULL_DEREF"),
+    "wild": (lambda f: f.store(0x5000_0000, "%n", 8), "OUT_OF_BOUNDS"),
+    "overrun": (lambda f: f.store("%e", "%n", 4), "OUT_OF_BOUNDS"),
+    "div-by-zero": (lambda f: f.udiv("%n", "%z", dest="%q"),
+                    "DIV_BY_ZERO"),
+}
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+@pytest.mark.parametrize("fault", sorted(RUN_FAULTS))
+def test_fault_at_each_position_of_a_run(fault, position):
+    """Block ``run`` is one fused run of five instructions and a jmp;
+    instruction ``position`` faults and the others write the global
+    through ``%e`` and ``%z`` and add to ``%n``, so a fault past the
+    first position uses registers the run has already read, right after
+    an ``add`` that must not run twice.  The instructions before the
+    fault retire (the five of ``entry`` too), the fault is reported at
+    its own point, and nothing after it happens."""
+    emit, kind = RUN_FAULTS[fault]
+    b = ModuleBuilder("faults")
+    b.global_("G", 8)
+    f = b.function("main", [])
+    f.block("entry")
+    f.input("stdin", 1, dest="%z")
+    f.const(0, dest="%n")
+    f.global_addr("G", dest="%g")
+    f.gep("%g", 6, dest="%e")
+    f.jmp("run")
+    f.block("run")
+    for index in range(5):
+        if index == position:
+            emit(f)
+        elif index % 2:
+            f.add("%n", 1, dest="%n")
+        else:
+            f.store("%e", "%z", 1)
+    f.jmp("after")
+    f.block("after")
+    f.output("out", "%n", 8)
+    f.ret(0)
+    module = b.build()
+    instrs = module.functions["main"].blocks["run"].instrs
+    assert _straight_runs(instrs) == [(0, 6)]
+    observed = assert_same(module, lambda: Environment({"stdin": b"\x00"}))
+    failure = observed["outcome"][0]
+    assert failure.kind.name == kind
+    assert (failure.point.block, failure.point.index) == ("run", position)
+    assert observed["tracer"][-1] == ("end", 5 + position)
+
+
+def test_freed_heap_object_leaves_its_site():
+    """The loop's first pass caches the heap object at the load's site;
+    the ``free`` after the run kills it, so the second pass's load is a
+    use-after-free.  Taking the cached object without its ``live`` flag
+    reads the dead bytes and ends in a double free instead."""
+    b = ModuleBuilder("heap")
+    f = b.function("main", [])
+    f.block("entry")
+    f.malloc(16, dest="%p")
+    f.const(0, dest="%i")
+    f.jmp("loop")
+    f.block("loop")
+    f.load("%p", 8, dest="%v")
+    f.add("%v", 1, dest="%i")
+    f.store("%p", "%i", 8)
+    f.free("%p")
+    f.jmp("loop")
+    module = b.build()
+    assert _straight_runs(module.functions["main"].blocks["loop"].instrs) \
+        == [(0, 3)]
+    failure = assert_same(module, lambda: Environment({}))["outcome"][0]
+    assert failure.kind.name == "USE_AFTER_FREE"
+    assert (failure.point.block, failure.point.index) == ("loop", 0)
+
+
+def test_returned_frame_object_leaves_its_site():
+    """``touch`` first runs on a live stack object of ``holder``, which
+    its sites cache; ``holder`` returns, and the second ``touch`` of the
+    same address must be a use-after-free."""
+    b = ModuleBuilder("stack")
+    touch = b.function("touch", ["p"])
+    touch.block("entry")
+    touch.load("%p", 8, dest="%v")
+    touch.add("%v", 1, dest="%w")
+    touch.store("%p", "%w", 8)
+    touch.ret("%w")
+    holder = b.function("holder", [])
+    holder.block("entry")
+    holder.alloca("buf", 8, dest="%b")
+    holder.call("touch", ["%b"])
+    holder.ret("%b")
+    m = b.function("main", [])
+    m.block("entry")
+    m.call("holder", [], dest="%p")
+    m.call("touch", ["%p"])
+    m.ret(0)
+    failure = assert_same(b.build(), lambda: Environment({}))["outcome"][0]
+    assert failure.kind.name == "USE_AFTER_FREE"
+    assert failure.call_stack == ("main", "touch")
+    assert (failure.point.block, failure.point.index) == ("entry", 0)
+
+
 def _looping_threads():
     """Two threads run a loop whose body is one six-instruction fused
     run, so every chunk edge of a small quantum lands inside a run."""
@@ -542,36 +647,59 @@ def test_max_steps_cut_inside_runs_identical(hang_as_failure):
 
 _PURE_BINOPS = ["add", "sub", "mul", "and", "or", "xor", "shl", "lshr",
                 "ashr"]
+_DIVISIONS = ["udiv", "sdiv", "urem", "srem"]
 _CMPS = ["eq", "ne", "ult", "ule", "ugt", "uge", "slt", "sle", "sgt", "sge"]
+_SIZES = [1, 2, 4, 8]
 
 
 @st.composite
 def straight_line_programs(draw):
     """Two 64-bit inputs, then one long block of every fusible kind of
     instruction at every width, over registers and immediates (negative
-    and wider than 64 bits too), closed by a branch."""
+    and wider than 64 bits too), closed by a branch.  Accesses go to a
+    16-byte global at offsets that sometimes overrun it, and divisors may
+    be zero, so some runs fault part-way."""
     imm = st.one_of(st.integers(-5, 5), st.integers(-(1 << 70), 1 << 70),
                     st.sampled_from([0x7F, 0x80, 0xFF, 0x8000, 1 << 63,
                                      (1 << 64) - 1]))
     b = ModuleBuilder("straight")
-    b.global_("G", 8)
+    b.global_("G", 16)
     f = b.function("main", [])
     f.block("entry")
     regs = [f.input("stdin", 8, dest="%a"), f.input("stdin", 8, dest="%b")]
+    f.global_addr("G", dest="%g")
     f.jmp("run")
     f.block("run")
 
     def operand():
         return draw(st.one_of(st.sampled_from(regs), imm))
 
+    def address():
+        return f.gep("%g", draw(st.integers(0, 9)))
+
     for i in range(draw(st.integers(1, 12))):
         dest = draw(st.sampled_from(regs + [f"%r{i}"]))
         width = draw(st.sampled_from([1, 8, 16, 32, 64]))
-        kind = draw(st.sampled_from(["binop", "cmp", "trunc", "sext",
-                                     "gep", "const", "global"]))
+        kind = draw(st.sampled_from(["binop", "div", "cmp", "trunc", "sext",
+                                     "gep", "const", "global", "load",
+                                     "store", "input", "ptwrite"]))
+        if kind in ("store", "ptwrite"):  # no destination
+            if kind == "store":
+                f.store(address(), operand(), draw(st.sampled_from(_SIZES)))
+            else:
+                f.ptwrite(operand(), i)  # tags are unique
+            continue
         if kind == "binop":
             f.binop(draw(st.sampled_from(_PURE_BINOPS)), operand(),
                     operand(), width=width, dest=dest)
+        elif kind == "div":
+            f.binop(draw(st.sampled_from(_DIVISIONS)), operand(),
+                    operand(), width=width, dest=dest)
+        elif kind == "load":
+            f.load(address(), draw(st.sampled_from(_SIZES)), dest=dest)
+        elif kind == "input":
+            f.input(draw(st.sampled_from(["stdin", "clock"])),
+                    draw(st.sampled_from(_SIZES)), dest=dest)
         elif kind == "cmp":
             f.cmp(draw(st.sampled_from(_CMPS)), operand(), operand(),
                   width=width, dest=dest)
@@ -597,7 +725,7 @@ def straight_line_programs(draw):
 
 
 @settings(**_SETTINGS)
-@given(straight_line_programs(), st.binary(min_size=16, max_size=16))
+@given(straight_line_programs(), st.binary(min_size=16, max_size=40))
 def test_straight_line_programs_identical(module, data):
     assert_same(module, lambda: Environment({"stdin": data}))
 
@@ -612,9 +740,12 @@ _VALUES = [0, 3, 0x7F, 0x80FF, 0x8000_0001, 1 << 63, (1 << 64) - 1,
 def _every_fusible_op():
     """One block that applies every fusible instruction at every width
     to registers and immediates, then outputs every result: a single
-    fused run of about 1,100 instructions."""
+    fused run of about 1,300 instructions.  Loads and stores of every
+    size on a global, inputs of every size and ``ptwrite``s come before
+    the divisions by ``%b`` at every width, so a ``%b`` that is zero at
+    some width ends the run part-way."""
     b = ModuleBuilder("ops")
-    b.global_("G", 8)
+    b.global_("G", 16)
     f = b.function("main", [])
     f.block("entry")
     f.input("stdin", 8, dest="%a")
@@ -635,7 +766,21 @@ def _every_fusible_op():
             results += [f.trunc(value, width), f.sext(value, width)]
     for scale in [1, 8, -4, 1 << 65]:
         results += [f.gep("%a", "%b", scale), f.gep("%a", 7, scale)]
-    results += [f.global_addr("G"), f.const(-2)]
+    g = f.global_addr("G")
+    results += [g, f.const(-2)]
+    for size in _SIZES:
+        for value in ["%a"] + _IMMEDIATES:
+            f.store(g, value, size)
+            results.append(f.load(g, size))
+        results.append(f.load(f.gep(g, 3), size))
+    for stream in ("stdin", "clock"):
+        results += [f.input(stream, size) for size in _SIZES]
+    for tag, value in enumerate(["%a", results[-1], 0x81]):
+        f.ptwrite(value, tag)
+    for width in (1, 8, 16, 32, 64):
+        for op in _DIVISIONS:
+            results += [f.binop(op, lhs, "%b", width=width)
+                        for lhs in ["%a"] + _IMMEDIATES]
     f.br("%a", "out", "out")
     f.block("out")
     for reg in results:
@@ -650,21 +795,19 @@ def test_every_fusible_op_identical():
     assert _straight_runs(run) == [(0, len(run))]
     for a in _VALUES:
         for b in _VALUES:
-            data = a.to_bytes(8, "little") + b.to_bytes(8, "little")
+            data = (a.to_bytes(8, "little") + b.to_bytes(8, "little")
+                    + bytes(range(0x80, 0x8F)))
             assert_same(module, lambda: Environment({"stdin": data},
                                                     quantum=10_000))
 
 
-#: register names, labels and global names that would break, or run
-#: code in, source text they were spliced into
+#: register names, labels, global and stream names that would break,
+#: or run code in, source text they were spliced into
 _HOSTILE = ['%a"]; raise SystemExit  # ', "%b\n    return 0", "%{c}",
-            "%d' + __import__('os').sep + '"]
+            "%d' + __import__('os').sep + '", "e', 1), 'little'"]
 
 
-def test_generated_runs_bind_names_never_splice_them():
-    """Register names, labels and global names reach a fused run as
-    bound values: the generated code holds only integer literals and
-    fixed names, and it runs hostile names like any others."""
+def _hostile_module():
     b = ModuleBuilder("hostile")
     b.global_(_HOSTILE[3][1:], 8)
     f = b.function("main", [])
@@ -674,15 +817,25 @@ def test_generated_runs_bind_names_never_splice_them():
     f.block(_HOSTILE[1])
     f.add(_HOSTILE[0], 1, dest=_HOSTILE[1])
     f.global_addr(_HOSTILE[3][1:], dest=_HOSTILE[2])
+    f.store(_HOSTILE[2], _HOSTILE[1], 2)
+    f.input(_HOSTILE[4], 2, dest=_HOSTILE[0])
     f.br(f.cmp("ugt", _HOSTILE[1], 3, dest=_HOSTILE[3]), _HOSTILE[2],
          _HOSTILE[0])
     f.block(_HOSTILE[2])
-    f.output("out", _HOSTILE[2], 8)
+    f.output("out", f.load(_HOSTILE[2], 8), 8)
     f.ret(_HOSTILE[1])
-    module = b.build()
-    assert_same(module, lambda: Environment({"stdin": b"\x07"}))
+    return b.build()
+
+
+def test_generated_runs_bind_names_never_splice_them():
+    """Register names, labels, global and stream names reach a fused run
+    as bound values: the generated code holds only integer literals and
+    fixed names, and it runs hostile names like any others."""
+    module = _hostile_module()
+    assert_same(module, lambda: Environment({"stdin": b"\x07",
+                                             _HOSTILE[4]: b"\x01\x02"}))
     instrs = module.functions["main"].blocks[_HOSTILE[1]].instrs
-    assert _straight_runs(instrs) == [(0, 4)]
+    assert _straight_runs(instrs) == [(0, 6)]
     run = _fused_run(instrs)
     code = run.__code__
     assert all(isinstance(value, int) or value is None
@@ -691,4 +844,16 @@ def test_generated_runs_bind_names_never_splice_them():
     assert all(name.isidentifier() and name.isascii() for name in names)
     assert set(run.__closure__[i].cell_contents
                for i in range(len(code.co_freevars))) \
-        >= set(_HOSTILE[:3]) | {_HOSTILE[3][1:]}
+        >= set(_HOSTILE[:3]) | {_HOSTILE[3][1:], _HOSTILE[4]}
+
+
+def test_rebuilt_runs_share_code_not_sites():
+    """Generating a run again compiles nothing: both functions run one
+    code object, and only their access-site keys differ."""
+    instrs = _hostile_module().functions["main"].blocks[_HOSTILE[1]].instrs
+    first, second = _fused_run(instrs), _fused_run(instrs)
+    assert first.__code__ is second.__code__
+    cells = [[cell.cell_contents for cell in run.__closure__]
+             for run in (first, second)]
+    differ = [a != b for a, b in zip(*cells)]
+    assert differ.count(True) == 1  # the store's site
