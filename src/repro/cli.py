@@ -47,7 +47,7 @@ import json
 import logging
 import pathlib
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import telemetry
 from .core import ExecutionReconstructor, ProductionSite
@@ -65,20 +65,23 @@ from .workloads import all_workloads, get_workload
 logger = logging.getLogger(__name__)
 
 
-def _parse_streams(pairs: List[str]) -> Dict[str, bytes]:
-    streams: Dict[str, bytes] = {}
-    for pair in pairs or ():
-        name, _, value = pair.partition("=")
-        if not name or not value:
-            raise SystemExit(f"bad --stream {pair!r}: want name=hex or "
-                             "name=@file")
+def _stream(spec: str) -> Tuple[str, bytes]:
+    """One ``--stream NAME=HEX|NAME=@FILE|NAME=text:STR`` as
+    ``(name, contents)``."""
+    name, _, value = spec.partition("=")
+    if not name or not value:
+        raise argparse.ArgumentTypeError(
+            f"bad --stream {spec!r}: want name=hex, name=@file or "
+            "name=text:str")
+    try:
         if value.startswith("@"):
-            streams[name] = pathlib.Path(value[1:]).read_bytes()
-        elif value.startswith("text:"):
-            streams[name] = value[len("text:"):].encode() + b"\x00"
-        else:
-            streams[name] = bytes.fromhex(value)
-    return streams
+            return name, pathlib.Path(value[1:]).read_bytes()
+        if value.startswith("text:"):
+            return name, value[len("text:"):].encode() + b"\x00"
+        return name, bytes.fromhex(value)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"bad --stream {spec!r}: {exc}") \
+            from None
 
 
 def _load_module(path: str):
@@ -214,7 +217,7 @@ def cmd_reproduce(args) -> int:
 
 def cmd_run(args) -> int:
     module = _load_module(args.file)
-    env = Environment(_parse_streams(args.stream), quantum=args.quantum)
+    env = Environment(dict(args.stream), quantum=args.quantum)
     result = Interpreter(module, env).run()
     for stream, data in sorted(result.outputs.items()):
         print(f"output {stream!r}: {data.hex()} ({data!r})")
@@ -230,7 +233,7 @@ def cmd_run(args) -> int:
 
 def cmd_trace(args) -> int:
     module = _load_module(args.file)
-    env = Environment(_parse_streams(args.stream), quantum=args.quantum)
+    env = Environment(dict(args.stream), quantum=args.quantum)
     encoder = PTEncoder(RingBuffer())
     result = Interpreter(module, env, tracer=encoder).run()
     trace = decode(encoder.buffer)
@@ -262,15 +265,15 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _parse_pool_widths(spec: str) -> List[int]:
+def _pool_widths(spec: str) -> List[int]:
     """``--parallel`` accepts one width ("4") or a matrix ("1,2,4,8")."""
     try:
-        widths = [int(part) for part in str(spec).split(",")
-                  if part.strip()]
+        widths = [int(part) for part in spec.split(",") if part.strip()]
     except ValueError:
-        raise SystemExit(f"bad --parallel {spec!r}: want N or N,M,...")
-    if not widths or any(w < 1 for w in widths):
-        raise SystemExit(f"bad --parallel {spec!r}: widths must be >= 1")
+        widths = []
+    if not widths or min(widths) < 1:
+        raise argparse.ArgumentTypeError(
+            f"want N or N,M,... with every width >= 1, got {spec!r}")
     return widths
 
 
@@ -300,7 +303,7 @@ def cmd_bench(args) -> int:
     from .parallel import run_batch, write_merged_jsonl
 
     names = args.workload or None
-    widths = _parse_pool_widths(args.parallel)
+    widths = args.parallel
     # a live trace needs the workers' event streams shipped back too
     capture = bool(args.merged_telemetry
                    or getattr(args, "trace_out", None))
@@ -561,6 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=fn_help, parents=[diag])
         p.add_argument("file")
         p.add_argument("--stream", action="append", default=[],
+                       type=_stream,
                        metavar="NAME=HEX|NAME=@FILE|NAME=text:STR",
                        help="environment stream contents")
         p.add_argument("--quantum", type=int, default=50)
@@ -583,7 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "parallel, and report the speedup")
     p.add_argument("workload", nargs="*",
                    help="workload names (default: all)")
-    p.add_argument("--parallel", default="1", metavar="N[,M,...]",
+    p.add_argument("--parallel", type=_pool_widths, default=[1],
+                   metavar="N[,M,...]",
                    help="process-pool width(s); a comma list runs the "
                         "whole matrix (e.g. 1,2,4,8)")
     p.add_argument("--ab-incremental", action="store_true",

@@ -12,16 +12,16 @@ only at quantum boundaries or blocking operations — the *coarse
 interleaving hypothesis* the paper relies on (§3.4).
 
 Each basic block is compiled the first time any run enters it: every
-instruction becomes one closure ``step(interp, thread, frame)`` with its
-operand kinds (register, or an immediate masked in advance), width,
-``BINOPS``/``CMPS`` entry and branch targets resolved once.  A step
-returns ``None`` to fall through, a label to jump within the function, or
-a signal (``_SWITCH``, ``_BLOCKED``, ``_DONE``) for calls, returns and
-blocking.  The chunk loop in :meth:`Interpreter._run_chunk` keeps the
-block and index in locals, checks the step budget once per chunk, and
-applies the retirement rule: a blocked ``lock``/``join`` retires nothing,
-a failing instruction raises before it counts, and the final ``ret`` of
-``main`` halts without counting.
+instruction becomes one step ``step(interp, thread, frame)`` with its
+operand kinds (register, or an immediate masked in advance), width and
+branch targets resolved once.  A step returns ``None`` to fall through,
+a label to jump within the function, or a signal (``_SWITCH``,
+``_BLOCKED``, ``_DONE``) for calls, returns and blocking.  The chunk
+loop in :meth:`Interpreter._run_chunk` keeps the block and index in
+locals, checks the step budget once per chunk, and applies the
+retirement rule: a blocked ``lock``/``join`` retires nothing, a failing
+instruction raises before it counts, and the final ``ret`` of ``main``
+halts without counting.
 
 Blocks are immutable and shared between a module and its instrumented
 successors, so a block's code is kept on the block (``_compiled``) and
@@ -32,28 +32,28 @@ and a call or spawn looks its callee up in the running module.  A run
 with an ``on_step`` hook wraps each step in the hook, once per run, and
 never puts that code on a block.
 
-Straight-line code runs faster still: each maximal run of register,
-memory, ``input``, ``ptwrite`` and division instructions plus the
-``br``/``jmp`` closing it is one generated function (see *fused runs*
-below), called when the whole run fits in the chunk's remaining budget.
-An instruction of a run that must fail hands its index back, and the
-chunk loop runs its closure, which raises the failure.  Branch steps
-append their outcome to the tracer's ``tnt_bits`` list (see
-:class:`NullTracer`).
+The straight-line instructions (register, memory, ``input``,
+``ptwrite`` and division instructions, ``br`` and ``jmp``) are
+generated Python, with one emitter per instruction kind (see *generated
+code* below).  Each is a generated step, and each maximal run of them
+up to the ``br``/``jmp`` that closes it is also one generated function,
+called when the whole run fits in the chunk's remaining budget.  An
+instruction of a run that must fail hands its index back, and the chunk
+loop runs its step, which raises the failure.  The other instructions
+are closures.  Branch steps append their outcome to the tracer's
+``tnt_bits`` list (see :class:`NullTracer`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from types import CodeType
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import InterpError
 from ..ir import instructions as ins
 from ..ir.module import BasicBlock, Function, Module, ProgramPoint
-from ..ir.ops import BINOPS, CMPS
-from ..ir.types import MASK64, mask, sign_extend, to_signed
+from ..ir.types import MASK64, mask, to_signed
 from .env import Environment
 from .failures import FailureInfo, FailureKind, MemoryFault
 from .memory import Memory, MemoryObject
@@ -368,7 +368,9 @@ class Interpreter:
 
 # ----------------------------------------------------------------------
 # instruction compilers: ``compile(instr, func_name, module) -> step``.
-# A step never captures the interpreter: it arrives as an argument.
+# A step never captures the interpreter: it arrives as an argument.  The
+# compilers below make the closures of the instructions that do not
+# fuse; the straight-line ones are generated (see *generated code*).
 
 
 def _hooked(step: Step, point: ProgramPoint, instr: ins.Instr) -> Step:
@@ -402,69 +404,6 @@ def _operand(operand, func_name: str) -> Callable[[Dict[str, int]], int]:
     return lambda regs: value
 
 
-def _arith(dest: str, apply, lhs, rhs, width: int, func_name: str) -> Step:
-    """``dest = apply(lhs, rhs, width)``.  Register-register and
-    register-immediate operands, the only kinds the workloads use, are
-    read inline."""
-    if isinstance(lhs, str) and isinstance(rhs, str):
-        def step(interp, thread, frame):
-            regs = frame.regs
-            try:
-                a, b = regs[lhs], regs[rhs]
-            except KeyError:
-                raise _unset(regs, func_name, lhs, rhs) from None
-            regs[dest] = apply(a, b, width)
-    elif isinstance(lhs, str):
-        imm = mask(rhs)
-
-        def step(interp, thread, frame):
-            regs = frame.regs
-            try:
-                a = regs[lhs]
-            except KeyError:
-                raise _unset(regs, func_name, lhs) from None
-            regs[dest] = apply(a, imm, width)
-    else:
-        read_lhs = _operand(lhs, func_name)
-        read_rhs = _operand(rhs, func_name)
-
-        def step(interp, thread, frame):
-            regs = frame.regs
-            regs[dest] = apply(read_lhs(regs), read_rhs(regs), width)
-    return step
-
-
-def _checked_div(apply, width: int, message: str):
-    """``apply`` raising a DIV_BY_ZERO trap on a zero divisor."""
-    width_mask = (1 << width) - 1
-
-    def div(lhs, rhs, width):
-        if not rhs & width_mask:
-            raise _Trap(FailureKind.DIV_BY_ZERO, message)
-        return apply(lhs, rhs, width)
-    return div
-
-
-def _compile_binop(instr: ins.BinOp, func_name, module) -> Step:
-    apply, width = BINOPS[instr.op], instr.width
-    if instr.op in _DIVISIONS:
-        apply = _checked_div(apply, width, f"{instr.op} by zero")
-    return _arith(instr.dest, apply, instr.lhs, instr.rhs, width, func_name)
-
-
-def _compile_cmp(instr: ins.Cmp, func_name, module) -> Step:
-    return _arith(instr.dest, CMPS[instr.op], instr.lhs, instr.rhs,
-                  instr.width, func_name)
-
-
-def _compile_const(instr: ins.Const, func_name, module) -> Step:
-    dest, value = instr.dest, mask(instr.value)
-
-    def step(interp, thread, frame):
-        frame.regs[dest] = value
-    return step
-
-
 def _compile_select(instr: ins.Select, func_name, module) -> Step:
     dest = instr.dest
     read_cond = _operand(instr.cond, func_name)
@@ -475,34 +414,6 @@ def _compile_select(instr: ins.Select, func_name, module) -> Step:
         regs = frame.regs
         chosen = read_true if read_cond(regs) != 0 else read_false
         regs[dest] = chosen(regs)
-    return step
-
-
-def _compile_trunc(instr: ins.Trunc, func_name, module) -> Step:
-    dest, read = instr.dest, _operand(instr.value, func_name)
-    width_mask = (1 << instr.width) - 1
-
-    def step(interp, thread, frame):
-        regs = frame.regs
-        regs[dest] = read(regs) & width_mask
-    return step
-
-
-def _compile_sext(instr: ins.SExt, func_name, module) -> Step:
-    dest, read = instr.dest, _operand(instr.value, func_name)
-    from_width = instr.from_width
-
-    def step(interp, thread, frame):
-        regs = frame.regs
-        regs[dest] = sign_extend(read(regs), from_width)
-    return step
-
-
-def _compile_global(instr: ins.GlobalAddr, func_name, module) -> Step:
-    dest, name = instr.dest, instr.name
-
-    def step(interp, thread, frame):
-        frame.regs[dest] = interp.memory.global_addrs[name]
     return step
 
 
@@ -531,67 +442,6 @@ def _compile_free(instr: ins.HeapFree, func_name, module) -> Step:
 
     def step(interp, thread, frame):
         interp.memory.free_heap(read(frame.regs))
-    return step
-
-
-def _compile_gep(instr: ins.Gep, func_name, module) -> Step:
-    dest, scale = instr.dest, instr.scale
-    read_base = _operand(instr.base, func_name)
-    read_index = _operand(instr.index, func_name)
-
-    def step(interp, thread, frame):
-        regs = frame.regs
-        regs[dest] = (read_base(regs) + read_index(regs) * scale) & MASK64
-    return step
-
-
-def _compile_load(instr: ins.Load, func_name, module) -> Step:
-    dest, size = instr.dest, instr.size
-    read = _operand(instr.addr, func_name)
-
-    def step(interp, thread, frame):
-        regs = frame.regs
-        regs[dest] = interp.memory.load(read(regs), size)
-    return step
-
-
-def _compile_store(instr: ins.Store, func_name, module) -> Step:
-    size = instr.size
-    read_addr = _operand(instr.addr, func_name)
-    read_value = _operand(instr.value, func_name)
-
-    def step(interp, thread, frame):
-        regs = frame.regs
-        addr = read_addr(regs)
-        interp.memory.store(addr, read_value(regs), size)
-    return step
-
-
-def _compile_jmp(instr: ins.Jmp, func_name, module) -> Step:
-    label = instr.label
-
-    def step(interp, thread, frame):
-        return label
-    return step
-
-
-def _compile_br(instr: ins.Br, func_name, module) -> Step:
-    cond, if_true, if_false = instr.cond, instr.if_true, instr.if_false
-    if isinstance(cond, str):
-        def step(interp, thread, frame):
-            try:
-                taken = frame.regs[cond] != 0
-            except KeyError:
-                raise _unset(frame.regs, func_name, cond) from None
-            interp.tracer.tnt_bits.append(taken)
-            return if_true if taken else if_false
-        return step
-    taken = mask(cond) != 0
-    target = if_true if taken else if_false
-
-    def step(interp, thread, frame):
-        interp.tracer.tnt_bits.append(taken)
-        return target
     return step
 
 
@@ -647,15 +497,6 @@ def _compile_ret(instr: ins.Ret, func_name, module) -> Step:
     return step
 
 
-def _compile_input(instr: ins.Input, func_name, module) -> Step:
-    dest, stream, size = instr.dest, instr.stream, instr.size
-
-    def step(interp, thread, frame):
-        frame.regs[dest] = int.from_bytes(interp.env.read(stream, size),
-                                          "little")
-    return step
-
-
 def _compile_output(instr: ins.Output, func_name, module) -> Step:
     stream, size = instr.stream, instr.size
     read, size_mask = _operand(instr.value, func_name), (1 << size * 8) - 1
@@ -681,18 +522,6 @@ def _compile_abort(instr: ins.Abort, func_name, module) -> Step:
 
     def step(interp, thread, frame):
         raise _Trap(FailureKind.ABORT, message)
-    return step
-
-
-def _compile_ptwrite(instr: ins.PtWrite, func_name, module) -> Step:
-    read, tag = _operand(instr.value, func_name), instr.tag
-
-    def step(interp, thread, frame):
-        value = read(frame.regs)
-        interp.ptwrite_count += 1
-        tracer = interp.tracer
-        interp.branch_count += len(tracer.tnt_bits)
-        tracer.on_ptwrite(tag, value)
     return step
 
 
@@ -763,67 +592,49 @@ def _compile_nop(instr: ins.Nop, func_name, module) -> Step:
     return step
 
 
-#: instruction type -> compiler
-_COMPILERS = {
-    ins.Const: _compile_const,
-    ins.BinOp: _compile_binop,
-    ins.Cmp: _compile_cmp,
-    ins.Select: _compile_select,
-    ins.Trunc: _compile_trunc,
-    ins.SExt: _compile_sext,
-    ins.GlobalAddr: _compile_global,
-    ins.FrameAlloc: _compile_alloca,
-    ins.HeapAlloc: _compile_malloc,
-    ins.HeapFree: _compile_free,
-    ins.Gep: _compile_gep,
-    ins.Load: _compile_load,
-    ins.Store: _compile_store,
-    ins.Jmp: _compile_jmp,
-    ins.Br: _compile_br,
-    ins.Call: _compile_call,
-    ins.Ret: _compile_ret,
-    ins.Input: _compile_input,
-    ins.Output: _compile_output,
-    ins.Assert: _compile_assert,
-    ins.Abort: _compile_abort,
-    ins.PtWrite: _compile_ptwrite,
-    ins.Spawn: _compile_spawn,
-    ins.Join: _compile_join,
-    ins.Lock: _compile_lock,
-    ins.Unlock: _compile_unlock,
-    ins.Nop: _compile_nop,
-}
-
-
 # ----------------------------------------------------------------------
-# fused runs: a block's straight-line code, up to its first instruction
-# that does not fuse (a call, return, allocation, free, thread operation,
-# output, select, assert or abort) and with the br/jmp that closes it, as
-# one generated function ``run(interp, regs, bits)``.  It returns what
-# the run's last step would (a label, or ``None`` when the run stops
-# before an instruction that does not fuse), or the index in the run of
-# an instruction that must fail: one that reads an unset register or
-# global (``KeyError``), makes an access ``Memory.check_access`` rejects
+# generated code.  Every straight-line instruction (``const``, every
+# binop, divisions included, ``cmp``, ``trunc``, ``sext``, ``gep``,
+# ``global``, ``load``, ``store``, ``input``, ``ptwrite``, ``br`` and
+# ``jmp``) has one emitter, ``_emit``, whose code goes into generated
+# functions of two kinds.
+#
+# A *step* ``step(interp, thread, frame)`` is one instruction with the
+# closures' signature and results, and raises what the instruction must:
+# ``InterpError`` for an unset register, the bare ``KeyError`` of an
+# unknown global, ``Memory.check_access``'s ``MemoryFault`` and a
+# DIV_BY_ZERO ``_Trap``.  Each of these instructions reads all of its
+# registers before anything else can raise, so only the register loads
+# sit in the ``try`` that turns a ``KeyError`` into the unset-register
+# error, which names the first unset operand.
+#
+# A *fused run* ``run(interp, regs, bits)`` is a block's straight-line
+# code, up to its first instruction that does not fuse (a call, return,
+# allocation, free, thread operation, output, select, assert, abort or
+# nop) and with the br/jmp that closes it.  It returns what the run's last
+# step would (a label, or ``None`` when the run stops before an
+# instruction that does not fuse), or the index in the run of an
+# instruction that must fail: one that reads an unset register or global
+# (``KeyError``), makes an access ``check_access`` rejects
 # (``MemoryFault``) or divides by zero.  Such an instruction stores its
 # index in ``p`` before it does anything, and a store, ``input`` or
 # ``ptwrite`` has its effect only after its last possible raise, so the
-# chunk loop retires the instructions before ``p`` and runs ``p``'s
-# closure, which fails as the per-instruction loop does.  Registers
-# always hold 64-bit values, so width-64 operations need no operand
-# masks.
+# chunk loop retires the instructions before ``p`` and runs ``p``'s step,
+# which fails as the per-instruction loop does.  Registers always hold
+# 64-bit values, so width-64 operations need no operand masks.
 #
-# A run reads ``interp.memory``, ``interp.env`` and ``interp.tracer``
-# when it runs, since its code is shared by every run in the process.
-# Each load and store first tries the object its own access site hit
-# last, kept in ``Memory.sites`` under a key the site draws when its run
-# is generated: the object takes the access when the access lies inside
-# it and it is live, which is exactly when ``check_access`` would return
-# it, since objects never overlap, nothing lives in the null page, and
-# ``base`` and ``size`` never change.  Anything else goes to
-# ``check_access``, which raises the fault or returns the object to keep.
-# One object per site, not one for every access: over the
-# ``noisy-production`` request mix, a process-wide last object takes
-# 41 % of the accesses and a per-site one 95 %.
+# Generated code reads ``interp.memory``, ``interp.env`` and
+# ``interp.tracer`` when it runs, since it is shared by every run in the
+# process.  Each load and store first tries the object its own access
+# site hit last, kept in ``Memory.sites`` under a key the site draws
+# when its function is generated: the object takes the access when the
+# access lies inside it and it is live, which is exactly when
+# ``check_access`` would return it, since objects never overlap, nothing
+# lives in the null page, and ``base`` and ``size`` never change.
+# Anything else goes to ``check_access``, which raises the fault or
+# returns the object to keep.  One object per site, not one for every
+# access: over the ``noisy-production`` request mix, a process-wide last
+# object takes 41 % of the accesses and a per-site one 95 %.
 
 #: binop -> result expression on width-``w`` operands ``a`` and ``b``;
 #: ``m`` is the width's mask, ``s`` its sign bit and ``k`` ``w - 1``
@@ -850,10 +661,11 @@ _DIVISIONS = {"udiv": ("//", None), "urem": ("%", None),
 _CMP_OPS = {"eq": "==", "ne": "!=", "ult": "<", "ule": "<=", "ugt": ">",
             "uge": ">=", "slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
 
-#: instruction types that always fuse; ``_fusible`` checks the rest
-_ALWAYS_FUSIBLE = frozenset((ins.Const, ins.BinOp, ins.Cmp, ins.Gep,
-                             ins.GlobalAddr, ins.Load, ins.Store, ins.Input,
-                             ins.PtWrite))
+#: instruction types that fuse into runs: the straight-line ones other
+#: than ``br`` and ``jmp``, which may close a run
+_FUSIBLE = frozenset((ins.Const, ins.BinOp, ins.Cmp, ins.Trunc, ins.SExt,
+                      ins.Gep, ins.GlobalAddr, ins.Load, ins.Store, ins.Input,
+                      ins.PtWrite))
 
 #: access-site keys, unique in the process
 _SITE_KEYS = itertools.count()
@@ -865,28 +677,15 @@ _NO_OBJECT = MemoryObject(0, -1, "none", "", bytearray(), live=False)
 _NAMESPACE = {"__builtins__": {}, "KeyError": KeyError,
               "MemoryFault": MemoryFault, "len": len,
               "from_bytes": int.from_bytes, "to_bytes": int.to_bytes,
-              "little": "little", "nowhere": _NO_OBJECT}
+              "little": "little", "nowhere": _NO_OBJECT, "unset": _unset,
+              "trap": _Trap, "div_by_zero": FailureKind.DIV_BY_ZERO}
 
-#: generated source -> its compiled code.  ``instrument`` rebuilds the
-#: same blocks in every reconstruction round, and a rebuilt block's runs
-#: have the source of its last build, since site keys are arguments.
-_CODE: Dict[str, CodeType] = {}
+#: generated source -> the factory it defines.  ``instrument`` rebuilds
+#: the same blocks in every reconstruction round, and a rebuilt block's
+#: code has the source of its last build, since site keys are arguments.
+_CODE: Dict[str, Callable] = {}
 #: sources the memo holds before it starts over
 _CODE_LIMIT = 4096
-
-
-def _fusible(instr: ins.Instr) -> bool:
-    """Whether ``instr`` may join a fused run.  A ``trunc``/``sext``
-    width outside 1..64 keeps its closure: its mask literal would grow
-    with the width."""
-    cls = instr.__class__
-    if cls in _ALWAYS_FUSIBLE:
-        return True
-    if cls is ins.Trunc:
-        return 1 <= instr.width <= 64
-    if cls is ins.SExt:
-        return 1 <= instr.from_width <= 64
-    return False
 
 
 def _straight_runs(instrs: List[ins.Instr]) -> List[Tuple[int, int]]:
@@ -895,7 +694,7 @@ def _straight_runs(instrs: List[ins.Instr]) -> List[Tuple[int, int]]:
     runs = []
     start = 0
     for index, instr in enumerate(instrs):
-        if _fusible(instr):
+        if instr.__class__ in _FUSIBLE:
             continue
         end = index + 1 if instr.__class__ in (ins.Br, ins.Jmp) else index
         if end - start >= 2:
@@ -906,19 +705,23 @@ def _straight_runs(instrs: List[ins.Instr]) -> List[Tuple[int, int]]:
     return runs
 
 
-class _RunSource:
-    """The body of one fused run's generated function, line by line.
+class _Source:
+    """The body of one generated function, a run or a step, line by line.
 
-    Values live in locals ``v<n>``; each register a run reads before
-    writing it is loaded from ``regs`` once, after ``p`` is set to the
-    reading instruction's index.  Everything bound from the instructions,
-    and each access site's key, is an argument ``c<n>`` of the factory,
-    so the text holds only integer literals and fixed names."""
+    Values live in locals ``v<n>``; each register the function reads
+    before writing it is loaded from ``regs`` once: in a run, after
+    ``p`` is set to the reading instruction's index, and in a step,
+    under the step's ``try`` (``loads``).  Everything bound from the
+    instructions, and each access site's key, is an argument ``c<n>`` of
+    the factory, so the text holds only integer literals and fixed
+    names."""
 
-    def __init__(self):
+    def __init__(self, step: bool):
+        self.step = step  # a step, not a run
         self.args: List[object] = []  # the factory's arguments
         self.consts: Dict[object, str] = {}  # bound value -> ``c<n>``
         self.lines: List[str] = []
+        self.loads: List[Tuple[str, str]] = []  # a step's (local, register)
         self.values: Dict[str, str] = {}  # register -> local holding it
         self.marked = -1  # the index last stored in ``p``
         self.sites = False  # whether ``sites`` is bound yet
@@ -935,9 +738,13 @@ class _RunSource:
             name = self.consts[value] = self.bind(value)
         return name
 
+    def local(self) -> str:
+        """A new local."""
+        return f"v{len(self.lines) + len(self.loads)}"
+
     def mark(self, index: int) -> None:
-        """Instruction ``index`` may fail: record it."""
-        if self.marked != index:
+        """Instruction ``index`` may fail: a run records it."""
+        if not self.step and self.marked != index:
             self.lines.append(f"p = {index}")
             self.marked = index
 
@@ -948,8 +755,11 @@ class _RunSource:
         name = self.values.get(operand)
         if name is None:
             self.mark(index)
-            name = self.values[operand] = f"v{len(self.lines)}"
-            self.lines.append(f"{name} = regs[{self.const(operand)}]")
+            name = self.values[operand] = self.local()
+            if self.step:
+                self.loads.append((name, self.const(operand)))
+            else:
+                self.lines.append(f"{name} = regs[{self.const(operand)}]")
         return name
 
     def unsigned(self, operand, index: int, width: int) -> str:
@@ -967,14 +777,14 @@ class _RunSource:
         return f"(({self.unsigned(operand, index, width)} ^ {sign}) - {sign})"
 
     def write(self, dest: str, expr: str) -> None:
-        name = self.values[dest] = f"v{len(self.lines)}"
+        name = self.values[dest] = self.local()
         self.lines.append(f"{name} = {expr}")
         self.lines.append(f"regs[{self.const(dest)}] = {name}")
 
     def access(self, addr: str, size: int) -> None:
         """Bind ``o`` to the object a ``size``-byte access at ``addr``
         hits and ``d`` to the access's offset in it, through a new
-        access site (see *fused runs* above)."""
+        access site (see *generated code* above)."""
         if not self.sites:
             self.lines.append("sites = interp.memory.sites")
             self.sites = True
@@ -988,15 +798,17 @@ class _RunSource:
             f"    d = {addr} - o.base"]
 
     def divide(self, instr: ins.BinOp, index: int) -> None:
-        """A division or remainder, which returns ``p`` on a zero
-        divisor."""
+        """A division or remainder: on a zero divisor a run returns ``p``
+        and a step raises the trap."""
         op, result = _DIVISIONS[instr.op]
         width = instr.width
         side = self.signed if instr.op[0] == "s" else self.unsigned
+        zero = (f"raise trap(div_by_zero, {self.const(instr.op + ' by zero')})"
+                if self.step else "return p")
         self.mark(index)
         lhs = side(instr.lhs, index, width)
         self.lines += [f"y = {side(instr.rhs, index, width)}",
-                       "if not y:", "    return p"]
+                       "if not y:", "    " + zero]
         if result is None:  # unsigned: the result fits the width
             self.write(instr.dest, f"{lhs} {op} y")
         else:
@@ -1027,13 +839,9 @@ class _RunSource:
                 + sets[1] + ["bits.append(False)", f"return {false}"])
 
 
-def _fused_run(instrs: Tuple[ins.Instr, ...]) -> Callable:
-    """The generated function of the run ``instrs``.  Register names,
-    labels, global and stream names come from ``.eir`` files, outside
-    input, so they are never spliced into the source: they are arguments
-    of the factory the source defines.  Each distinct source is compiled
-    once per process."""
-    src = _RunSource()
+def _emit(src: _Source, instrs: Tuple[ins.Instr, ...]) -> List[str]:
+    """Emit the straight-line ``instrs`` into ``src``; returns the tail
+    that ends the function."""
     last = instrs[-1]
     tail = ["return None"]
     for index, instr in enumerate(instrs):
@@ -1105,20 +913,77 @@ def _fused_run(instrs: Tuple[ins.Instr, ...]) -> Callable:
             taken = mask(instr.cond) != 0
             tail = [f"bits.append({taken})", "return "
                     + src.const(instr.if_true if taken else instr.if_false)]
+    return tail
+
+
+def _generate(src: _Source, signature: str, body: List[str]) -> Callable:
+    """The function ``def <signature>: <body>`` over ``src``'s factory
+    arguments.  Register names, labels, global and stream names come
+    from ``.eir`` files, outside input, so they are never spliced into
+    the source: they are arguments of the factory the source defines.
+    Each distinct source is compiled and run once per process, and every
+    function its factory makes shares the factory's globals."""
+    params = ", ".join([f"c{i}" for i in range(len(src.args))])
+    source = (f"def make({params}):\n    def {signature}:\n        "
+              + "\n        ".join(body)
+              + f"\n    return {signature[:signature.index('(')]}")
+    make = _CODE.get(source)
+    if make is None:
+        if len(_CODE) >= _CODE_LIMIT:
+            _CODE.clear()
+        namespace = dict(_NAMESPACE)
+        exec(compile(source, "<generated>", "exec"), namespace)
+        make = _CODE[source] = namespace["make"]
+    return make(*src.args)
+
+
+def _fused_run(instrs: Tuple[ins.Instr, ...]) -> Callable:
+    """The generated function of the run ``instrs``."""
+    src = _Source(step=False)
+    tail = _emit(src, instrs)
     body = src.lines + tail
     if src.marked >= 0:
         body = (["try:"] + ["    " + line for line in body]
                 + ["except (KeyError, MemoryFault):", "    return p"])
-    source = "\n".join(
-        [f"def make({', '.join(f'c{i}' for i in range(len(src.args)))}):",
-         "    def run(interp, regs, bits):"]
-        + ["        " + line for line in body]
-        + ["    return run"])
-    code = _CODE.get(source)
-    if code is None:
-        if len(_CODE) >= _CODE_LIMIT:
-            _CODE.clear()
-        code = _CODE[source] = compile(source, "<fused run>", "exec")
-    namespace = dict(_NAMESPACE)
-    exec(code, namespace)
-    return namespace["make"](*src.args)
+    return _generate(src, "run(interp, regs, bits)", body)
+
+
+def _generated_step(instr: ins.Instr, func_name: str, module) -> Step:
+    """The generated step of the straight-line ``instr`` of function
+    ``func_name``."""
+    src = _Source(step=True)
+    tail = _emit(src, (instr,))
+    head = ["regs = frame.regs"]
+    if instr.__class__ in (ins.Br, ins.PtWrite):
+        head.append("bits = interp.tracer.tnt_bits")
+    if src.loads:
+        registers = ", ".join([register for _, register in src.loads])
+        head += (["try:"]
+                 + [f"    {name} = regs[{register}]"
+                    for name, register in src.loads]
+                 + ["except KeyError:",
+                    f"    raise unset(regs, {src.const(func_name)}, "
+                    f"{registers}) from None"])
+    return _generate(src, "step(interp, thread, frame)",
+                     head + src.lines + tail)
+
+
+#: instruction type -> compiler: the straight-line kinds are generated
+#: (see *generated code* above), the others are closures
+_COMPILERS = {
+    **dict.fromkeys(_FUSIBLE | {ins.Br, ins.Jmp}, _generated_step),
+    ins.Select: _compile_select,
+    ins.FrameAlloc: _compile_alloca,
+    ins.HeapAlloc: _compile_malloc,
+    ins.HeapFree: _compile_free,
+    ins.Call: _compile_call,
+    ins.Ret: _compile_ret,
+    ins.Output: _compile_output,
+    ins.Assert: _compile_assert,
+    ins.Abort: _compile_abort,
+    ins.Spawn: _compile_spawn,
+    ins.Join: _compile_join,
+    ins.Lock: _compile_lock,
+    ins.Unlock: _compile_unlock,
+    ins.Nop: _compile_nop,
+}

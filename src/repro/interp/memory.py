@@ -148,16 +148,6 @@ class Memory:
         obj.data[off:off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
             size, "little")
 
-    def read_bytes(self, addr: int, size: int) -> bytes:
-        obj = self.check_access(addr, size)
-        off = addr - obj.base
-        return bytes(obj.data[off:off + size])
-
-    def write_bytes(self, addr: int, data: bytes) -> None:
-        obj = self.check_access(addr, len(data))
-        off = addr - obj.base
-        obj.data[off:off + len(data)] = data
-
     def snapshot(self) -> Dict[int, bytes]:
         """Copy of every live object's bytes, keyed by base (for REPT)."""
         return {base: bytes(obj.data)

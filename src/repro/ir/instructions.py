@@ -125,6 +125,10 @@ class Trunc(Instr):
     value: Operand
     width: int = 32
 
+    def __post_init__(self):
+        if self.width not in VALID_WIDTHS:
+            raise ValueError(f"invalid width {self.width}")
+
     def operands(self):
         return (self.value,)
 
@@ -136,6 +140,10 @@ class SExt(Instr):
     dest: str
     value: Operand
     from_width: int = 32
+
+    def __post_init__(self):
+        if self.from_width not in VALID_WIDTHS:
+            raise ValueError(f"invalid width {self.from_width}")
 
     def operands(self):
         return (self.value,)

@@ -64,7 +64,11 @@ class _Parser:
             line = raw.split(";", 1)[0].strip()
             if not line:
                 continue
-            self._parse_line(line, line_no, raw)
+            # a bad number, or a field an instruction's own check rejects
+            try:
+                self._parse_line(line, line_no, raw)
+            except ValueError as exc:
+                raise IRParseError(str(exc), line_no, raw) from None
         if self.func is not None:
             raise IRParseError("unterminated function", len(self.lines), "")
         return self.module

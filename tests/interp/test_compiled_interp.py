@@ -1,6 +1,7 @@
 """The compiled interpreter against the per-instruction reference loop.
 
-Compiling blocks into closures, and straight-line runs into generated
+Compiling blocks into steps, generated for straight-line instructions
+and closures for the rest, and straight-line runs into generated
 functions, may change wall time only.  Every test here runs one program
 twice, once with :class:`Interpreter` and once with
 :class:`ReferenceInterpreter` (the stepping code it replaced), and
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 
 from repro.errors import InterpError
 from repro.interp.env import Environment
-from repro.interp.interpreter import Interpreter, _fused_run, _straight_runs
+from repro.interp.interpreter import (_COMPILERS, Interpreter, _fused_run,
+                                      _generated_step, _straight_runs)
+from repro.ir import instructions as ins
 from repro.ir.builder import ModuleBuilder
 from repro.ir.module import ProgramPoint
 from repro.workloads import get_workload, workload_names
@@ -724,10 +727,14 @@ def straight_line_programs(draw):
     return b.build()
 
 
-@settings(**_SETTINGS)
-@given(straight_line_programs(), st.binary(min_size=16, max_size=40))
-def test_straight_line_programs_identical(module, data):
-    assert_same(module, lambda: Environment({"stdin": data}))
+@settings(**{**_SETTINGS, "max_examples": 50})
+@given(straight_line_programs(), st.binary(min_size=16, max_size=40),
+       st.sampled_from([1, 2, 3, 50]), st.booleans())
+def test_straight_line_programs_identical(module, data, quantum, hook):
+    """At quantum 50 the block runs fused; at quanta 1-3 and hooked its
+    instructions run as generated steps, alone or as cut runs."""
+    assert_same(module, lambda: Environment({"stdin": data},
+                                            quantum=quantum), hook=hook)
 
 
 #: immediates whose masking matters: sign bits, all-ones, wider than 64
@@ -789,16 +796,49 @@ def _every_fusible_op():
     return b.build()
 
 
+def _ops_input(a, b):
+    return (a.to_bytes(8, "little") + b.to_bytes(8, "little")
+            + bytes(range(0x80, 0x8F)))
+
+
 def test_every_fusible_op_identical():
     module = _every_fusible_op()
     run = module.functions["main"].blocks["run"].instrs
     assert _straight_runs(run) == [(0, len(run))]
     for a in _VALUES:
         for b in _VALUES:
-            data = (a.to_bytes(8, "little") + b.to_bytes(8, "little")
-                    + bytes(range(0x80, 0x8F)))
+            data = _ops_input(a, b)
             assert_same(module, lambda: Environment({"stdin": data},
                                                     quantum=10_000))
+
+
+def test_every_fusible_op_as_steps_identical():
+    """At quantum 1 every instruction of the run is a generated step."""
+    module = _every_fusible_op()
+    for a in _VALUES:
+        for b in _VALUES:
+            data = _ops_input(a, b)
+            assert_same(module, lambda: Environment({"stdin": data},
+                                                    quantum=1))
+
+
+def test_every_fusible_op_hooked_identical():
+    """A hooked run wraps every generated step in the hook; ``%b`` is
+    nonzero at every width, so every instruction runs."""
+    data = _ops_input(0x0123_4567_89AB_CDEF, 0x8000_0001)
+    assert_same(_every_fusible_op(), lambda: Environment({"stdin": data}),
+                hook=True)
+
+
+def test_one_implementation_per_instruction_kind():
+    """Every instruction kind has one compiler: the straight-line kinds
+    have the generator of the fused runs, the others a closure."""
+    assert set(_COMPILERS) == set(ins.Instr.__subclasses__())
+    generated = {kind for kind, compile_ in _COMPILERS.items()
+                 if compile_ is _generated_step}
+    assert generated == {ins.Const, ins.BinOp, ins.Cmp, ins.Trunc, ins.SExt,
+                         ins.GlobalAddr, ins.Gep, ins.Load, ins.Store,
+                         ins.Input, ins.PtWrite, ins.Br, ins.Jmp}
 
 
 #: register names, labels, global and stream names that would break,
@@ -827,24 +867,40 @@ def _hostile_module():
     return b.build()
 
 
-def test_generated_runs_bind_names_never_splice_them():
-    """Register names, labels, global and stream names reach a fused run
-    as bound values: the generated code holds only integer literals and
-    fixed names, and it runs hostile names like any others."""
-    module = _hostile_module()
-    assert_same(module, lambda: Environment({"stdin": b"\x07",
-                                             _HOSTILE[4]: b"\x01\x02"}))
-    instrs = module.functions["main"].blocks[_HOSTILE[1]].instrs
-    assert _straight_runs(instrs) == [(0, 6)]
-    run = _fused_run(instrs)
-    code = run.__code__
+def _assert_binds(function, names):
+    """``function``'s code holds only integer literals and fixed names,
+    and its closure binds ``names``."""
+    code = function.__code__
     assert all(isinstance(value, int) or value is None
                for value in code.co_consts)
-    names = code.co_names + code.co_varnames + code.co_freevars
-    assert all(name.isidentifier() and name.isascii() for name in names)
-    assert set(run.__closure__[i].cell_contents
-               for i in range(len(code.co_freevars))) \
-        >= set(_HOSTILE[:3]) | {_HOSTILE[3][1:], _HOSTILE[4]}
+    fixed = code.co_names + code.co_varnames + code.co_freevars
+    assert all(name.isidentifier() and name.isascii() for name in fixed)
+    assert {cell.cell_contents for cell in function.__closure__} >= names
+
+
+def test_generated_runs_bind_names_never_splice_them():
+    """Register names, labels, global and stream names reach a fused run
+    or a generated step as bound values: the generated code holds only
+    integer literals and fixed names, and it runs hostile names like any
+    others, fused (quantum 50) and one step at a time (quantum 1)."""
+    module = _hostile_module()
+    for quantum in (50, 1):
+        assert_same(module, lambda: Environment(
+            {"stdin": b"\x07", _HOSTILE[4]: b"\x01\x02"}, quantum=quantum))
+    instrs = module.functions["main"].blocks[_HOSTILE[1]].instrs
+    assert _straight_runs(instrs) == [(0, 6)]
+    _assert_binds(_fused_run(instrs),
+                  set(_HOSTILE[:3]) | {_HOSTILE[3][1:], _HOSTILE[4]})
+    for block in module.functions["main"].blocks.values():
+        for instr in block.instrs:
+            if _COMPILERS[type(instr)] is _generated_step:
+                # every name but an op, which selects a fixed template
+                names = {value for key, value in vars(instr).items()
+                         if isinstance(value, str) and key != "op"}
+                if any(isinstance(op, str) for op in instr.operands()):
+                    names.add(_HOSTILE[0])  # an unset register names it
+                _assert_binds(_generated_step(instr, _HOSTILE[0], module),
+                              names)
 
 
 def test_rebuilt_runs_share_code_not_sites():

@@ -58,12 +58,6 @@ class TestAccess:
         mem.store(obj.base, 0x1FF, 1)
         assert mem.load(obj.base, 1) == 0xFF
 
-    def test_read_write_bytes(self):
-        mem = Memory()
-        obj = mem.alloc_heap(8)
-        mem.write_bytes(obj.base, b"abc")
-        assert mem.read_bytes(obj.base, 3) == b"abc"
-
 
 class TestFaults:
     def test_null_deref(self):

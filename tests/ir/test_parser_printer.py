@@ -79,6 +79,17 @@ class TestParser:
         with pytest.raises(IRParseError):
             parse_module("func main() {\nentry:\n  %x = add.64 $1, 2\n}")
 
+    @pytest.mark.parametrize("op", ["trunc.0", "trunc.65", "sext.0",
+                                    "sext.200"])
+    def test_bad_extension_width(self, op):
+        """A width outside ``VALID_WIDTHS`` is a parse error with the
+        line, as for a binop or a comparison."""
+        with pytest.raises(IRParseError) as exc:
+            parse_module(f"func main() {{\nentry:\n  %x = const 1\n"
+                         f"  %y = {op} %x\n  ret 0\n}}")
+        assert exc.value.line_no == 4
+        assert "invalid width" in str(exc.value)
+
     def test_store_sizes(self):
         m = parse_module("func main() {\nentry:\n  %p = const 65536\n"
                          "  store.2 %p, 7\n  ret\n}")

@@ -49,6 +49,46 @@ class TestRun:
             main(["run", str(EIR), "--stream", "garbage"])
 
 
+#: a program whose fourth line is ``{}``
+_ONE_LINE = "func main() {{\nentry:\n  %x = const 1\n  {}\n  ret 0\n}}\n"
+
+
+class TestMalformedInput:
+    """Malformed outside input ends in one ``error:`` line and exit 2,
+    never in a traceback."""
+
+    @pytest.mark.parametrize("line", [
+        "%a = add.12 %x, 1", "%a = cmp eq.7 %x, 1", "%a = load.3 %x",
+        "%a = input stdin, 3", "%a = const zz", "%a = alloca buf, zz",
+        "%a = sext.0 %x", "%a = trunc.0 %x", "%a = trunc.65 %x",
+        "%a = sext.200 %x"])
+    def test_bad_instruction(self, capsys, tmp_path, line):
+        program = tmp_path / "t.eir"
+        program.write_text(_ONE_LINE.format(line))
+        err = self._error(capsys, ["run", str(program)])
+        assert err.startswith("error: line 4: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", str(EIR), "--stream", "stdin=0"],
+        ["run", str(EIR), "--stream", "stdin="],
+        ["bench", "bash-108885", "--parallel", "0"]])
+    def test_bad_option(self, capsys, argv):
+        self._error(capsys, argv)
+
+    @staticmethod
+    def _error(capsys, argv) -> str:
+        """The stderr of ``argv``, which must fail as malformed input."""
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's error exit
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert "error:" in err.splitlines()[-1]
+        return err
+
+
 class TestTrace:
     def test_dumps_decoded_trace(self, capsys):
         assert main(["trace", str(EIR), "--stream",
