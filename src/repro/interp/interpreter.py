@@ -53,6 +53,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..errors import InterpError
 from ..ir import instructions as ins
 from ..ir.module import BasicBlock, Function, Module, ProgramPoint
+from ..ir.ops import BINOP_EXPRS, CMP_OPERATORS, DIVISIONS, MAGNITUDES
 from ..ir.types import MASK64, mask, to_signed
 from .env import Environment
 from .failures import FailureInfo, FailureKind, MemoryFault
@@ -287,8 +288,9 @@ class Interpreter:
                 elif nxt.__class__ is str:
                     label, index = nxt, 0
                     block = blocks[nxt]
-                    code = block._compiled
-                    if code is None or hooked is not None:
+                    code = block._compiled if hooked is None \
+                        else hooked.get(id(block))
+                    if code is None:
                         code = self._code(frame.func.name, block, hooked)
                 elif nxt is _SWITCH:
                     # a call resumes after itself; after a ret this
@@ -636,30 +638,10 @@ def _compile_nop(instr: ins.Nop, func_name, module) -> Step:
 # access: over the ``noisy-production`` request mix, a process-wide last
 # object takes 41 % of the accesses and a per-site one 95 %.
 
-#: binop -> result expression on width-``w`` operands ``a`` and ``b``;
-#: ``m`` is the width's mask, ``s`` its sign bit and ``k`` ``w - 1``
-_BINOP_EXPRS = {
-    "add": "({a} + {b}) & {m}", "sub": "({a} - {b}) & {m}",
-    "mul": "{a} * {b} & {m}", "and": "{a} & {b} & {m}",
-    "or": "({a} | {b}) & {m}", "xor": "({a} ^ {b}) & {m}",
-    "shl": "({a} << ({b} & {k})) & {m}", "lshr": "({a} & {m}) >> ({b} & {k})",
-    "ashr": "(((({a} & {m}) ^ {s}) - {s}) >> ({b} & {k})) & {m}",
-}
-
-#: the entries that need no mask on 64-bit operands
-_BINOP_EXPRS_64 = {**_BINOP_EXPRS, "and": "{a} & {b}", "or": "{a} | {b}",
+#: the templates of :mod:`repro.ir.ops`, with the entries that need no
+#: mask on 64-bit registers
+_BINOP_EXPRS_64 = {**BINOP_EXPRS, "and": "{a} & {b}", "or": "{a} | {b}",
                    "xor": "{a} ^ {b}", "lshr": "{a} >> ({b} & 63)"}
-
-#: division -> (Python operator, result expression): the operands of a
-#: signed one are ``x`` and ``y``, its magnitudes' quotient or remainder
-#: is ``q`` and ``m`` is the width's mask
-_DIVISIONS = {"udiv": ("//", None), "urem": ("%", None),
-              "sdiv": ("//", "(q if (x < 0) == (y < 0) else -q) & {m}"),
-              "srem": ("%", "(-q if x < 0 else q) & {m}")}
-
-#: comparison -> Python operator; ``s``-prefixed ones compare signed
-_CMP_OPS = {"eq": "==", "ne": "!=", "ult": "<", "ule": "<=", "ugt": ">",
-            "uge": ">=", "slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
 
 #: instruction types that fuse into runs: the straight-line ones other
 #: than ``br`` and ``jmp``, which may close a run
@@ -800,7 +782,7 @@ class _Source:
     def divide(self, instr: ins.BinOp, index: int) -> None:
         """A division or remainder: on a zero divisor a run returns ``p``
         and a step raises the trap."""
-        op, result = _DIVISIONS[instr.op]
+        op, result = DIVISIONS[instr.op]
         width = instr.width
         side = self.signed if instr.op[0] == "s" else self.unsigned
         zero = (f"raise trap(div_by_zero, {self.const(instr.op + ' by zero')})"
@@ -812,9 +794,7 @@ class _Source:
         if result is None:  # unsigned: the result fits the width
             self.write(instr.dest, f"{lhs} {op} y")
         else:
-            self.lines += [
-                f"x = {lhs}",
-                f"q = (x if x >= 0 else -x) {op} (y if y >= 0 else -y)"]
+            self.lines += [f"x = {lhs}", "q = " + MAGNITUDES.format(op=op)]
             self.write(instr.dest, result.format(m=(1 << width) - 1))
 
     def test(self, instr: ins.Cmp, index: int) -> str:
@@ -823,7 +803,7 @@ class _Source:
         side = self.signed if op[0] == "s" else self.unsigned
         lhs = side(instr.lhs, index, width)
         rhs = side(instr.rhs, index, width)
-        return f"{lhs} {_CMP_OPS[op]} {rhs}"
+        return f"{lhs} {CMP_OPERATORS[op]} {rhs}"
 
     def branch(self, dest: Optional[str], test: str, if_true: str,
                if_false: str) -> List[str]:
@@ -854,11 +834,11 @@ def _emit(src: _Source, instrs: Tuple[ins.Instr, ...]) -> List[str]:
             break
         if cls is ins.Const:
             src.write(instr.dest, str(mask(instr.value)))
-        elif cls is ins.BinOp and instr.op in _DIVISIONS:
+        elif cls is ins.BinOp and instr.op in DIVISIONS:
             src.divide(instr, index)
         elif cls is ins.BinOp:
             width = instr.width
-            exprs = _BINOP_EXPRS_64 if width == 64 else _BINOP_EXPRS
+            exprs = _BINOP_EXPRS_64 if width == 64 else BINOP_EXPRS
             src.write(instr.dest, exprs[instr.op].format(
                 a=src.read(instr.lhs, index), b=src.read(instr.rhs, index),
                 m=(1 << width) - 1, s=1 << (width - 1), k=width - 1))

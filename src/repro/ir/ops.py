@@ -1,16 +1,22 @@
 """Shared concrete semantics of IR arithmetic.
 
 The concrete interpreter, the constraint solver's evaluator, and the
-symbolic executor's constant folding must agree bit-for-bit; they all go
-through the per-op tables below.  :func:`apply_binop` and
-:func:`apply_cmp` dispatch through them by name; the evaluator's compiled
-terms bind a table entry once and call it directly.
+symbolic executor's constant folding must agree bit-for-bit.  The per-op
+tables :data:`BINOPS` and :data:`CMPS` are the semantics:
+:func:`apply_binop` and :func:`apply_cmp` dispatch through them by name,
+for constant folding, the evaluator's walker and the reference
+interpreter.  The two code generators, the interpreter's blocks and the
+evaluator's terms, inline each operation instead, from the source
+templates at the end of this module (:data:`BINOP_EXPRS`,
+:data:`DIVISIONS`, :data:`MAGNITUDES`, :data:`CMP_OPERATORS`);
+``tests/ir/test_ops.py`` checks every template against the tables at
+every width.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional, Tuple
 
 from .types import to_signed
 
@@ -138,3 +144,46 @@ def apply_cmp(op: str, lhs: int, rhs: int, width: int) -> int:
     except KeyError:
         raise ValueError(f"unknown cmp {op!r}") from None
     return fn(lhs, rhs, width)
+
+
+# ----------------------------------------------------------------------
+# source templates of generated code
+#
+# Operands may be wider than the operation: a term's operand is any
+# non-negative integer, so each template masks its operands as the
+# tables above do.  (The interpreter's registers hold 64-bit values, and
+# it keeps its own unmasked shortcuts for width 64.)
+
+#: binop -> the expression of its width-``w`` result from operands ``a``
+#: and ``b``; ``m`` is the width's mask, ``s`` its sign bit and ``k``
+#: ``w - 1``
+BINOP_EXPRS: Dict[str, str] = {
+    "add": "({a} + {b}) & {m}", "sub": "({a} - {b}) & {m}",
+    "mul": "{a} * {b} & {m}", "and": "{a} & {b} & {m}",
+    "or": "({a} | {b}) & {m}", "xor": "({a} ^ {b}) & {m}",
+    "shl": "({a} << ({b} & {k})) & {m}", "lshr": "({a} & {m}) >> ({b} & {k})",
+    "ashr": "(((({a} & {m}) ^ {s}) - {s}) >> ({b} & {k})) & {m}",
+}
+
+#: division -> (Python operator, result expression).  Generated code
+#: tests the divisor first.  On a nonzero one, an unsigned division is
+#: ``x <operator> y`` on the operands masked to the width; a signed one
+#: binds ``x`` and ``y`` to the operands' two's-complement values and
+#: ``q`` to :data:`MAGNITUDES`, and its result expression masks with
+#: ``m``, the width's mask
+DIVISIONS: Dict[str, Tuple[str, Optional[str]]] = {
+    "udiv": ("//", None), "urem": ("%", None),
+    "sdiv": ("//", "(q if (x < 0) == (y < 0) else -q) & {m}"),
+    "srem": ("%", "(-q if x < 0 else q) & {m}"),
+}
+
+#: a signed division's ``q``: its operator on the operands' magnitudes
+MAGNITUDES = "(x if x >= 0 else -x) {op} (y if y >= 0 else -y)"
+
+#: comparison -> Python operator; ``s``-prefixed ones compare the
+#: operands' two's-complement values, the others the operands masked to
+#: the width
+CMP_OPERATORS: Dict[str, str] = {
+    "eq": "==", "ne": "!=", "ult": "<", "ule": "<=", "ugt": ">",
+    "uge": ">=", "slt": "<", "sle": "<=", "sgt": ">", "sge": ">=",
+}

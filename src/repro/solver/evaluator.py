@@ -16,31 +16,37 @@ evaluates its taken branch; ``read`` walks its store chain lazily.
 Most constraint terms are small, so the walker's per-call set-up (memo
 dict, phase-tagged stack, one charge per node) costs more than their
 arithmetic.  On its first evaluation a term is therefore *compiled*, if
-it qualifies, into a nest of closures kept in its ``_compiled`` slot.  A
-term qualifies when it has no ``ite``/``store`` node and every ``read``
-reads a bare ``array`` (so the walker visits every node but those
-arrays), no interior node reachable twice (closures re-evaluate shared
-subterms; shared ``const``/``var`` leaves cost one lookup each), and at
-most :data:`COMPILE_MAX_DEPTH` levels (the closures recurse once per
-level).  The walker charges such a term one unit per distinct node
-(arrays excluded), plus the object-size charge of every ``read`` whose
-index is unknown, also of a read the short-circuiting closures never
-reach (under a zero ``and``/``mul`` operand, say).  A compiled call
-evaluates those indices, pays the sum in a single ``charge`` and then
-runs the closures.  A call whose worst case (every index unknown)
+it qualifies, into one generated function kept in its ``_compiled``
+slot.  A term qualifies when it has no ``ite``/``store`` node, every
+``read`` reads a bare ``array`` (a constant table), and it has at most
+:data:`COMPILE_MAX_DEPTH` levels.  The function computes each distinct
+node once, into a local, in one flat body: ``None`` (unknown) passes up
+from any operand, except that a known zero operand of ``and``/``mul``
+makes the result 0, a zero divisor is unknown, and a table read checks
+its bounds.  Its charge is the walker's: one unit per distinct node,
+arrays excluded, plus the object-size charge of every ``read`` whose
+index is unknown, also of a read whose value a zero ``and``/``mul``
+operand discards.  A call whose worst case (every such index unknown)
 would cross the budget's limit runs the walker, so totals, values and
 the point (and ``spent``) of every :class:`~repro.errors.SolverTimeout`
-are identical to the walker's.  ``ite``, store chains, shared and deep
-terms always run the walker.
+are identical to the walker's.  ``ite``, store chains, deep terms and
+unknown ops always run the walker.
+
+The generated source depends only on the term's *shape*: ops, widths,
+table sizes and which nodes are shared.  Constants, variable names and
+table bytes are arguments of a factory that one source defines, so
+every term of a shape shares one compiled factory (``_FACTORIES``), and
+names from ``.eir`` files never reach the source text.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SolverError
-from ..ir.ops import BINOPS, CMPS, apply_binop, apply_cmp
-from ..ir.types import mask, sign_extend
+from ..ir.ops import (BINOP_EXPRS, CMP_OPERATORS, DIVISIONS, MAGNITUDES,
+                      apply_binop, apply_cmp)
+from ..ir.types import MASK64, mask, sign_extend
 from .budget import Budget
 from .terms import BINOP_OPS, CMP_OPS, Term
 
@@ -53,15 +59,8 @@ OBJECT_BYTES_PER_UNIT = 16
 COMPILE_MAX_DEPTH = 32
 
 Assignment = Dict[str, int]
-Compiled = Callable[[Assignment], Optional[int]]
-#: a compiled read's index closure and its unknown-index charge
-ReadCharge = Tuple[Compiled, int]
 
 _UNKNOWN = object()  # sentinel in the memo: evaluated, value unknown
-#: ``Term._compiled`` of a term the compiled path declined
-_DECLINED = ()
-_LAZY_OPS = frozenset(("ite", "store", "array"))
-_DIV_OPS = frozenset(("udiv", "sdiv", "urem", "srem"))
 
 
 def tv_eval(term: Term, env: Assignment, budget: Budget) -> Optional[int]:
@@ -69,15 +68,7 @@ def tv_eval(term: Term, env: Assignment, budget: Budget) -> Optional[int]:
     compiled = term._compiled
     if compiled is None:
         compiled = term._compiled = _compile(term)
-    if compiled:
-        cost, fn, reads, worst = compiled
-        if budget.spent + worst <= budget.limit:
-            for index, unit in reads:
-                if index(env) is None:
-                    cost += unit
-            budget.charge(cost)
-            return fn(env)
-    return _walk(term, env, budget)
+    return compiled(term, env, budget)
 
 
 def _walk(term: Term, env: Assignment, budget: Budget) -> Optional[int]:
@@ -88,162 +79,239 @@ def _walk(term: Term, env: Assignment, budget: Budget) -> Optional[int]:
     return None if value is _UNKNOWN else value
 
 
+def _walked(term: Term, env: Assignment, budget: Budget) -> Optional[int]:
+    """``_walk``, looked up at each call: what a term the compiled path
+    declined runs, and what a compiled term runs when its worst case
+    would cross the budget's limit."""
+    return _walk(term, env, budget)
+
+
+#: ``Term._compiled`` of a term the compiled path declined
+_DECLINED = _walked
+
+
 # ----------------------------------------------------------------------
 # compiled path
 #
-# The closures take their operands as default arguments, not closure
-# cells: each cell is one more object the cyclic garbage collector
-# tracks, and with cells the compiled terms a table1 round keeps alive
-# cost it one more full collection per round.
+# ``_compile`` walks a term once and builds its shape key: one entry per
+# distinct node, children before parents, each naming its operands by
+# their positions (so a shared node is one entry, referred to twice).
+# Leaves are ``_CONST``/``_VAR`` markers and a table ``("array", width,
+# size)``; their values are the factory's arguments ``c<n>``, in entry
+# order.  A generated function binds them as default arguments, not
+# closure cells: each cell is one more object the cyclic garbage
+# collector tracks, and with cells the compiled terms a table1 round
+# keeps alive cost it one more full collection per round.
+
+_CONST = ("const",)
+_VAR = ("var",)
+_BINARY_OPS = BINOP_OPS | CMP_OPS
+
+#: shape key -> the factory of its generated function
+_FACTORIES: Dict[tuple, Callable] = {}
+#: shapes the memo holds before it starts over
+_FACTORY_LIMIT = 4096
+
+#: the globals of generated code, besides the factory's arguments
+_NAMESPACE = {"__builtins__": {}, "walk": _walked}
+
 
 class _Decline(Exception):
-    """The term is lazy, shared or too deep for the compiled path."""
+    """The term is lazy, too deep or has an unknown op."""
 
 
-def _compile(term: Term) -> tuple:
-    """``(distinct nodes, closure, reads, worst-case charge)`` for a
-    qualifying term, else declined.
+def _compile(term: Term) -> Callable:
+    """The generated ``evaluate(term, env, budget)`` of a qualifying
+    term, else :data:`_DECLINED`.
 
     Idempotent: threads racing on one term at worst compile it twice.
     """
-    seen: Set[int] = set()
-    reads: List[ReadCharge] = []
+    key: List[tuple] = []
+    args: list = []
     try:
-        fn = _closure(term, seen, reads, COMPILE_MAX_DEPTH)
+        _visit(term, COMPILE_MAX_DEPTH, {}, key, [], args)
     except _Decline:
         return _DECLINED
-    cost = len(seen)
-    return cost, fn, tuple(reads), cost + sum(unit for _, unit in reads)
+    key = tuple(key)
+    make = _FACTORIES.get(key)
+    if make is None:
+        if len(_FACTORIES) >= _FACTORY_LIMIT:
+            _FACTORIES.clear()
+        make = _FACTORIES[key] = _factory(key)
+    return make(*args)
 
 
-def _closure(node: Term, seen: Set[int], reads: List[ReadCharge],
-             depth: int) -> Compiled:
+def _visit(node: Term, depth: int, seen: Dict[int, int], key: List[tuple],
+           heights: List[int], args: list) -> int:
+    """The position of ``node``'s entry in ``key``.  Unless ``seen`` has
+    it, appends the entries of ``node``'s operands and then its own, and
+    each leaf's value to ``args``.  ``heights`` holds each entry's
+    levels, at most ``depth`` here."""
+    found = seen.get(id(node))
+    if found is not None:
+        if heights[found] > depth:
+            raise _Decline
+        return found
     op = node.op
-    if op == "const":
-        seen.add(id(node))
-        return lambda env, value=node.args[0]: value
-    if op == "var":
-        seen.add(id(node))
-        return lambda env, name=node.args[0]: env.get(name)
-    if depth == 1 or op in _LAZY_OPS or id(node) in seen:
+    operands = node.args
+    if op in _BINARY_OPS:
+        if depth == 1:
+            raise _Decline
+        lhs = _visit(operands[0], depth - 1, seen, key, heights, args)
+        rhs = _visit(operands[1], depth - 1, seen, key, heights, args)
+        entry = (op, operands[2], lhs, rhs)
+        height = 1 + max(heights[lhs], heights[rhs])
+    elif op == "var" or op == "const":
+        args.append(operands[0])
+        entry = _VAR if op == "var" else _CONST
+        height = 1
+    elif depth == 1:
         raise _Decline
-    seen.add(id(node))
-    depth -= 1
-    args = node.args
-    if op in BINOP_OPS or op in CMP_OPS:
-        lhs = _closure(args[0], seen, reads, depth)
-        rhs = _closure(args[1], seen, reads, depth)
-        if op in CMP_OPS:
-            return _strict(CMPS[op], lhs, rhs, args[2])
-        if op == "and" or op == "mul":
-            return _zero_absorbing(BINOPS[op], lhs, rhs, args[2])
-        if op in _DIV_OPS:
-            return _division(BINOPS[op], lhs, rhs, args[2])
-        return _strict(BINOPS[op], lhs, rhs, args[2])
-    if op == "read":
-        table = args[0]
+    elif op == "read":
+        table = operands[0]
         if table.op != "array":
             raise _Decline  # a store chain: the walker walks it lazily
-        index = _closure(args[1], seen, reads, depth)
-        reads.append((index, max(1, table.width // OBJECT_BYTES_PER_UNIT)))
-        return _read(table.args[1], index)
-    if op == "concat":
-        return _concat([_closure(part, seen, reads, depth)
-                         for part in args])
-    if op in _UNARY:
-        return _UNARY[op](_closure(args[0], seen, reads, depth), args[1])
-    raise _Decline  # unknown op: the walker raises the SolverError
+        where = seen.get(id(table))
+        if where is None:
+            where = seen[id(table)] = len(key)
+            key.append(("array", table.width, len(table.args[1])))
+            heights.append(1)
+            args.append(table.args[1])
+        index = _visit(operands[1], depth - 1, seen, key, heights, args)
+        entry = ("read", where, index)
+        height = 1 + heights[index]
+    elif op == "trunc" or op == "sext" or op == "extract":
+        inner = _visit(operands[0], depth - 1, seen, key, heights, args)
+        entry = (op, operands[1], inner)
+        height = 1 + heights[inner]
+    elif op == "concat":
+        parts = [_visit(part, depth - 1, seen, key, heights, args)
+                 for part in operands]
+        entry = ("concat", *parts)
+        height = 1 + max([heights[part] for part in parts])
+    else:  # ite, store, a bare array or an unknown op (the walker
+        raise _Decline  # raises its SolverError)
+    position = seen[id(node)] = len(key)
+    key.append(entry)
+    heights.append(height)
+    return position
 
 
-def _strict(apply, lhs: Compiled, rhs: Compiled, width: int) -> Compiled:
-    def fn(env, apply=apply, lhs=lhs, rhs=rhs, width=width):
-        lval = lhs(env)
-        if lval is None:
-            return None
-        rval = rhs(env)
-        if rval is None:
-            return None
-        return apply(lval, rval, width)
-    return fn
+def _factory(key: tuple) -> Callable:
+    """Generate, compile and run the source of the terms shaped ``key``;
+    returns the factory it defines.
+
+    Each entry is one local ``v<n>``, or, for a constant or table, the
+    argument ``c<n>`` holding it, so the body is one line per node (five
+    for a signed division) and then the charge.  ``unknown`` marks the
+    entries whose value may be ``None``, so that no line tests a value
+    that cannot be.  Generated code cannot raise, and each call first
+    checks that its worst-case charge fits under the budget's limit, so
+    its inline ``budget.spent += cost`` is exactly ``budget.charge(cost)``
+    for :class:`Budget` and :class:`UnlimitedBudget` alike.
+    """
+    names: List[str] = []
+    unknown: List[bool] = []
+    lines: List[str] = []
+    charges: List[str] = []  # each read's unknown-index charge
+    params: List[str] = []
+    cost = worst = 0
+    for position, entry in enumerate(key):
+        op = entry[0]
+        if op == "const" or op == "array":  # the walker skips arrays
+            names.append(f"c{len(params)}")
+            params.append(names[-1])
+            unknown.append(False)
+            if op == "const":
+                cost += 1
+            continue
+        cost += 1
+        name = f"v{position}"
+        names.append(name)
+        if op == "var":
+            params.append(f"c{len(params)}")
+            lines.append(f"{name} = env.get({params[-1]})")
+            unknown.append(True)
+            continue
+        operands = entry[1:] if op == "concat" else entry[2:]
+        values = [names[operand] for operand in operands]
+        tests = [f"{names[operand]} is None"
+                 for operand in operands if unknown[operand]]
+        if op == "read":
+            (_, width, size), index = key[entry[1]], values[0]
+            if unknown[entry[2]]:
+                unit = max(1, width // OBJECT_BYTES_PER_UNIT)
+                charges.append(f"({unit} if {index} is None else 0)")
+                worst += unit
+            tests.append(f"not 0 <= {index} < {size}")
+            expr = f"{names[entry[1]]}[{index}]"
+        elif op == "concat":  # least significant byte first
+            expr = " | ".join([f"({value} & 255) << {8 * i}" if i else
+                               f"({value} & 255)"
+                               for i, value in enumerate(values)])
+        elif op == "extract":
+            expr = f"({values[0]} >> {8 * entry[1]}) & 255"
+        elif op == "trunc":
+            expr = f"{values[0]} & {(1 << entry[1]) - 1}"
+        elif op == "sext":
+            expr = f"{_signed(values[0], entry[1])} & {MASK64}"
+        elif op in CMP_OPS:
+            side = _signed if op[0] == "s" else _unsigned
+            a, b = [side(value, entry[1]) for value in values]
+            expr = f"1 if {a} {CMP_OPERATORS[op]} {b} else 0"
+        elif op in DIVISIONS:
+            a, b = values
+            operator, result = DIVISIONS[op]
+            tests.append(f"not {b} & {(1 << entry[1]) - 1}")
+            if result is not None:
+                lines += [f"if {' or '.join(tests)}:", f"    {name} = None",
+                          "else:",
+                          f"    x = {_signed(a, entry[1])}",
+                          f"    y = {_signed(b, entry[1])}",
+                          f"    q = {MAGNITUDES.format(op=operator)}",
+                          f"    {name} = "
+                          f"{result.format(m=(1 << entry[1]) - 1)}"]
+                unknown.append(True)
+                continue
+            expr = (f"{_unsigned(a, entry[1])} {operator} "
+                    f"{_unsigned(b, entry[1])}")
+        else:
+            a, b = values
+            width = entry[1]
+            expr = BINOP_EXPRS[op].format(a=a, b=b, m=(1 << width) - 1,
+                                          s=1 << (width - 1), k=width - 1)
+            if tests and (op == "and" or op == "mul"):
+                # a known zero operand makes the result 0
+                lines.append(f"{name} = 0 if {a} == 0 or {b} == 0 else "
+                             f"None if {' or '.join(tests)} else {expr}")
+                unknown.append(True)
+                continue
+        lines.append(f"{name} = None if {' or '.join(tests)} else {expr}"
+                     if tests else f"{name} = {expr}")
+        unknown.append(bool(tests))
+    body = ([f"if budget.spent + {cost + worst} > budget.limit:",
+             "    return walk(term, env, budget)"]
+            + lines
+            + [f"budget.spent += {' + '.join([str(cost)] + charges)}",
+               f"return {names[-1]}"])
+    defaults = ", ".join([f"{param}={param}" for param in params])
+    source = (f"def make({', '.join(params)}):\n"
+              f"    def evaluate(term, env, budget, {defaults}):\n"
+              + "".join([f"        {line}\n" for line in body])
+              + "    return evaluate\n")
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, "<generated term>", "exec"), namespace)
+    return namespace["make"]
 
 
-def _zero_absorbing(apply, lhs: Compiled, rhs: Compiled,
-                    width: int) -> Compiled:
-    """``and``/``mul``: a known zero side makes the result 0."""
-    def fn(env, apply=apply, lhs=lhs, rhs=rhs, width=width):
-        lval = lhs(env)
-        if lval == 0:
-            return 0
-        rval = rhs(env)
-        if rval == 0:
-            return 0
-        if lval is None or rval is None:
-            return None
-        return apply(lval, rval, width)
-    return fn
+def _unsigned(value: str, width: int) -> str:
+    return f"({value} & {(1 << width) - 1})"
 
 
-def _division(apply, lhs: Compiled, rhs: Compiled, width: int) -> Compiled:
-    """Division by zero is unknown: infeasible on the recorded path."""
-    def fn(env, apply=apply, lhs=lhs, rhs=rhs, width=width,
-           divisor_mask=(1 << width) - 1):
-        lval = lhs(env)
-        if lval is None:
-            return None
-        rval = rhs(env)
-        if rval is None or not rval & divisor_mask:
-            return None
-        return apply(lval, rval, width)
-    return fn
-
-
-def _read(data: bytes, index: Compiled) -> Compiled:
-    """A constant table's byte; out of bounds is unknown (infeasible)."""
-    def fn(env, data=data, index=index, size=len(data)):
-        position = index(env)
-        if position is None or not 0 <= position < size:
-            return None
-        return data[position]
-    return fn
-
-
-def _concat(parts: List[Compiled]) -> Compiled:
-    def fn(env, parts=tuple(parts)):
-        total = 0
-        shift = 0
-        for part in parts:
-            value = part(env)
-            if value is None:
-                return None
-            total |= (value & 0xFF) << shift
-            shift += 8
-        return total
-    return fn
-
-
-def _trunc(inner: Compiled, to_width: int) -> Compiled:
-    def fn(env, inner=inner, keep=(1 << to_width) - 1):
-        value = inner(env)
-        return None if value is None else value & keep
-    return fn
-
-
-def _sext(inner: Compiled, from_width: int) -> Compiled:
-    def fn(env, inner=inner, from_width=from_width):
-        value = inner(env)
-        return None if value is None else sign_extend(value, from_width)
-    return fn
-
-
-def _extract(inner: Compiled, byte_index: int) -> Compiled:
-    def fn(env, inner=inner, shift=8 * byte_index):
-        value = inner(env)
-        return None if value is None else (value >> shift) & 0xFF
-    return fn
-
-
-#: single-operand ops: factory(operand closure, the op's int argument)
-_UNARY = {"trunc": _trunc, "sext": _sext, "extract": _extract}
+def _signed(value: str, width: int) -> str:
+    """``value``'s low ``width`` bits as a two's-complement integer."""
+    sign = 1 << (width - 1)
+    return f"((({value} & {(1 << width) - 1}) ^ {sign}) - {sign})"
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +433,7 @@ def _compute(node: Term, memo) -> object:
             return 0
         if lvalue is None or rvalue is None:
             return _UNKNOWN
-        if op in _DIV_OPS and mask(rvalue, opwidth) == 0:
+        if op in DIVISIONS and mask(rvalue, opwidth) == 0:
             # division by zero cannot occur on the recorded path; a
             # candidate assignment that produces it is simply infeasible.
             return _UNKNOWN

@@ -87,7 +87,9 @@ class Term:
         comparisons (a stall term held across engine runs, a cache key
         built in a previous session) fall back to an *iterative*
         structural walk — terms grow far past the recursion limit, so
-        nothing here may recurse.
+        nothing here may recurse.  The walk compares each pair of nodes
+        once: terms are DAGs, and one with 24 levels of ``t = t ^ (t +
+        b)`` has 2^24 paths.
         """
         if self is other:
             return True
@@ -96,6 +98,7 @@ class Term:
         if self._hash != other._hash:
             return False
         stack = [(self, other)]
+        pushed = {(id(self), id(other))}
         while stack:
             a, b = stack.pop()
             if a is b:
@@ -108,7 +111,10 @@ class Term:
                     if x is not y:
                         if x._hash != y._hash:
                             return False
-                        stack.append((x, y))
+                        pair = (id(x), id(y))
+                        if pair not in pushed:
+                            pushed.add(pair)
+                            stack.append((x, y))
                 elif type(x) is not type(y) or x != y:
                     return False
         return True

@@ -648,6 +648,40 @@ def test_max_steps_cut_inside_runs_identical(hang_as_failure):
                     max_steps=max_steps, hang_as_failure=hang_as_failure)
 
 
+def _counting_loop(iterations):
+    """``main`` counts to ``iterations`` in a one-block loop."""
+    b = ModuleBuilder("count")
+    m = b.function("main", [])
+    m.block("entry")
+    m.const(0, dest="%i")
+    m.jmp("loop")
+    m.block("loop")
+    m.add("%i", 1, dest="%i")
+    m.br(m.cmp("ult", "%i", iterations), "loop", "done")
+    m.block("done")
+    m.ret("%i")
+    return b.build()
+
+
+def test_hooked_run_compiles_each_block_once(monkeypatch):
+    """A hooked run keeps its code per run and looks a block's code up
+    at each jump: the blocks' ``_code`` calls do not grow with the
+    number of jumps."""
+    calls = []
+    code = Interpreter._code
+    monkeypatch.setattr(Interpreter, "_code", lambda *args: calls.append(
+        args[2].label) or code(*args))
+    for iterations in (3, 300):
+        calls.clear()
+        steps = []
+        result = Interpreter(
+            _counting_loop(iterations), Environment({}, quantum=10_000),
+            on_step=lambda *step: steps.append(step)).run()
+        assert result.return_value == iterations
+        assert len(steps) == 2 + 3 * iterations + 1
+        assert calls == ["entry", "loop", "done"]
+
+
 _PURE_BINOPS = ["add", "sub", "mul", "and", "or", "xor", "shl", "lshr",
                 "ashr"]
 _DIVISIONS = ["udiv", "sdiv", "urem", "srem"]

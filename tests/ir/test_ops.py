@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ir.ops import apply_binop, apply_cmp
-from repro.ir.types import mask, to_signed
+from repro.ir.ops import (BINOP_EXPRS, BINOPS, CMP_OPERATORS, CMPS,
+                          DIVISIONS, MAGNITUDES, apply_binop, apply_cmp)
+from repro.ir.types import VALID_WIDTHS, mask, to_signed
 
 values = st.integers(min_value=0, max_value=(1 << 64) - 1)
 widths = st.sampled_from((8, 16, 32, 64))
@@ -102,3 +103,65 @@ class TestCmp:
     def test_signed_matches_python(self, a, b, w):
         expected = int(to_signed(a, w) < to_signed(b, w))
         assert apply_cmp("slt", a, b, w) == expected
+
+
+def _edge_operands(width):
+    """0, 1, the mask, the sign bit and the one below it, and values
+    wider than ``width``."""
+    top = (1 << width) - 1
+    sign = 1 << (width - 1)
+    return sorted({0, 1, top, sign, sign - 1, top + 1, top + 2,
+                   (top << 3) | 5, (1 << 70) + 3})
+
+
+class TestSourceTemplates:
+    """The templates both code generators inline agree with the tables
+    at every width, on operands wider than the width too."""
+
+    def test_every_op_has_a_template(self):
+        assert set(BINOP_EXPRS) | set(DIVISIONS) == set(BINOPS)
+        assert not set(BINOP_EXPRS) & set(DIVISIONS)
+        assert set(CMP_OPERATORS) == set(CMPS)
+
+    @pytest.mark.parametrize("width", VALID_WIDTHS)
+    def test_binop_templates(self, width):
+        edges = _edge_operands(width)
+        for op, template in BINOP_EXPRS.items():
+            expr = compile(template.format(
+                a="a", b="b", m=(1 << width) - 1, s=1 << (width - 1),
+                k=width - 1), "<template>", "eval")
+            for a in edges:
+                for b in edges:
+                    assert eval(expr, {"a": a, "b": b}) \
+                        == apply_binop(op, a, b, width), (op, a, b)
+
+    @pytest.mark.parametrize("width", VALID_WIDTHS)
+    def test_division_templates(self, width):
+        edges = _edge_operands(width)
+        for op, (operator, result) in DIVISIONS.items():
+            side = to_signed if op[0] == "s" else mask
+            for a in edges:
+                for b in edges:
+                    names = {"x": side(a, width), "y": side(b, width)}
+                    if not names["y"]:
+                        continue  # generated code tests the divisor first
+                    if result is None:
+                        got = eval(f"x {operator} y", names)
+                    else:
+                        names["q"] = eval(MAGNITUDES.format(op=operator),
+                                          names)
+                        got = eval(result.format(m=(1 << width) - 1), names)
+                    assert got == apply_binop(op, a, b, width), (op, a, b)
+
+    @pytest.mark.parametrize("width", VALID_WIDTHS)
+    def test_cmp_operators(self, width):
+        edges = _edge_operands(width)
+        for op, operator in CMP_OPERATORS.items():
+            side = to_signed if op[0] == "s" else mask
+            expr = compile(f"x {operator} y", "<template>", "eval")
+            for a in edges:
+                for b in edges:
+                    got = eval(expr, {"x": side(a, width),
+                                      "y": side(b, width)})
+                    assert (1 if got else 0) == apply_cmp(op, a, b, width), \
+                        (op, a, b)

@@ -1,5 +1,7 @@
 """Term construction: interning, folding, array collapse, widths."""
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -86,6 +88,32 @@ class TestTermScopes:
         with T.term_scope():
             b = chain()
         assert a == b
+
+    def test_shared_dag_equality_compares_each_pair_once(self):
+        """24 levels of ``t = t ^ (t + b)`` are 50 nodes but 2^24 paths;
+        walking them as a tree took about a minute."""
+        def dag(base):
+            node = base
+            for _ in range(24):
+                node = T.binop("xor", node,
+                               T.binop("add", node, T.var("b")))
+            return node
+
+        with T.term_scope():
+            first = dag(T.var("a"))
+        with T.term_scope():
+            second = dag(T.var("a"))
+        with T.term_scope():
+            # a base whose hash collides with ``a``'s, so that only the
+            # walk down to it tells the terms apart
+            base = T.Term("var", ("z",), 8)
+            base._hash = hash(T.var("a"))
+            forged = dag(base)
+        assert hash(forged) == hash(first)
+        start = time.perf_counter()
+        assert first == second
+        assert first != forged
+        assert time.perf_counter() - start < 2.0
 
     def test_threads_are_isolated(self):
         import threading
