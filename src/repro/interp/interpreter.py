@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import InterpError
@@ -329,9 +330,11 @@ class Interpreter:
         """The code of ``block`` of function ``func_name``: one step per
         instruction, and at the start of each fused run
         ``(size, run, step)`` instead.  The first unhooked run to enter
-        the block compiles it and keeps the code on the block.  A hooked
-        run wraps each step in its hook instead, once per run: its code
-        lives in ``hooked``, by block id."""
+        the block compiles it and keeps the code on the block; generated
+        steps and runs that another block's code already holds for the
+        same instruction objects are kept on those objects and reused.
+        A hooked run wraps each step in its hook instead, once per run:
+        its code lives in ``hooked``, by block id."""
         code = block._compiled if hooked is None else hooked.get(id(block))
         if code is None:
             instrs = block.instrs
@@ -345,7 +348,7 @@ class Interpreter:
             else:
                 for start, end in _straight_runs(instrs):
                     code[start] = (end - start,
-                                   _fused_run(instrs[start:end]),
+                                   _shared_run(instrs[start:end]),
                                    code[start])
                 object.__setattr__(block, "_compiled", code)
         return code
@@ -928,9 +931,32 @@ def _fused_run(instrs: Tuple[ins.Instr, ...]) -> Callable:
     return _generate(src, "run(interp, regs, bits)", body)
 
 
+def _shared_run(instrs: Tuple[ins.Instr, ...]) -> Callable:
+    """The fused run of these instruction objects.  A block that
+    ``instrument`` rebuilds keeps its other instruction objects, so a
+    run's first instruction keeps the run (``_run``, with the run's
+    instructions, compared by identity), and a later block holding the
+    same objects takes it instead of generating it again.  A shared run
+    keeps its access-site keys: one run executes one module, whose
+    blocks share no instruction object."""
+    first = instrs[0]
+    kept = getattr(first, "_run", None)
+    if kept is not None and len(kept[0]) == len(instrs) \
+            and all(map(is_, kept[0], instrs)):
+        return kept[1]
+    run = _fused_run(instrs)
+    object.__setattr__(first, "_run", (instrs, run))
+    return run
+
+
 def _generated_step(instr: ins.Instr, func_name: str, module) -> Step:
     """The generated step of the straight-line ``instr`` of function
-    ``func_name``."""
+    ``func_name``, kept on ``instr`` (``_step``, with the function name
+    its unset-register error names) for every block that holds it, as
+    :func:`_shared_run` keeps runs."""
+    kept = getattr(instr, "_step", None)
+    if kept is not None and kept[0] == func_name:
+        return kept[1]
     src = _Source(step=True)
     tail = _emit(src, (instr,))
     head = ["regs = frame.regs"]
@@ -944,8 +970,10 @@ def _generated_step(instr: ins.Instr, func_name: str, module) -> Step:
                  + ["except KeyError:",
                     f"    raise unset(regs, {src.const(func_name)}, "
                     f"{registers}) from None"])
-    return _generate(src, "step(interp, thread, frame)",
+    step = _generate(src, "step(interp, thread, frame)",
                      head + src.lines + tail)
+    object.__setattr__(instr, "_step", (func_name, step))
+    return step
 
 
 #: instruction type -> compiler: the straight-line kinds are generated

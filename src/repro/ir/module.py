@@ -3,19 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import IRError
 from .instructions import Instr
 
 
-@dataclass(frozen=True, order=True)
-class ProgramPoint:
+class ProgramPoint(NamedTuple):
     """A static location: (function, block label, instruction index).
 
     Program points identify where a value is defined; ER's recording sets
     are sets of program points, and the instrumentation pass inserts
-    ``ptwrite`` immediately after a point.
+    ``ptwrite`` immediately after a point.  A point is a named tuple, so
+    it hashes, compares and orders as ``(func, block, index)`` in C: the
+    symbolic engine counts its steps under their points.
     """
 
     func: str

@@ -31,7 +31,7 @@ from .budget import DEFAULT_WORK_LIMIT, Budget
 from .cache import ProvenModel, SolverCache, ValueEnumeration
 from .evaluator import tv_eval
 from .model import Model
-from .terms import Term, bool_term, cmp, const, iter_nodes
+from .terms import Term, bool_term, cmp, const
 
 #: Give up deriving candidates from arrays bigger than this.
 _MAX_SCAN_BYTES = 4096
@@ -417,14 +417,11 @@ class _Search:
         #: deps are expressed in these positions so the assumption stack
         #: (which mirrors the raw caller list) can home them in a frame
         self._index: Dict[Term, int] = {}
-        seen: Set[Term] = set()
         for pos, raw in enumerate(constraints):
             term = bool_term(raw)
-            if term in seen:
-                continue
-            seen.add(term)
-            self._index[term] = pos
-            self.constraints.append(term)
+            if term not in self._index:
+                self._index[term] = pos
+                self.constraints.append(term)
 
     def harvest(self):
         """Assumption-stack payload: the post-propagation snapshot (with
@@ -443,14 +440,17 @@ class _Search:
     def run(self) -> Model:
         self._propagate()
         active = self._active_constraints()
-        active_set = set(active)
-        self.propagated = (
-            dict(self.env),
-            frozenset(c for c in self.constraints if c not in active_set))
-        #: non-speculative vars: a rejection whose constraint reads only
-        #: these (plus the candidate) is a fact about the query itself,
-        #: not about the DFS assignments above it — learnable at any depth
-        self._base_vars = frozenset(self.env)
+        if self.learned is not None:  # what only learning reads
+            active_set = set(active)
+            self.propagated = (
+                dict(self.env),
+                frozenset(c for c in self.constraints
+                          if c not in active_set))
+            #: non-speculative vars: a rejection whose constraint reads
+            #: only these (plus the candidate) is a fact about the query
+            #: itself, not about the DFS assignments above it —
+            #: learnable at any depth
+            self._base_vars = frozenset(self.env)
         groups = self._word_groups(active)
         order = self._variable_order(active, groups)
         self._pos = {var: i for i, var in enumerate(order)}
@@ -464,13 +464,14 @@ class _Search:
 
     def _propagate(self) -> None:
         budget = self.budget
+        known = self.known_satisfied
         changed = True
         while changed:
             changed = False
             #: (constraint, value, charge) of each evaluation this sweep
             sweep = []
             for constraint in self.constraints:
-                if constraint in self.known_satisfied:
+                if known and constraint in known:
                     continue  # proven for a prefix: stays true here
                 before = budget.spent
                 value = tv_eval(constraint, self.env, budget)
@@ -525,15 +526,14 @@ class _Search:
         its dependency and speculative floor into the accumulators of the
         subtree being refuted, and — when exactly one speculative
         variable was involved — learn the rejection as a standalone
-        ``var != value`` conflict immediately.
+        ``var != value`` conflict immediately.  Called with learning on
+        only.
 
         The direct case is sound because every free variable of a bucket
         constraint is assigned when it is checked: its verdict is a pure
         function of those values, the non-speculative ones are forced by
         the constraints (dep-tracked), so any model of the query must
         differ on the one speculative variable."""
-        if self.learned is None:
-            return
         dep = self._index.get(constraint, 0)
         floor = _NO_FLOOR
         speculative = None
@@ -601,24 +601,26 @@ class _Search:
         Returns ``{var: (names_tuple, concat_term)}``.
         """
         groups: Dict[str, Tuple] = {}
-        for node in iter_nodes(active):
-            if node.op != "concat":
-                continue
-            names = []
-            for part in node.args:
-                if part.op == "var" and part.args[0] not in self.env:
-                    names.append(part.args[0])
-                else:
-                    names = None
-                    break
-            if not names or len(set(names)) != len(names):
-                continue
-            key = tuple(names)
-            for name in names:
-                # keep the widest group a var appears in
-                current = groups.get(name)
-                if current is None or len(current[0]) < len(key):
-                    groups[name] = (key, node)
+        env = self.env
+        # each constraint's concat nodes of vars, in the order one
+        # iter_nodes(active) walk meets them: it pops the constraints
+        # last first, and finishes each one's nodes before the next
+        seen: Set[int] = set()
+        for constraint in reversed(active):
+            for node in constraint.word_nodes():
+                if id(node) in seen:
+                    continue
+                seen.add(id(node))
+                names = [part.args[0] for part in node.args]
+                if any(name in env for name in names) or \
+                        len(set(names)) != len(names):
+                    continue
+                key = tuple(names)
+                for name in names:
+                    # keep the widest group a var appears in
+                    current = groups.get(name)
+                    if current is None or len(current[0]) < len(key):
+                        groups[name] = (key, node)
         # drop inconsistent overlaps: every member must agree on the group
         consistent = {}
         for name, (key, node) in groups.items():
@@ -632,7 +634,7 @@ class _Search:
         order: List[str] = []
         seen: Set[str] = set(self.env)
         for constraint in active:
-            for name in sorted(constraint.free_vars()):
+            for name in constraint.sorted_vars():
                 if name in seen:
                     continue
                 if name in groups:
@@ -651,7 +653,7 @@ class _Search:
         position = {name: i for i, name in enumerate(order)}
         buckets: List[List[Term]] = [[] for _ in order]
         for constraint in active:
-            free = [position[n] for n in constraint.free_vars()
+            free = [position[n] for n in constraint.sorted_vars()
                     if n in position]
             if not free:
                 # depends only on pre-assigned vars but still unknown
@@ -671,7 +673,7 @@ class _Search:
         sources: Dict[str, List[Term]] = {name: [] for name in self._pos}
         for bucket in buckets:
             for constraint in bucket:
-                for name in constraint.free_vars():
+                for name in constraint.sorted_vars():
                     if name in sources:
                         sources[name].append(constraint)
         return sources
@@ -719,7 +721,8 @@ class _Search:
             for constraint in buckets[depth]:
                 if tv_eval(constraint, self.env, self.budget) != 1:
                     ok = False
-                    self._note_reject(constraint)
+                    if learning:
+                        self._note_reject(constraint)
                     break
             if ok and self._dfs(depth + 1, order, buckets, groups):
                 return True
@@ -764,7 +767,8 @@ class _Search:
                 for constraint in buckets[d]:
                     if tv_eval(constraint, self.env, self.budget) != 1:
                         ok = False
-                        self._note_reject(constraint)
+                        if learning:
+                            self._note_reject(constraint)
                         break
                 if not ok:
                     break
@@ -1111,13 +1115,13 @@ def _candidates_from_table_read(term: Term, target: int, name: str,
         return []
     budget.charge(len(data))
     candidates: List[int] = []
-    for position, byte in enumerate(data):
-        if byte != target:
-            continue
+    position = data.find(target) if 0 <= target <= 0xFF else -1
+    while position >= 0:
         forced: Dict[str, int] = {}
         if _invert_unique(index, position, env, forced, budget) and \
                 name in forced:
             candidates.append(forced[name])
-        if len(candidates) >= 16:
-            break
+            if len(candidates) >= 16:
+                break
+        position = data.find(target, position + 1)
     return candidates

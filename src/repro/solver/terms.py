@@ -37,6 +37,21 @@ Because spaces are scoped, ``Term.__eq__`` is *structural* with an
 identity fast path: two structurally equal terms from different spaces
 (e.g. a stall term kept across engine runs) still compare and hash
 equal.
+
+A space's table keys each term by its op, its raw arguments, the
+*identity* of each term child and its width, a tuple of strings, ints
+and bytes that hashes in C.  Within one table that key is exact: every
+child is itself interned there, and the table keeps it alive through
+its parent.  A term records the *generation* of the table that
+interned it (a token per table, which does not refer to the table, so
+a dropped space is freed without the cyclic collector), and a
+constructor handed a child of another generation (another space, or
+its own space before :meth:`TermSpace.reset`) first *adopts* it: it
+takes the table's term of that structure, interning a copy if there is
+none.  So within a space one structure is one object.  ``Term._hash`` is
+computed once, from the op, the raw arguments, the children's hashes
+and the width, so it is structural and equal terms of any space hash
+equal.
 """
 
 from __future__ import annotations
@@ -47,7 +62,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..errors import SolverError
 from ..ir.ops import apply_binop, apply_cmp
-from ..ir.types import mask, sign_extend
+from ..ir.types import sign_extend
 
 BINOP_OPS = frozenset((
     "add", "sub", "mul", "udiv", "sdiv", "urem", "srem",
@@ -59,19 +74,31 @@ CMP_OPS = frozenset((
 
 
 class Term:
-    """An immutable, interned term node."""
+    """An immutable, interned term node.
 
-    __slots__ = ("op", "args", "width", "prov", "_free", "_hash",
-                 "_compiled")
+    The constructors below build terms; ``Term(op, args, width)`` makes
+    one outside every table, which a constructor adopts like any other
+    foreign child."""
 
-    def __init__(self, op: str, args: tuple, width: int):
+    __slots__ = ("op", "args", "width", "is_const", "prov", "_hash",
+                 "_gen", "_free", "_vars", "_words", "_compiled")
+
+    def __init__(self, op: str, args: tuple, width: int,
+                 hash_: Optional[int] = None, gen: object = None):
         self.op = op
         self.args = args
         self.width = width
+        self.is_const = op == "const"
         #: provenance: (ProgramPoint, register, size_bytes) or None
         self.prov = None
+        self._hash = _structural_hash(op, args, width) if hash_ is None \
+            else hash_
+        #: the generation of the intern table holding this term (None:
+        #: built directly)
+        self._gen = gen
         self._free: Optional[FrozenSet[str]] = None
-        self._hash = hash((op, args, width))
+        self._vars: Optional[Tuple[str, ...]] = None
+        self._words: Optional[Tuple[Term, ...]] = None
         #: the evaluator's compiled form, built on first evaluation
         #: (see :mod:`repro.solver.evaluator`); None until then
         self._compiled = None
@@ -147,10 +174,6 @@ class Term:
         return "".join(out)
 
     @property
-    def is_const(self) -> bool:
-        return self.op == "const"
-
-    @property
     def value(self) -> int:
         if self.op != "const":
             raise SolverError(f"not a constant: {self!r}")
@@ -159,25 +182,77 @@ class Term:
     def free_vars(self) -> FrozenSet[str]:
         """Names of symbolic input variables occurring in this term."""
         if self._free is None:
-            acc = set()
-            stack = [self]
-            seen = set()
-            while stack:
-                node = stack.pop()
-                if id(node) in seen:
-                    continue
-                seen.add(id(node))
-                if node.op == "var":
-                    acc.add(node.args[0])
-                else:
-                    for arg in node.args:
-                        if isinstance(arg, Term):
-                            if arg._free is not None:
-                                acc.update(arg._free)
-                            else:
-                                stack.append(arg)
-            self._free = frozenset(acc)
+            _derive_facts(self)
         return self._free
+
+    def sorted_vars(self) -> Tuple[str, ...]:
+        """:meth:`free_vars` in sorted order, computed once."""
+        names = self._vars
+        if names is None:
+            names = self._vars = tuple(sorted(self.free_vars()))
+        return names
+
+    def word_nodes(self) -> Tuple["Term", ...]:
+        """The ``concat`` nodes reachable from this term whose parts are
+        all ``var`` terms, in :func:`iter_nodes` order."""
+        if self._words is None:
+            _derive_facts(self)
+        return self._words
+
+
+_NO_VARS: FrozenSet[str] = frozenset()
+
+
+def _derive_facts(root: Term) -> None:
+    """Set ``_free`` and ``_words`` on ``root`` and on every node below
+    it that lacks them, children first, each from its children's.
+
+    ``iter_nodes`` meets a node, then its last child's nodes, then each
+    earlier child's nodes that it has not met yet, so a node's word
+    nodes are its children's in that order, without repeats.
+    Iterative: loop-grown terms exceed the recursion limit."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node._free is not None:
+            stack.pop()
+            continue
+        children = [arg for arg in node.args if isinstance(arg, Term)]
+        pending = [child for child in children if child._free is None]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if node.op == "var":
+            node._free = frozenset(node.args[:1])
+            node._words = ()
+            continue
+        free = _NO_VARS
+        for child in children:
+            names = child._free
+            if not names <= free:
+                free = free | names if free else names
+        words: Tuple[Term, ...] = ()
+        if node.op == "concat" and all(part.op == "var"
+                                       for part in children):
+            words = (node,)
+        else:
+            for child in reversed(children):
+                more = child._words
+                if more and more is not words:
+                    if words:
+                        met = set(map(id, words))
+                        more = tuple(w for w in more if id(w) not in met)
+                    words += more
+        node._free = free
+        node._words = words
+
+
+def _structural_hash(op: str, args: tuple, width: int) -> int:
+    """The hash of a term: of its op, its raw arguments, its children's
+    hashes and its width, so that it never depends on identity."""
+    return hash((op, *[arg._hash if isinstance(arg, Term) else arg
+                       for arg in args], width))
 
 
 #: forward declarations — rebound to interned singletons below, after
@@ -195,20 +270,27 @@ class TermSpace:
     into every space so identity with them holds everywhere.
     """
 
-    __slots__ = ("table",)
+    __slots__ = ("table", "gen")
 
     def __init__(self):
         self.table: Dict[tuple, Term] = {}
+        #: the table's token, which its terms record
+        self.gen = object()
         self._seed()
 
     def _seed(self) -> None:
         if TRUE is not None:  # module fully initialised
-            self.table[("const", (1,), 1)] = TRUE
-            self.table[("const", (0,), 1)] = FALSE
+            self.table[("const", 1, 1)] = TRUE
+            self.table[("const", 0, 1)] = FALSE
 
     def reset(self) -> None:
-        """Drop every interned term except the TRUE/FALSE singletons."""
-        self.table.clear()
+        """Drop every interned term except the TRUE/FALSE singletons.
+
+        The space takes a new table and generation rather than clearing
+        the old table: terms of the old one stay valid, and a
+        constructor adopts them like children from any other space."""
+        self.table = {}
+        self.gen = object()
         self._seed()
 
     def __len__(self) -> int:
@@ -219,17 +301,17 @@ class TermSpace:
 #: constants, ad-hoc library use, legacy tests)
 _DEFAULT_SPACE = TermSpace()
 
-#: the context-local active space; ``None`` means "use the default".
-#: ContextVars are per-thread (and per-async-task), so concurrent
+#: the context-local active space; the default space when no scope is
+#: open.  ContextVars are per-thread (and per-async-task), so concurrent
 #: sessions in one process each see their own space.
-_ACTIVE: "ContextVar[Optional[TermSpace]]" = ContextVar(
-    "repro_term_space", default=None)
+_ACTIVE: "ContextVar[TermSpace]" = ContextVar(
+    "repro_term_space", default=_DEFAULT_SPACE)
+_active = _ACTIVE.get
 
 
 def current_space() -> "TermSpace":
     """The space constructors intern into right now."""
-    space = _ACTIVE.get()
-    return space if space is not None else _DEFAULT_SPACE
+    return _active()
 
 
 @contextmanager
@@ -240,11 +322,12 @@ def term_scope(space: Optional["TermSpace"] = None, *,
     ``reuse_active=True`` keeps an already-active space instead of
     nesting a new one — a session that is itself part of a larger
     session (e.g. a gap-recovery replay inside a reconstruction) shares
-    its parent's intern table.
+    its parent's intern table.  The default space never counts as
+    active.
     """
     if reuse_active:
-        active = _ACTIVE.get()
-        if active is not None:
+        active = _active()
+        if active is not _DEFAULT_SPACE:
             yield active
             return
     if space is None:
@@ -265,16 +348,109 @@ def clear_term_cache() -> None:
     reset remain structurally equal (``==``) to re-built ones — only
     ``is`` identity with them is given up.
     """
-    current_space().reset()
+    _active().reset()
 
 
 def _intern(op: str, args: tuple, width: int) -> Term:
-    table = current_space().table
-    key = (op, args, width)
+    """The term ``(op, args, width)`` of the current space.  The
+    constructors of the hot ops inline this; they build the same keys
+    and hashes."""
+    space = _active()
+    table, gen = space.table, space.gen
+    own = []
+    key = [op]
+    hashed = [op]
+    for arg in args:
+        if isinstance(arg, Term):
+            if arg._gen is not gen:
+                arg = _adopt(arg, space)
+            key.append(id(arg))
+            hashed.append(arg._hash)
+        else:
+            key.append(arg)
+            hashed.append(arg)
+        own.append(arg)
+    key.append(width)
+    hashed.append(width)
+    key = tuple(key)
     term = table.get(key)
     if term is None:
-        term = Term(op, args, width)
-        table[key] = term
+        term = table[key] = Term(op, tuple(own), width,
+                                 hash(tuple(hashed)), gen)
+    return term
+
+
+def _adopt(term: Term, space: TermSpace) -> Term:
+    """The term of ``space`` with ``term``'s structure, where ``term``
+    comes from another table.  Nodes the table lacks are interned as
+    copies that keep the originals' hashes and provenance."""
+    table, gen = space.table, space.gen
+    done: Dict[int, Term] = {}  # id(foreign node) -> its term in table
+    stack = [term]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        pending = [arg for arg in node.args if isinstance(arg, Term)
+                   and arg._gen is not gen and id(arg) not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        args = tuple(done.get(id(arg), arg) if isinstance(arg, Term)
+                     else arg for arg in node.args)
+        key = (node.op, *[id(arg) if isinstance(arg, Term) else arg
+                          for arg in args], node.width)
+        native = table.get(key)
+        if native is None:
+            native = table[key] = Term(node.op, args, node.width,
+                                       node._hash, gen)
+            native.prov = node.prov
+        done[id(node)] = native
+    return done[id(term)]
+
+
+def _binary(op: str, lhs: Term, rhs: Term, extra: int, width: int) -> Term:
+    """``_intern(op, (lhs, rhs, extra), width)``."""
+    space = _active()
+    gen = space.gen
+    if lhs._gen is not gen:
+        lhs = _adopt(lhs, space)
+    if rhs._gen is not gen:
+        rhs = _adopt(rhs, space)
+    key = (op, id(lhs), id(rhs), extra, width)
+    table = space.table
+    term = table.get(key)
+    if term is None:
+        term = table[key] = Term(
+            op, (lhs, rhs, extra), width,
+            hash((op, lhs._hash, rhs._hash, extra, width)), gen)
+    return term
+
+
+def _unary(op: str, child: Term, extra: int, width: int) -> Term:
+    """``_intern(op, (child, extra), width)``."""
+    space = _active()
+    gen = space.gen
+    if child._gen is not gen:
+        child = _adopt(child, space)
+    key = (op, id(child), extra, width)
+    table = space.table
+    term = table.get(key)
+    if term is None:
+        term = table[key] = Term(op, (child, extra), width,
+                                 hash((op, child._hash, extra, width)), gen)
+    return term
+
+
+def _leaf(key: tuple) -> Term:
+    """The leaf ``(op, *args, width)`` = ``key`` of the current space."""
+    space = _active()
+    term = space.table.get(key)
+    if term is None:
+        term = space.table[key] = Term(key[0], key[1:-1], key[-1],
+                                       hash(key), space.gen)
     return term
 
 
@@ -282,7 +458,13 @@ def _intern(op: str, args: tuple, width: int) -> Term:
 # constructors (with inline constant folding / light simplification)
 
 def const(value: int, width: int = 64) -> Term:
-    return _intern("const", (mask(value, width),), width)
+    key = ("const", value & ((1 << width) - 1), width)
+    space = _active()
+    term = space.table.get(key)
+    if term is None:
+        term = space.table[key] = Term("const", key[1:2], width, hash(key),
+                                       space.gen)
+    return term
 
 
 TRUE = const(1, 1)
@@ -290,11 +472,12 @@ FALSE = const(0, 1)
 
 
 def var(name: str, width: int = 8) -> Term:
-    return _intern("var", (name,), width)
+    return _leaf(("var", name, width))
 
 
 def array(name: str, data: bytes) -> Term:
-    return _intern("array", (name, bytes(data)), len(data))
+    data = bytes(data)
+    return _leaf(("array", name, data, len(data)))
 
 
 def store(arr: Term, index: Term, value_term: Term) -> Term:
@@ -309,11 +492,11 @@ def read(arr: Term, index: Term) -> Term:
         raise SolverError(f"read from non-array {arr!r}")
     node = arr
     if index.is_const:
-        idx = index.value
+        idx = index.args[0]
         while node.op == "store":
             st_index, st_value = node.args[1], node.args[2]
             if st_index.is_const:
-                if st_index.value == idx:
+                if st_index.args[0] == idx:
                     return st_value
                 node = node.args[0]
                 continue
@@ -325,19 +508,25 @@ def read(arr: Term, index: Term) -> Term:
     return _intern("read", (arr, index), 8)
 
 
+_DIVISIONS = frozenset(("udiv", "sdiv", "urem", "srem"))
+_COMMUTATIVE = frozenset(("add", "mul", "and", "or", "xor"))
+
+
 def binop(op: str, lhs: Term, rhs: Term, opwidth: int = 64) -> Term:
     if op not in BINOP_OPS:
         raise SolverError(f"unknown binop {op!r}")
-    if lhs.is_const and rhs.is_const:
-        if op in ("udiv", "sdiv", "urem", "srem") and \
-                mask(rhs.value, opwidth) == 0:
-            raise SolverError(f"constant {op} by zero")
-        return const(apply_binop(op, lhs.value, rhs.value, opwidth), 64)
-    # canonicalize: constant on the left for commutative ops
-    if op in ("add", "mul", "and", "or", "xor") and rhs.is_const:
+    if lhs.is_const:
+        if rhs.is_const:
+            if op in _DIVISIONS and \
+                    rhs.args[0] & ((1 << opwidth) - 1) == 0:
+                raise SolverError(f"constant {op} by zero")
+            return const(apply_binop(op, lhs.args[0], rhs.args[0], opwidth),
+                         64)
+    elif rhs.is_const and op in _COMMUTATIVE:
+        # canonicalize: constant on the left for commutative ops
         lhs, rhs = rhs, lhs
     if lhs.is_const:
-        value = mask(lhs.value, opwidth)
+        value = lhs.args[0] & ((1 << opwidth) - 1)
         if op == "add" and value == 0:
             return _mask_to(rhs, opwidth)
         if op == "mul" and value == 1:
@@ -352,11 +541,11 @@ def binop(op: str, lhs: Term, rhs: Term, opwidth: int = 64) -> Term:
         if op == "add" and rhs.op == "add" and rhs.args[2] == opwidth:
             inner_lhs, inner_rhs = rhs.args[0], rhs.args[1]
             if inner_lhs.is_const:
-                folded = const(apply_binop("add", lhs.value, inner_lhs.value,
-                                           opwidth), 64)
-                return _intern("add", (folded, inner_rhs, opwidth),
+                folded = const(apply_binop("add", lhs.args[0],
+                                           inner_lhs.args[0], opwidth), 64)
+                return _binary("add", folded, inner_rhs, opwidth,
                                min(64, opwidth))
-    return _intern(op, (lhs, rhs, opwidth), min(64, opwidth))
+    return _binary(op, lhs, rhs, opwidth, min(64, opwidth))
 
 
 def _mask_to(term: Term, opwidth: int) -> Term:
@@ -364,7 +553,7 @@ def _mask_to(term: Term, opwidth: int) -> Term:
     if opwidth >= 64:
         return term
     if term.is_const:
-        return const(mask(term.value, opwidth), 64)
+        return const(term.args[0] & ((1 << opwidth) - 1), 64)
     if term.width <= opwidth:
         return term
     return trunc(term, opwidth)
@@ -374,7 +563,7 @@ def cmp(op: str, lhs: Term, rhs: Term, opwidth: int = 64) -> Term:
     if op not in CMP_OPS:
         raise SolverError(f"unknown cmp {op!r}")
     if lhs.is_const and rhs.is_const:
-        return const(apply_cmp(op, lhs.value, rhs.value, opwidth), 1)
+        return const(apply_cmp(op, lhs.args[0], rhs.args[0], opwidth), 1)
     if lhs is rhs:
         if op in ("eq", "ule", "uge", "sle", "sge"):
             return TRUE
@@ -383,23 +572,23 @@ def cmp(op: str, lhs: Term, rhs: Term, opwidth: int = 64) -> Term:
     # canonicalize eq/ne with constant on the right
     if op in ("eq", "ne") and lhs.is_const:
         lhs, rhs = rhs, lhs
-    return _intern(op, (lhs, rhs, opwidth), 1)
+    return _binary(op, lhs, rhs, opwidth, 1)
 
 
 def trunc(value_term: Term, to_width: int) -> Term:
     if value_term.is_const:
-        return const(mask(value_term.value, to_width), 64)
+        return const(value_term.args[0] & ((1 << to_width) - 1), 64)
     if value_term.op == "trunc" and value_term.args[1] <= to_width:
         return value_term
     if value_term.width <= to_width:
         return value_term
-    return _intern("trunc", (value_term, to_width), to_width)
+    return _unary("trunc", value_term, to_width, to_width)
 
 
 def sext(value_term: Term, from_width: int) -> Term:
     if value_term.is_const:
-        return const(sign_extend(value_term.value, from_width), 64)
-    return _intern("sext", (value_term, from_width), 64)
+        return const(sign_extend(value_term.args[0], from_width), 64)
+    return _unary("sext", value_term, from_width, 64)
 
 
 def concat(byte_terms: Iterable[Term]) -> Term:
@@ -412,7 +601,7 @@ def concat(byte_terms: Iterable[Term]) -> Term:
     if all(p.is_const for p in parts):
         value = 0
         for i, part in enumerate(parts):
-            value |= mask(part.value, 8) << (8 * i)
+            value |= (part.args[0] & 0xFF) << (8 * i)
         return const(value, 8 * len(parts))
     return _intern("concat", parts, 8 * len(parts))
 
@@ -420,14 +609,14 @@ def concat(byte_terms: Iterable[Term]) -> Term:
 def extract(value_term: Term, byte_index: int) -> Term:
     """Byte ``byte_index`` (little-endian) of a term."""
     if value_term.is_const:
-        return const((value_term.value >> (8 * byte_index)) & 0xFF, 8)
+        return const((value_term.args[0] >> (8 * byte_index)) & 0xFF, 8)
     if value_term.op == "concat" and byte_index < len(value_term.args):
         return value_term.args[byte_index]
     if value_term.op == "concat":
         return const(0, 8)
     if value_term.width <= 8 * byte_index:
         return const(0, 8)
-    return _intern("extract", (value_term, byte_index), 8)
+    return _unary("extract", value_term, byte_index, 8)
 
 
 def ite(cond: Term, if_true: Term, if_false: Term) -> Term:
@@ -568,6 +757,12 @@ def serialize_term(term: Term) -> str:
     return _json.dumps(nodes, separators=(",", ":"))
 
 
+#: ops whose arguments are all raw values, and ops whose arguments are
+#: all terms; the others take terms and then one int
+_LEAF_OPS = frozenset(("const", "var", "array"))
+_TERM_OPS = frozenset(("store", "read", "concat", "ite"))
+
+
 def deserialize_term(text: str) -> Term:
     """Rebuild a term from :func:`serialize_term` output.
 
@@ -596,6 +791,18 @@ def deserialize_term(text: str) -> Term:
                     raise SolverError(f"bad serialized arg tag {tag!r}")
             else:
                 args.append(item)
+        # keys hold the ids of term arguments and the values of raw
+        # ones, so a raw int where the op takes a term could match a
+        # live term's id
+        terms = [isinstance(arg, Term) for arg in args]
+        if op in _LEAF_OPS:
+            takes = [False] * len(args)
+        elif op in _TERM_OPS:
+            takes = [True] * len(args)
+        else:  # a term or two, then a width or byte index
+            takes = [True] * (len(args) - 1) + [False]
+        if terms != takes:
+            raise SolverError(f"malformed serialized {op!r} node")
         built.append(_intern(op, tuple(args), width))
     return built[-1]
 

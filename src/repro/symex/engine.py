@@ -206,8 +206,12 @@ class ShepherdedSymex:
         #: path was cut back to) instead of chunk 0
         self.path: Optional[GapPath] = None
         self.resume: Optional[Checkpoint] = None
-        #: (function name, block label) -> the block's program points
-        self._points: Dict[Tuple[str, str], Tuple[ProgramPoint, ...]] = {}
+        #: (function name, block label) -> the block's instructions, its
+        #: program points, and how many times this run executed each of
+        #: them since :meth:`_fold_counts` last moved the counts into
+        #: ``exec_counts``
+        self._blocks: Dict[Tuple[str, str], Tuple[
+            Tuple[ins.Instr, ...], Tuple[ProgramPoint, ...], List[int]]] = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -262,7 +266,7 @@ class ShepherdedSymex:
             return SymexResult(status="stalled",
                                constraints=list(self.constraints),
                                stall=stall.info, stats=self.stats,
-                               exec_counts=self.exec_counts,
+                               exec_counts=self._fold_counts(),
                                gap_bits=list(self.gap_bits_used))
         except TraceDivergence as div:
             if self._concretized:
@@ -277,17 +281,17 @@ class ShepherdedSymex:
                                        [t for t, _v in self._concretized],
                                        budget),
                                    stats=self.stats,
-                                   exec_counts=self.exec_counts,
+                                   exec_counts=self._fold_counts(),
                                    gap_bits=list(self.gap_bits_used))
             return SymexResult(status="diverged", stats=self.stats,
                                constraints=list(self.constraints),
-                               exec_counts=self.exec_counts,
+                               exec_counts=self._fold_counts(),
                                divergence_reason=str(div),
                                diverged_chunk=self._chunk_index,
                                gap_bits=list(self.gap_bits_used))
         return SymexResult(status="completed",
                            constraints=list(self.constraints), model=model,
-                           stats=self.stats, exec_counts=self.exec_counts,
+                           stats=self.stats, exec_counts=self._fold_counts(),
                            gap_bits=list(self.gap_bits_used))
 
     # ------------------------------------------------------------------
@@ -331,6 +335,7 @@ class ShepherdedSymex:
 
     def _checkpoint(self) -> Checkpoint:
         memory = self.memory.copy()
+        exec_counts = self._fold_counts().copy()
         return Checkpoint(
             gap=len(self.gap_bits_used), queries=len(self.path.queries),
             chunk=self._chunk_index,
@@ -341,7 +346,7 @@ class ShepherdedSymex:
                      for tid, thread in self.threads.items()},
             next_tid=self._next_tid, sym_env=self.sym_env.copy(),
             constraints=list(self.constraints),
-            exec_counts=self.exec_counts.copy(),
+            exec_counts=exec_counts,
             outputs={stream: list(values)
                      for stream, values in self.outputs.items()},
             events=self._events.copy(),
@@ -366,6 +371,8 @@ class ShepherdedSymex:
         self._next_tid = cp.next_tid
         self.sym_env = cp.sym_env
         self.constraints = cp.constraints
+        # a resumed run starts on a fresh engine: no step is counted
+        # outside the checkpoint's counts
         self.exec_counts = cp.exec_counts
         self.outputs = cp.outputs
         self._events = cp.events
@@ -377,9 +384,9 @@ class ShepherdedSymex:
         # decision for its gap
         thread = self._current_thread = self.threads[cp.tid]
         frame = thread.frame
-        instr = frame.func.blocks[frame.block].instrs[frame.index]
-        point = self._current_point = self._block_points(
-            frame.func, frame.block)[frame.index]
+        instrs, points, _counts = self._block(frame.func, frame.block)
+        instr = instrs[frame.index]
+        point = self._current_point = points[frame.index]
         cond = self._value(frame, instr.cond)
         self._take_branch(frame, instr, point, cond,
                           self._gap_outcome(cond))
@@ -388,30 +395,49 @@ class ShepherdedSymex:
     # ------------------------------------------------------------------
 
     def _step(self, thread: SymThread) -> None:
-        frame = thread.frame
+        """Execute one instruction of ``thread``.  The step is counted in
+        its block's counter list, which :meth:`_fold_counts` moves into
+        ``exec_counts``."""
+        frame = thread.frames[-1]
         func = frame.func
-        instr = func.blocks[frame.block].instrs[frame.index]
-        points = self._points.get((func.name, frame.block))
-        if points is None:
-            points = self._block_points(func, frame.block)
-        point = points[frame.index]
-        self.exec_counts[point] += 1
+        block = self._blocks.get((func.name, frame.block))
+        if block is None:
+            block = self._block(func, frame.block)
+        instrs, points, counts = block
+        at = frame.index
+        counts[at] += 1
         self.stats.instrs_executed += 1
-        self._current_point = point
+        point = self._current_point = points[at]
         self._current_thread = thread
-        self._DISPATCH[type(instr)](self, thread, frame, instr, point)
+        instr = instrs[at]
+        self._DISPATCH[instr.__class__](self, thread, frame, instr, point)
 
-    def _block_points(self, func: Function,
-                      label: str) -> Tuple[ProgramPoint, ...]:
-        """The program points of a block, built once per run: a point is
-        a value of its fields, so one instance serves every step."""
+    def _block(self, func: Function, label: str) -> Tuple[
+            Tuple[ins.Instr, ...], Tuple[ProgramPoint, ...], List[int]]:
+        """A block's instructions, program points and step counters,
+        built once per run: a point is a value of its fields, so one
+        instance serves every step."""
         key = (func.name, label)
-        points = self._points.get(key)
-        if points is None:
-            points = self._points[key] = tuple(
-                ProgramPoint(func.name, label, index)
-                for index in range(len(func.blocks[label].instrs)))
-        return points
+        block = self._blocks.get(key)
+        if block is None:
+            instrs = func.blocks[label].instrs
+            block = self._blocks[key] = (
+                instrs,
+                tuple(ProgramPoint(func.name, label, index)
+                      for index in range(len(instrs))),
+                [0] * len(instrs))
+        return block
+
+    def _fold_counts(self) -> Counter:
+        """``exec_counts``, with the steps counted per block since the
+        last fold added in."""
+        exec_counts = self.exec_counts
+        for _instrs, points, counts in self._blocks.values():
+            for at, count in enumerate(counts):
+                if count:
+                    exec_counts[points[at]] += count
+                    counts[at] = 0
+        return exec_counts
 
     # ------------------------------------------------------------------
     # solver plumbing
@@ -456,7 +482,7 @@ class ShepherdedSymex:
         return StallInfo(constraints=list(self.constraints),
                          stall_terms=list(stall_terms),
                          chains=chains,
-                         exec_counts=Counter(self.exec_counts),
+                         exec_counts=Counter(self._fold_counts()),
                          work_spent=budget.spent,
                          point=self._current_point,
                          concretization_conflict=conflict)
@@ -571,9 +597,6 @@ class ShepherdedSymex:
             term.prov = (point, dest, size_bytes)
         frame.regs[dest] = term
 
-    def _advance(self, frame: SymFrame) -> None:
-        frame.index += 1
-
     def _next_event(self, want, point: ProgramPoint):
         if not self._events:
             raise TraceDivergence(f"trace exhausted at {point}")
@@ -664,7 +687,7 @@ class ShepherdedSymex:
 
     def _exec_const(self, thread, frame, instr, point):
         frame.regs[instr.dest] = T.const(instr.value)
-        self._advance(frame)
+        frame.index += 1
 
     def _exec_binop(self, thread, frame, instr, point):
         lhs = self._value(frame, instr.lhs)
@@ -679,42 +702,42 @@ class ShepherdedSymex:
                     T.cmp("ne", rhs, T.const(0), instr.width))
         term = T.binop(instr.op, lhs, rhs, instr.width)
         self._set_dest(frame, point, instr.dest, term, instr.width // 8 or 1)
-        self._advance(frame)
+        frame.index += 1
 
     def _exec_cmp(self, thread, frame, instr, point):
         lhs = self._value(frame, instr.lhs)
         rhs = self._value(frame, instr.rhs)
         term = T.cmp(instr.op, lhs, rhs, instr.width)
         self._set_dest(frame, point, instr.dest, term, 1)
-        self._advance(frame)
+        frame.index += 1
 
     def _exec_select(self, thread, frame, instr, point):
         cond = T.bool_term(self._value(frame, instr.cond))
         term = T.ite(cond, self._value(frame, instr.if_true),
                      self._value(frame, instr.if_false))
         self._set_dest(frame, point, instr.dest, term, 8)
-        self._advance(frame)
+        frame.index += 1
 
     def _exec_trunc(self, thread, frame, instr, point):
         term = T.trunc(self._value(frame, instr.value), instr.width)
         self._set_dest(frame, point, instr.dest, term, instr.width // 8 or 1)
-        self._advance(frame)
+        frame.index += 1
 
     def _exec_sext(self, thread, frame, instr, point):
         term = T.sext(self._value(frame, instr.value), instr.from_width)
         self._set_dest(frame, point, instr.dest, term, 8)
-        self._advance(frame)
+        frame.index += 1
 
     def _exec_global(self, thread, frame, instr, point):
         frame.regs[instr.dest] = T.const(self.memory.global_addrs[instr.name])
-        self._advance(frame)
+        frame.index += 1
 
     def _exec_alloca(self, thread, frame, instr, point):
         obj = self.memory.alloc_stack(
             f"{frame.func.name}.{instr.name}", instr.size)
         frame.stack_objs.append(obj)
         frame.regs[instr.dest] = T.const(obj.base)
-        self._advance(frame)
+        frame.index += 1
 
     def _exec_malloc(self, thread, frame, instr, point):
         size = self._value(frame, instr.size)
@@ -723,7 +746,7 @@ class ShepherdedSymex:
                 size, "allocation size concretization"))
         obj = self.memory.alloc_heap(size.value)
         frame.regs[instr.dest] = T.const(obj.base)
-        self._advance(frame)
+        frame.index += 1
 
     def _exec_free(self, thread, frame, instr, point):
         addr = self._value(frame, instr.addr)
@@ -736,7 +759,7 @@ class ShepherdedSymex:
             self.memory.free_heap(addr.value)
         except MemoryFault as exc:
             raise TraceDivergence(f"free diverged at {point}: {exc}") from None
-        self._advance(frame)
+        frame.index += 1
 
     def _exec_gep(self, thread, frame, instr, point):
         base = self._value(frame, instr.base)
@@ -744,7 +767,7 @@ class ShepherdedSymex:
         scaled = T.binop("mul", index, T.const(instr.scale), 64)
         term = T.binop("add", base, scaled, 64)
         self._set_dest(frame, point, instr.dest, term, 8)
-        self._advance(frame)
+        frame.index += 1
 
     def _exec_load(self, thread, frame, instr, point):
         addr = self._value(frame, instr.addr)
@@ -752,24 +775,33 @@ class ShepherdedSymex:
         if obj is None:
             # failing access: no value materializes (trap)
             frame.regs[instr.dest] = T.const(0)
-            self._advance(frame)
+            frame.index += 1
             return
+        size = instr.size
         if offset.is_const:
-            base_off = offset.value
-            parts = [obj.read_byte(base_off + i) for i in range(instr.size)]
+            start = offset.args[0]
+            overlay = obj.overlay
+            if obj.chain is None and not (overlay and any(
+                    start + i in overlay for i in range(size))):
+                # concrete bytes: the constant concat() would fold them into
+                term = T.const(int.from_bytes(obj.data[start:start + size],
+                                              "little"), 8 * size)
+            else:
+                term = T.concat([obj.read_byte(start + i)
+                                 for i in range(size)])
         else:
-            parts = [obj.read_sym(T.binop("add", offset, T.const(i), 64))
-                     for i in range(instr.size)]
-        term = T.concat(parts)
-        self._set_dest(frame, point, instr.dest, term, instr.size)
-        self._advance(frame)
+            term = T.concat([obj.read_sym(T.binop("add", offset, T.const(i),
+                                                  64))
+                             for i in range(size)])
+        self._set_dest(frame, point, instr.dest, term, size)
+        frame.index += 1
 
     def _exec_store(self, thread, frame, instr, point):
         addr = self._value(frame, instr.addr)
         value = self._value(frame, instr.value)
         obj, offset = self._access(point, addr, instr.size, is_store=True)
         if obj is None:
-            self._advance(frame)
+            frame.index += 1
             return
         if offset.is_const:
             for i in range(instr.size):
@@ -778,7 +810,7 @@ class ShepherdedSymex:
             for i in range(instr.size):
                 obj.write_sym(T.binop("add", offset, T.const(i), 64),
                               T.extract(value, i))
-        self._advance(frame)
+        frame.index += 1
 
     def _exec_jmp(self, thread, frame, instr, point):
         frame.block = instr.label
@@ -831,7 +863,7 @@ class ShepherdedSymex:
         callee = self.module.function(instr.func)
         regs = {p: self._value(frame, a)
                 for p, a in zip(callee.params, instr.args)}
-        self._advance(frame)
+        frame.index += 1
         thread.frames.append(SymFrame(callee, next(iter(callee.blocks)), 0,
                                       regs, ret_reg=instr.dest))
 
@@ -857,12 +889,12 @@ class ShepherdedSymex:
                 if part.prov is None:
                     part.prov = prov
         self._set_dest(frame, point, instr.dest, term, instr.size)
-        self._advance(frame)
+        frame.index += 1
 
     def _exec_output(self, thread, frame, instr, point):
         self.outputs.setdefault(instr.stream, []).append(
             self._value(frame, instr.value))
-        self._advance(frame)
+        frame.index += 1
 
     def _exec_assert(self, thread, frame, instr, point):
         # a retired assert passed in production
@@ -872,7 +904,7 @@ class ShepherdedSymex:
                 raise TraceDivergence(f"assert trivially fails at {point}")
         else:
             self._add_constraint(T.cmp("ne", cond, T.const(0), 64))
-        self._advance(frame)
+        frame.index += 1
 
     def _exec_abort(self, thread, frame, instr, point):
         # aborts never retire; reaching here means the trace kept going
@@ -894,7 +926,7 @@ class ShepherdedSymex:
             if isinstance(instr.value, str):
                 # concretize: this is what simplifies later constraints
                 frame.regs[instr.value] = T.const(event.value)
-        self._advance(frame)
+        frame.index += 1
 
     def _exec_spawn(self, thread, frame, instr, point):
         callee = self.module.function(instr.func)
@@ -905,10 +937,10 @@ class ShepherdedSymex:
         self.threads[tid] = SymThread(
             tid, [SymFrame(callee, next(iter(callee.blocks)), 0, regs)])
         frame.regs[instr.dest] = T.const(tid)
-        self._advance(frame)
+        frame.index += 1
 
     def _exec_nop(self, thread, frame, instr, point):
-        self._advance(frame)
+        frame.index += 1
 
     #: instruction type -> handler, called with ``self`` first.  Plain
     #: functions, not bound methods: a table of bound methods on the

@@ -25,6 +25,42 @@ class TestProgramPoint:
         counts = {ProgramPoint("f", "b", 0): 2}
         assert counts[ProgramPoint("f", "b", 0)] == 2
 
+    def test_hash_repr_and_order_of_its_fields(self):
+        point = ProgramPoint("f", "b", 3)
+        assert hash(point) == hash(("f", "b", 3))
+        assert repr(point) == "ProgramPoint(func='f', block='b', index=3)"
+        assert sorted([ProgramPoint("g", "a", 0), ProgramPoint("f", "b", 2),
+                       ProgramPoint("f", "b", 1)]) == [
+            ProgramPoint("f", "b", 1), ProgramPoint("f", "b", 2),
+            ProgramPoint("g", "a", 0)]
+
+    def test_pickled_point_finds_its_key_under_another_hash_seed(self):
+        """A point's hash is computed where it is used, never carried
+        across a pickle: string hashes differ per process."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        dump = ("import pickle, sys\n"
+                "from repro.ir.module import ProgramPoint as P\n"
+                "sys.stdout.buffer.write(pickle.dumps(\n"
+                "    [P('main', 'loop', 4), {P('main', 'loop', 4): 7}]))\n")
+        load = ("import pickle, sys\n"
+                "from repro.ir.module import ProgramPoint as P\n"
+                "point, counts = pickle.loads(sys.stdin.buffer.read())\n"
+                "fresh = {P('main', 'loop', 4): 'here'}\n"
+                "assert fresh[point] == 'here', point\n"
+                "assert counts[P('main', 'loop', 4)] == 7, counts\n"
+                "assert point in set(fresh) and point in counts\n")
+        blob = subprocess.run(
+            [sys.executable, "-c", dump], env=dict(env, PYTHONHASHSEED="1"),
+            capture_output=True, check=True).stdout
+        subprocess.run([sys.executable, "-c", load], input=blob,
+                       env=dict(env, PYTHONHASHSEED="2"), check=True)
+
 
 class TestModule:
     def test_duplicate_global_rejected(self):

@@ -114,6 +114,21 @@ class TestErrors:
         with pytest.raises((SolverError, json.JSONDecodeError, ValueError)):
             deserialize_term("not json")
 
+    @pytest.mark.parametrize("text", [
+        # a raw int where binop and trunc take a term
+        '[["var",[["s","a"]],8],["add",[["t",0],12345,64],64]]',
+        '[["trunc",[99,8],8]]',
+        # a term where a width or a leaf's value goes
+        '[["var",[["s","a"]],8],["add",[["t",0],["t",0],["t",0]],64]]',
+        '[["var",[["s","a"]],8],["const",[["t",0]],8]]',
+        '[["var",[["s","a"]],8],["concat",[["t",0],7],16]]',
+    ])
+    def test_argument_kinds_checked(self, text):
+        """Keys hold the ids of term arguments, so a node's arguments
+        must be terms exactly where its op takes terms."""
+        with pytest.raises(SolverError, match="malformed"):
+            deserialize_term(text)
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["add", "sub", "xor", "and"]),

@@ -179,6 +179,35 @@ class TestResume:
         assert len(resumed) == result.gap_attempts - 1
         assert len(stepped) == sum(reported) - sum(resumed)
 
+    @pytest.mark.parametrize("name", ["libpng-2004-0597", "sqlite-7be932d"])
+    def test_resumed_attempts_count_what_replays_count(self, monkeypatch,
+                                                       name):
+        """Every attempt of the checkpointed search reports the
+        ``exec_counts`` (of its result and of its stall) that the same
+        attempt run from chunk 0 reports, resumed ones included: steps
+        are counted per block and folded in at checkpoints, stalls and
+        results."""
+        module, trace, failure, work_limit = lossy_occurrence(name)
+        counts = []
+        run = ShepherdedSymex.run
+
+        def spy(self):
+            result = run(self)
+            counts.append((self.resume is not None, result.status,
+                           result.exec_counts,
+                           result.stall and result.stall.exec_counts))
+            return result
+
+        monkeypatch.setattr(ShepherdedSymex, "run", spy)
+        for driver in (reference_recovering_driver, _recovering_driver):
+            driver(module, trace, failure, solver_cache=SolverCache(),
+                   work_limit=work_limit)
+        half = len(counts) // 2
+        replayed, checkpointed = counts[:half], counts[half:]
+        assert any(resumed for resumed, *_ in checkpointed)
+        assert [c[1:] for c in checkpointed] == [c[1:] for c in replayed]
+        assert all(sum(c[2].values()) for c in checkpointed)
+
     def test_continue_on_stall_takes_no_checkpoints(self, monkeypatch):
         module, trace, failure, work_limit = \
             lossy_occurrence("libpng-2004-0597")
