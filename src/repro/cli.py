@@ -181,8 +181,7 @@ def cmd_reproduce(args) -> int:
         module,
         work_limit=args.work_limit or workload.work_limit,
         max_occurrences=args.max_occurrences or workload.max_occurrences,
-        trace_recovery=recovery,
-        incremental=args.incremental)
+        trace_recovery=recovery)
     site = ProductionSite(workload.failing_env,
                           trace_after=args.trace_after,
                           mapping_loss=args.mapping_loss,
@@ -348,15 +347,6 @@ def cmd_bench(args) -> int:
         "parallel": result.to_dict() if final_width > 1 else None,
     }
     data["overhead"] = result.overhead
-    if args.ab_incremental:
-        from .parallel import measure_incremental_ab
-        echo("incremental-solving A/B (scratch vs assumption stack) ...")
-        ab = measure_incremental_ab()
-        data["incremental_ab"] = ab
-        echo(f"  solver work reduction "
-             f"{ab['solver_work_reduction']:.1%} "
-             f"(verdicts equal: {ab['verdicts_equal']}, "
-             f"models equal: {ab['models_equal']})")
     if args.output:
         pathlib.Path(args.output).write_text(json.dumps(data, indent=2))
         echo(f"wrote {args.output}")
@@ -550,11 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="FRACTION",
                    help="simulate lost TNT bits (implies "
                         "--trace-recovery; the paper measures 0.085)")
-    p.add_argument("--incremental", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="assumption-stack incremental solving across "
-                        "sibling gap attempts (--no-incremental "
-                        "re-solves every attempt from scratch)")
     p.add_argument("--json", action="store_true",
                    help="emit the report as machine-readable JSON")
 
@@ -591,10 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N[,M,...]",
                    help="process-pool width(s); a comma list runs the "
                         "whole matrix (e.g. 1,2,4,8)")
-    p.add_argument("--ab-incremental", action="store_true",
-                   help="also run the incremental-solving A/B (scratch "
-                        "vs assumption stack on the sqlite gap search) "
-                        "and record it in the summary")
     p.add_argument("-o", "--output", default=None, metavar="BENCH.json",
                    help="write the machine-readable benchmark summary")
     p.add_argument("--merged-telemetry", default=None,

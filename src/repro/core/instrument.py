@@ -7,7 +7,9 @@ is never changed.  The new module shares every global, function and
 block the plan does not touch: only a block that gains a ``ptwrite`` is
 rebuilt, and only its function is replaced.  Inserting shifts
 instruction indices, so insertions are applied per block in descending
-index order.
+index order.  Every call inserting the same ``(register, tag)`` inserts
+the same ``ptwrite`` object, so a rebuilt block whose instructions are
+all objects seen before runs the fused code kept on them.
 """
 
 from __future__ import annotations
@@ -20,6 +22,24 @@ from ..ir import instructions as ins
 from ..ir.module import BasicBlock, Module
 from ..ir.verifier import verify_module
 from .selection import RecordingItem
+
+
+#: (register, tag) -> its ``ptwrite``.  Instructions are frozen, so equal
+#: ones are interchangeable; the interpreter matches a fused run by the
+#: identity of its instructions, and a fresh object would make it
+#: generate every rebuilt run again.
+_PTWRITES: Dict[Tuple[str, int], ins.PtWrite] = {}
+#: entries the memo holds before it starts over
+_PTWRITE_LIMIT = 4096
+
+
+def _ptwrite(register: str, tag: int) -> ins.PtWrite:
+    instr = _PTWRITES.get((register, tag))
+    if instr is None:
+        if len(_PTWRITES) >= _PTWRITE_LIMIT:
+            _PTWRITES.clear()
+        instr = _PTWRITES[register, tag] = ins.PtWrite(register, tag)
+    return instr
 
 
 @dataclass
@@ -64,7 +84,7 @@ def instrument(module: Module, items: List[RecordingItem],
             tag = next_tag
             next_tag += 1
             tag_map[tag] = item
-            instrs.insert(index + 1, ins.PtWrite(item.register, tag))
+            instrs.insert(index + 1, _ptwrite(item.register, tag))
         if functions[func_name] is func:  # the function's first new block
             functions[func_name] = replace(func, blocks=dict(func.blocks))
         functions[func_name].blocks[block_label] = BasicBlock(

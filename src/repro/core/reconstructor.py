@@ -39,10 +39,6 @@ logger = logging.getLogger(__name__)
 
 
 def _exact_driver(module, trace, failure, **kwargs):
-    # incrementality only matters to the recovering driver's gap search;
-    # an exact trace has nothing to search, and stays bit-for-bit on the
-    # non-incremental path
-    kwargs.pop("incremental", None)
     return ShepherdedSymex(module, trace, failure, **kwargs).run()
 
 
@@ -114,8 +110,7 @@ class ExecutionReconstructor:
                  verify: bool = True,
                  selection: SelectionFn = select_key_values,
                  trace_recovery: bool = False,
-                 cache_dir: Optional[str] = None,
-                 incremental: bool = True):
+                 cache_dir: Optional[str] = None):
         self.module = module
         self.work_limit = work_limit
         self.max_occurrences = max_occurrences
@@ -123,8 +118,6 @@ class ExecutionReconstructor:
         #: one, and it is kept for the layer benchmark's ``fleet``
         #: workload (``benchmarks/layers/worker.py``)
         self.cache_dir = cache_dir
-        #: assumption-stack reuse across sibling gap attempts
-        self.incremental = incremental
         #: occurrences of *other* bugs never consume the reconstruction
         #: budget — ours still reoccurs regardless of how noisy the
         #: deployment is — but give-up must stay decidable, so they get
@@ -211,8 +204,7 @@ class ExecutionReconstructor:
                 result = self.symex_driver(deployed, occurrence.trace,
                                            occurrence.failure,
                                            work_limit=self.work_limit,
-                                           solver_cache=solver_cache,
-                                           incremental=self.incremental)
+                                           solver_cache=solver_cache)
             record = IterationRecord(
                 occurrence=occurrence_no,
                 status=result.status,

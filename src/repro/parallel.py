@@ -51,11 +51,10 @@ from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
 from . import telemetry
 from .core import ExecutionReconstructor, ProductionSite
 from .errors import ReproError
-from .trace.degrade import gap_count
 from .workloads import get_workload, workload_names
 
-__all__ = ["BatchItem", "BatchResult", "fan_out", "measure_incremental_ab",
-           "record_queue_wait", "run_batch", "write_merged_jsonl"]
+__all__ = ["BatchItem", "BatchResult", "fan_out", "record_queue_wait",
+           "run_batch", "write_merged_jsonl"]
 
 R = TypeVar("R")
 
@@ -333,71 +332,3 @@ def write_merged_jsonl(result: BatchResult,
             "metrics": result.telemetry,
         }) + "\n")
     return lines + 1
-
-
-def measure_incremental_ab(workload_name: str = "sqlite-7be932d", *,
-                           mapping_loss: float = 0.085,
-                           work_scale: int = 20) -> Dict:
-    """A/B the assumption-stack reuse on the gap-recovery bench.
-
-    Runs the same degraded trace through the serial gap search twice —
-    ``incremental=False`` (every sibling attempt re-solved from scratch)
-    then ``incremental=True`` (one
-    :class:`~repro.solver.incremental.AssumptionStack` for the whole
-    DFS) — each under a fresh telemetry registry, and totals the solver
-    work actually charged (the ``solver.work_per_query`` histogram).
-    Both legs are deterministic, so the measured reduction is
-    reproducible.  Returns a JSON-ready dict with both legs and the
-    relative ``solver_work_reduction``; correctness is part of the
-    record (``verdicts_equal``/``models_equal`` — the two legs must
-    agree bit for bit, incrementality is an optimization only).
-    """
-    from .symex.gaps import replay_with_gap_recovery
-
-    workload = get_workload(workload_name)
-    module = workload.module()
-    occurrence = ProductionSite(workload.failing_env,
-                                mapping_loss=mapping_loss,
-                                per_cpu_buffers=True).run_once(module)
-    kwargs = dict(work_limit=workload.work_limit * work_scale)
-    legs: Dict[str, Dict] = {}
-    models: Dict[str, Optional[Dict]] = {}
-    statuses: Dict[str, str] = {}
-    for label, incremental in (("scratch", False), ("incremental", True)):
-        registry = telemetry.Telemetry()
-        started = time.perf_counter()
-        with telemetry.scoped(registry):
-            result = replay_with_gap_recovery(
-                module, occurrence.trace, occurrence.failure,
-                incremental=incremental, **kwargs)
-        wall = time.perf_counter() - started
-        snapshot = registry.snapshot()
-        work = snapshot.get("histograms", {}).get(
-            "solver.work_per_query", {})
-        counters = snapshot.get("counters", {})
-        legs[label] = {
-            "status": result.status,
-            "gap_attempts": result.gap_attempts,
-            "wall_seconds": round(wall, 4),
-            "solver_work": int(work.get("sum", 0)),
-            "solver_queries": int(work.get("count", 0)),
-            "reused_terms": int(counters.get(
-                "solver.incremental.reused_terms", 0)),
-        }
-        models[label] = (result.model.assignment
-                         if result.model is not None else None)
-        statuses[label] = result.status
-    scratch_work = legs["scratch"]["solver_work"]
-    incremental_work = legs["incremental"]["solver_work"]
-    reduction = (1.0 - incremental_work / scratch_work
-                 if scratch_work else 0.0)
-    return {
-        "workload": workload_name,
-        "mapping_loss": mapping_loss,
-        "gap_count": gap_count(occurrence.trace),
-        "scratch": legs["scratch"],
-        "incremental": legs["incremental"],
-        "solver_work_reduction": round(reduction, 4),
-        "verdicts_equal": statuses["scratch"] == statuses["incremental"],
-        "models_equal": models["scratch"] == models["incremental"],
-    }

@@ -6,7 +6,6 @@ from .budget import DEFAULT_WORK_LIMIT, WORK_PER_SECOND, Budget, UnlimitedBudget
 from .cache import SolverCache, ValueEnumeration
 from .diskcache import DiskSolverCache
 from .evaluator import tv_eval
-from .incremental import AssumptionStack, Retained
 from .model import Model, input_var_name, parse_var_name
 from .solver import Solver
 from .terms import (Term, TermSpace, clear_term_cache, deserialize_term,
@@ -34,6 +33,4 @@ __all__ = [
     "parse_var_name",
     "Solver",
     "ReferenceBackend",
-    "AssumptionStack",
-    "Retained",
 ]

@@ -117,10 +117,6 @@ class SolverCache:
         #: optional disk tier (:class:`DiskSolverCache`), shared across
         #: processes; consulted after every in-memory miss
         self.persistent = persistent
-        #: optional :class:`~repro.solver.incremental.AssumptionStack`;
-        #: the gap search enables one per session so sibling queries
-        #: along a shared constraint prefix re-solve only the delta
-        self.assumptions = None
         #: frozenset(constraints) -> bool
         self._feasible: "OrderedDict[FrozenSet[Term], bool]" = OrderedDict()
         #: (term, frozenset(constraints), limit) -> ValueEnumeration

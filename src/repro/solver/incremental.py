@@ -1,4 +1,11 @@
-"""Assumption-stack incremental solving across sibling queries.
+"""Assumption-stack incremental solving across sibling queries (unused).
+
+Nothing in the package builds a stack: the solver learns no conflicts,
+so every query is solved from scratch on the calibrated work budget.
+The module stays importable only because the layer benchmark's
+``ENTRY_POINTS`` name :meth:`AssumptionStack.align`,
+:meth:`~AssumptionStack.extend` and :meth:`~AssumptionStack.retained`;
+it goes with those rows.
 
 Shepherded symbolic execution issues its solver queries over a
 constraint list that grows by appends, and the gap-recovery DFS
@@ -39,11 +46,6 @@ Search state is snapshotted *after* propagation, so speculative DFS
 assignments are never retained; conflicts are recorded only from
 completed (set-exhaustive) rejections, so even a timed-out or unsat
 search contributes sound facts.
-
-Scoping: a stack belongs to one :class:`~repro.solver.cache.SolverCache`
-session and is enabled by the gap search, whose backtracking advances
-prefixes one decision at a time.  Exact-trace replays never create one, so the
-default reconstruction path is bit-for-bit unchanged.
 """
 
 from __future__ import annotations
@@ -101,7 +103,6 @@ class AssumptionStack:
         #: conflicts learned (lifetime) / dropped as their deps diverged
         self.conflicts_learned = 0
         self.conflicts_dropped = 0
-        self.attempts = 0
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -192,31 +193,6 @@ class AssumptionStack:
         if added:
             self.conflicts_learned += added
             telemetry.count("solver.incremental.conflicts_learned", added)
-
-    # -- search hooks ----------------------------------------------------
-
-    def mark_attempt(self) -> None:
-        """Called at each gap-search attempt boundary: records how much
-        stacked state survives into the sibling attempt."""
-        self.attempts += 1
-        telemetry.histogram(
-            "solver.incremental.attempt_depth").record(len(self._terms))
-
-    # -- stats -----------------------------------------------------------
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "depth": len(self._terms),
-            "env": len(self.env),
-            "satisfied": len(self.satisfied),
-            "pushes": self.pushes,
-            "pops": self.pops,
-            "reused_terms": self.reused_terms,
-            "conflicts_learned": self.conflicts_learned,
-            "conflicts_dropped": self.conflicts_dropped,
-            "conflicts_live": sum(len(v) for v in self.excluded.values()),
-            "attempts": self.attempts,
-        }
 
     def __repr__(self):
         return (f"AssumptionStack({len(self._terms)} terms, "

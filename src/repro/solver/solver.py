@@ -39,8 +39,6 @@ _MAX_SCAN_BYTES = 4096
 #: so a failed probe can never turn a would-have-succeeded query into a
 #: timeout.
 _PROBE_BUDGET_DIVISOR = 4
-#: "No speculative depth referenced" sentinel (deeper than any DFS).
-_NO_FLOOR = 1 << 30
 
 logger = logging.getLogger(__name__)
 
@@ -138,40 +136,10 @@ class Solver:
                 cache.misses += 1
                 telemetry.count("solver.cache.misses")
         hints = cache.hints() if cache is not None else None
-        session = cache.assumptions if cache is not None else None
-        retained = None
-        if session is not None:
-            reused = session.align(constraints)
-            telemetry.count("solver.incremental.queries")
-            telemetry.count("solver.incremental.reused_terms", reused)
-            telemetry.histogram(
-                "solver.incremental.reused_constraints").record(reused)
-            retained = session.retained()
-        try:
-            model, snapshot = self.backend.search(
-                constraints, budget, hints=hints, retained=retained)
-        except (UnsatError, SolverTimeout) as exc:
-            # an unsat proof (or even a timed-out search) completed
-            # candidate-subtree refutations siblings can reuse; the
-            # backend attached its harvest to the exception
-            self._retain(session, constraints,
-                         getattr(exc, "snapshot", None))
-            raise
-        self._retain(session, constraints, snapshot)
+        model = self.backend.search(constraints, budget, hints=hints)
         if cache is not None:
             cache.record_model(model.assignment, key=key)
         return model
-
-    @staticmethod
-    def _retain(session, constraints: Sequence[Term], snapshot) -> None:
-        """Feed one search's harvest back into the assumption stack."""
-        if session is None or snapshot is None:
-            return
-        env, env_deps, satisfied, learned, skipped = snapshot
-        if skipped:
-            telemetry.count("solver.incremental.skipped_candidates",
-                            skipped)
-        session.extend(constraints, env, env_deps, satisfied, learned)
 
     def _verify_model(self, constraints: Sequence[Term],
                       assignment: Dict[str, int], budget: Budget) -> bool:
@@ -371,91 +339,23 @@ class Solver:
 
 
 class _Search:
-    def __init__(self, constraints: List[Term], budget: Budget,
-                 hints: Optional[Dict[str, int]] = None,
-                 retained=None):
+    def __init__(self, constraints: Iterable[Term], budget: Budget,
+                 hints: Optional[Dict[str, int]] = None):
         self.budget = budget
-        #: assumption-stack seed: unit assignments, satisfied constraints
-        #: and learned conflicts proven for a prefix of this query hold
-        #: for the whole query, so propagation starts from them, skips
-        #: the satisfied set, and the DFS prunes the excluded values
-        if retained is not None:
-            self.env: Dict[str, int] = dict(retained.env)
-            self.known_satisfied = retained.satisfied
-            #: var -> {value: dep}; read-only (owned by the stack)
-            self.excluded: Dict[str, Dict[int, int]] = retained.excluded
-            #: highest constraint index each env entry depends on
-            self.env_dep: Dict[str, int] = dict(retained.env_deps)
-            #: conflicts learned by this search (depth-0 exhaustions)
-            self.learned: Optional[Dict[str, Dict[int, int]]] = {}
-        else:
-            self.env = {}
-            self.known_satisfied = frozenset()
-            self.excluded = {}
-            self.env_dep = {}
-            self.learned = None  # learning off outside a session
-        #: refutation accumulators for the candidate subtree being
-        #: explored: the deepest constraint index any rejection used, and
-        #: the shallowest speculative DFS depth any rejection read.  A
-        #: subtree at depth d refuted with floor >= d never read the
-        #: assignments above it, so its exhaustion is unconditional.
-        self._acc = 0
-        self._floor = _NO_FLOOR
-        self._skipped = 0
-        #: vars assigned before the DFS (retained + propagated); set
-        #: definitively in :meth:`run` after propagation
-        self._base_vars: frozenset = frozenset()
-        #: DFS depth of each search variable; set in :meth:`run`
-        self._pos: Dict[str, int] = {}
-        #: post-propagation ``(env, satisfied)`` snapshot — taken before
-        #: any speculative DFS assignment, for assumption-stack retention
-        self.propagated = None
+        self.env: Dict[str, int] = {}
         #: warm-start assignment: tried first at every decision point
         self.hints: Dict[str, int] = hints or {}
-        self.constraints: List[Term] = []
-        #: first caller-list position of each deduped constraint; conflict
-        #: deps are expressed in these positions so the assumption stack
-        #: (which mirrors the raw caller list) can home them in a frame
-        self._index: Dict[Term, int] = {}
-        for pos, raw in enumerate(constraints):
-            term = bool_term(raw)
-            if term not in self._index:
-                self._index[term] = pos
-                self.constraints.append(term)
-
-    def harvest(self):
-        """Assumption-stack payload: the post-propagation snapshot (with
-        per-fact dependency indices) plus conflicts learned during the
-        DFS and how many candidates retained conflicts let this search
-        skip.  ``None`` outside a session, or until propagation
-        completes (nothing sound to retain before that)."""
-        if self.propagated is None or self.learned is None:
-            return None
-        env, satisfied = self.propagated
-        env_deps = {name: dep for name, dep in self.env_dep.items()
-                    if name in env}
-        sat_deps = {term: self._constraint_dep(term) for term in satisfied}
-        return env, env_deps, sat_deps, self.learned, self._skipped
+        #: the constraints, deduped in first-appearance order
+        self.constraints: List[Term] = list(
+            dict.fromkeys(map(bool_term, constraints)))
 
     def run(self) -> Model:
         self._propagate()
         active = self._active_constraints()
-        if self.learned is not None:  # what only learning reads
-            active_set = set(active)
-            self.propagated = (
-                dict(self.env),
-                frozenset(c for c in self.constraints
-                          if c not in active_set))
-            #: non-speculative vars: a rejection whose constraint reads
-            #: only these (plus the candidate) is a fact about the query
-            #: itself, not about the DFS assignments above it —
-            #: learnable at any depth
-            self._base_vars = frozenset(self.env)
         groups = self._word_groups(active)
         order = self._variable_order(active, groups)
-        self._pos = {var: i for i, var in enumerate(order)}
         buckets = self._bucket_constraints(active, order)
-        self._sources = self._candidate_sources(buckets)
+        self._sources = self._candidate_sources(buckets, order)
         if not self._dfs(0, order, buckets, groups):
             raise UnsatError("no satisfying assignment")
         return Model(self.env)
@@ -464,15 +364,12 @@ class _Search:
 
     def _propagate(self) -> None:
         budget = self.budget
-        known = self.known_satisfied
         changed = True
         while changed:
             changed = False
             #: (constraint, value, charge) of each evaluation this sweep
             sweep = []
             for constraint in self.constraints:
-                if known and constraint in known:
-                    continue  # proven for a prefix: stays true here
                 before = budget.spent
                 value = tv_eval(constraint, self.env, budget)
                 if value == 0:
@@ -480,14 +377,8 @@ class _Search:
                 sweep.append((constraint, value, budget.spent - before))
                 if value is not None:
                     continue
-                assignments = self._unit_assignments(constraint)
-                dep = None
-                for name, val in assignments.items():
+                for name, val in self._unit_assignments(constraint).items():
                     if name not in self.env:
-                        if self.learned is not None:
-                            if dep is None:
-                                dep = self._constraint_dep(constraint)
-                            self.env_dep[name] = dep
                         self.env[name] = val
                         changed = True
         #: the last sweep assigned nothing, so every evaluation in it saw
@@ -506,64 +397,6 @@ class _Search:
                           self.budget):
             return out
         return {}
-
-    # -- conflict dependency tracking ------------------------------------
-
-    def _constraint_dep(self, constraint: Term) -> int:
-        """Highest caller-list index a refutation by ``constraint``
-        depends on: the constraint's own position, plus the positions
-        backing any retained/propagated env values it reads."""
-        dep = self._index.get(constraint, 0)
-        if self.env_dep:
-            for var in constraint.free_vars():
-                d = self.env_dep.get(var)
-                if d is not None and d > dep:
-                    dep = d
-        return dep
-
-    def _note_reject(self, constraint: Term) -> None:
-        """A candidate (or subtree) was rejected by ``constraint``: fold
-        its dependency and speculative floor into the accumulators of the
-        subtree being refuted, and — when exactly one speculative
-        variable was involved — learn the rejection as a standalone
-        ``var != value`` conflict immediately.  Called with learning on
-        only.
-
-        The direct case is sound because every free variable of a bucket
-        constraint is assigned when it is checked: its verdict is a pure
-        function of those values, the non-speculative ones are forced by
-        the constraints (dep-tracked), so any model of the query must
-        differ on the one speculative variable."""
-        dep = self._index.get(constraint, 0)
-        floor = _NO_FLOOR
-        speculative = None
-        multi = False
-        for var in constraint.free_vars():
-            if var in self._base_vars:
-                d = self.env_dep.get(var)
-                if d is not None and d > dep:
-                    dep = d
-            else:
-                if speculative is None:
-                    speculative = var
-                elif var != speculative:
-                    multi = True
-                p = self._pos.get(var)
-                if p is not None and p < floor:
-                    floor = p
-        if dep > self._acc:
-            self._acc = dep
-        if floor < self._floor:
-            self._floor = floor
-        if speculative is None or multi:
-            return
-        value = self.env.get(speculative)
-        if value is None:
-            return
-        values = self.learned.setdefault(speculative, {})
-        prev = values.get(value)
-        if prev is None or dep < prev:
-            values[value] = dep
 
     # -- search ----------------------------------------------------------
 
@@ -663,14 +496,14 @@ class _Search:
             buckets[max(free)].append(constraint)
         return buckets
 
-    def _candidate_sources(self, buckets: List[List[Term]]
-                           ) -> Dict[str, List[Term]]:
+    def _candidate_sources(self, buckets: List[List[Term]],
+                           order: List[str]) -> Dict[str, List[Term]]:
         """For each DFS variable, the constraints in its bucket and the
         deeper ones that mention it, in bucket order: where
         :meth:`_candidates` derives its values.  A constraint sits in the
         bucket of its deepest DFS variable, so every DFS variable it
         mentions is at or above that bucket."""
-        sources: Dict[str, List[Term]] = {name: [] for name in self._pos}
+        sources: Dict[str, List[Term]] = {name: [] for name in order}
         for bucket in buckets:
             for constraint in bucket:
                 for name in constraint.sorted_vars():
@@ -692,54 +525,17 @@ class _Search:
                     return True
                 # word-level candidates failed: fall through to the
                 # byte-wise search as a last resort
-        excluded = self.excluded.get(name)
-        learning = self.learned is not None
         for value in self._candidates(name):
-            dep = excluded.get(value) if excluded is not None else None
-            if dep is None and learning:
-                # conflicts learned earlier in this same search apply too
-                mine = self.learned.get(name)
-                if mine is not None:
-                    dep = mine.get(value)
-            if dep is not None:
-                # the conflict proves no model has name=value; skipping
-                # the subtree keeps the search complete, and an
-                # exhaustion that relies on the skip inherits its
-                # dependency (the fact itself reads no DFS assignment,
-                # so the floor is untouched)
-                if learning and dep > self._acc:
-                    self._acc = dep
-                self._skipped += 1
-                continue
             self.budget.charge(1)
             self.env[name] = value
-            if learning:
-                # fresh accumulators for the subtree under name=value
-                outer_acc, outer_floor = self._acc, self._floor
-                self._acc, self._floor = 0, _NO_FLOOR
             ok = True
             for constraint in buckets[depth]:
                 if tv_eval(constraint, self.env, self.budget) != 1:
                     ok = False
-                    if learning:
-                        self._note_reject(constraint)
                     break
             if ok and self._dfs(depth + 1, order, buckets, groups):
                 return True
             del self.env[name]
-            if learning:
-                if self._floor >= depth:
-                    # the subtree under name=value is exhausted without
-                    # reading any assignment above this depth: the
-                    # refutation holds for the query itself (constraints
-                    # up to self._acc) — a monotone fact any extension
-                    # of that prefix can reuse
-                    values = self.learned.setdefault(name, {})
-                    prev = values.get(value)
-                    if prev is None or self._acc < prev:
-                        values[value] = self._acc
-                self._acc = max(outer_acc, self._acc)
-                self._floor = min(outer_floor, self._floor)
         return False
 
     def _dfs_group(self, depth: int, order: List[str],
@@ -747,18 +543,7 @@ class _Search:
                    names: Tuple[str, ...], node: Term) -> bool:
         """Try word-level candidate values for a whole concat group."""
         span = len(names)
-        learning = self.learned is not None
-        check_excluded = learning or any(n in self.excluded for n in names)
         for word in self._word_candidates(node, names, buckets, depth):
-            if check_excluded:
-                dep = self._excluded_word_dep(names, word)
-                if dep is not None:
-                    # some member byte is a retained conflict: the whole
-                    # word is provably model-free
-                    if learning and dep > self._acc:
-                        self._acc = dep
-                    self._skipped += 1
-                    continue
             self.budget.charge(span)
             for i, member in enumerate(names):
                 self.env[member] = (word >> (8 * i)) & 0xFF
@@ -767,8 +552,6 @@ class _Search:
                 for constraint in buckets[d]:
                     if tv_eval(constraint, self.env, self.budget) != 1:
                         ok = False
-                        if learning:
-                            self._note_reject(constraint)
                         break
                 if not ok:
                     break
@@ -777,18 +560,6 @@ class _Search:
             for member in names:
                 del self.env[member]
         return False
-
-    def _excluded_word_dep(self, names: Tuple[str, ...],
-                           word: int) -> Optional[int]:
-        for i, member in enumerate(names):
-            byte = (word >> (8 * i)) & 0xFF
-            for table in (self.excluded, self.learned):
-                values = table.get(member) if table else None
-                if values is not None:
-                    dep = values.get(byte)
-                    if dep is not None:
-                        return dep
-        return None
 
     def _word_candidates(self, node: Term, names: Tuple[str, ...],
                          buckets: List[List[Term]],

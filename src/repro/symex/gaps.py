@@ -36,7 +36,6 @@ from ..interp.failures import FailureInfo
 from ..ir.module import Module
 from ..solver import terms as T
 from ..solver.cache import SolverCache
-from ..solver.incremental import AssumptionStack
 from ..trace.decoder import DecodedTrace
 from .engine import GapPath, ShepherdedSymex
 from .result import SymexResult, SymexStats
@@ -107,7 +106,6 @@ class SearchRecord:
 def replay_with_gap_recovery(module: Module, trace: DecodedTrace,
                              failure: Optional[FailureInfo],
                              max_attempts: int = MAX_GAP_ATTEMPTS,
-                             incremental: bool = True,
                              record: Optional[SearchRecord] = None,
                              **engine_kwargs) -> SymexResult:
     """Shepherd a trace containing :class:`GapEvent`s.
@@ -118,11 +116,8 @@ def replay_with_gap_recovery(module: Module, trace: DecodedTrace,
     first non-diverged result, or the last divergence after the search
     is exhausted.
 
-    ``incremental`` (default on) gives the session an :class:`AssumptionStack`,
-    so sibling attempts' queries along a shared constraint prefix
-    re-solve only the delta; switching it off re-solves every sibling
-    from scratch (the A/B the benchmark harness measures).  ``record``,
-    when given, is filled in by the search (see :class:`SearchRecord`).
+    ``record``, when given, is filled in by the search (see
+    :class:`SearchRecord`).
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
@@ -132,8 +127,6 @@ def replay_with_gap_recovery(module: Module, trace: DecodedTrace,
     cache = engine_kwargs.pop("solver_cache", None)
     if cache is None:
         cache = SolverCache()
-    if incremental and cache.assumptions is None:
-        cache.assumptions = AssumptionStack()
     with T.term_scope(reuse_active=True):
         return _search_gap_decisions(module, trace, failure, max_attempts,
                                      cache, engine_kwargs, record=record)
@@ -158,11 +151,6 @@ def _search_gap_decisions(module, trace, failure, max_attempts,
     last: Optional[SymexResult] = None
     attempts = 0
     while attempts < max_attempts:
-        if cache.assumptions is not None:
-            # attempt boundary: the stack keeps the surviving
-            # common-prefix frames; the first query of this replay pops
-            # exactly the abandoned sibling's frames
-            cache.assumptions.mark_attempt()
         engine = ShepherdedSymex(module, trace, failure,
                                  gap_decisions=decisions,
                                  solver_cache=cache, **engine_kwargs)

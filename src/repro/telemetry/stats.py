@@ -168,16 +168,6 @@ def render_stats(events: Sequence[Dict]) -> str:
                                          for name, value in tiers)
                              + ")")
             parts.append(line)
-        inc_queries = counters.get("solver.incremental.queries", 0)
-        if inc_queries:
-            parts.append(
-                f"incremental solving: {inc_queries} session queries, "
-                f"{counters.get('solver.incremental.reused_terms', 0)} "
-                f"constraints answered from the assumption stack, "
-                f"{counters.get('solver.incremental.conflicts_learned', 0)} "
-                f"conflicts learned, "
-                f"{counters.get('solver.incremental.skipped_candidates', 0)} "
-                f"candidates pruned")
         histograms = metrics.get("histograms", {})
         reports = counters.get("serve.reports", 0)
         if reports:

@@ -7,6 +7,7 @@ full iterative loop with trace recovery enabled.
 
 import pytest
 
+from repro import telemetry
 from repro.core import ExecutionReconstructor, ProductionSite
 from repro.trace.degrade import gap_count
 from repro.workloads import get_workload
@@ -27,6 +28,32 @@ def test_reconstruction_with_degraded_traces(name):
                           per_cpu_buffers=True)
     report = er.reconstruct(site)
     assert report.success and report.verified
+
+
+#: occurrences the layer benchmark's lossy-trace reconstruction takes at
+#: seed 0: the workload's own work limit (the 30-s timeout analog) and
+#: occurrence budget, every sibling gap attempt solved from scratch
+LOSSY_OCCURRENCES = {"objdump-2018-6323": 4, "sqlite-787fa71": 4,
+                     "sqlite-7be932d": 4}
+
+
+@pytest.mark.parametrize("name", sorted(LOSSY_OCCURRENCES))
+def test_lossy_reconstruction_on_the_calibrated_budget(name):
+    workload = get_workload(name)
+    registry = telemetry.Telemetry()
+    with telemetry.scoped(registry):
+        er = ExecutionReconstructor(workload.module(),
+                                    work_limit=workload.work_limit,
+                                    max_occurrences=workload.max_occurrences,
+                                    trace_recovery=True)
+        site = ProductionSite(workload.failing_env, mapping_loss=0.085,
+                              per_cpu_buffers=True)
+        report = er.reconstruct(site)
+    assert report.success and report.verified
+    assert report.occurrences == LOSSY_OCCURRENCES[name]
+    counters = registry.snapshot()["counters"]
+    assert not [counter for counter in counters
+                if counter.startswith("solver.incremental.")]
 
 
 def test_degradation_actually_happens():

@@ -85,6 +85,40 @@ class TestInstrument:
         tags = sorted(result.tag_map)
         assert tags == [7, 8] and result.next_tag == 9
 
+    def test_same_plan_shares_ptwrites_and_their_runs(self, monkeypatch):
+        """A second ``instrument`` with the same plan inserts the same
+        ``ptwrite`` objects, so running its module generates no run."""
+        from repro.interp import interpreter
+
+        workload = get_workload("sqlite-7be932d")
+        module = workload.module()
+        items = [RecordingItem(point, instr.dest_register(), 8)
+                 for point, instr in module.points()
+                 if instr.dest_register() is not None][::7]
+        first = instrument(module, items).module
+        second = instrument(module, items).module
+
+        def ptwrites(deployed):
+            return [instr for func in deployed.functions.values()
+                    for block in func.blocks.values()
+                    for instr in block.instrs
+                    if isinstance(instr, ins.PtWrite)]
+
+        shared = ptwrites(first)
+        assert len(shared) == len(items)
+        assert list(map(id, ptwrites(second))) == list(map(id, shared))
+        Interpreter(first, workload.failing_env(1)).run()
+        generated = []
+        fused_run = interpreter._fused_run
+
+        def counted(instrs):
+            generated.append(instrs)
+            return fused_run(instrs)
+
+        monkeypatch.setattr(interpreter, "_fused_run", counted)
+        Interpreter(second, workload.failing_env(1)).run()
+        assert generated == []
+
     def test_register_mismatch_rejected(self):
         module = self._module()
         item = RecordingItem(ProgramPoint("main", "entry", 1), "%WRONG", 8)

@@ -40,8 +40,6 @@ def active_constraints(self):
     """Drop-in for ``_Search._active_constraints``."""
     active = []
     for constraint in self.constraints:
-        if constraint in self.known_satisfied:
-            continue  # satisfied under a retained prefix env
         value = S.tv_eval(constraint, self.env, self.budget)
         if value == 0:
             raise UnsatError(f"constraint is false: {constraint!r}")

@@ -2,21 +2,20 @@
 
 ``Solver`` reaches the search through a ``ReferenceBackend`` instance,
 so a wrapper installed on ``ReferenceBackend.search`` observes every
-query.  Inside an assumption-stack session the backend hands back its
-propagation harvest — on the exception too, for definitive failures —
-and outside one it has nothing to retain.  Every top-level query is
-counted exactly once, whichever way it ends.
+query.  The backend returns the model alone, and a query that fails
+raises.  Every top-level query is counted exactly once, whichever way
+it ends.
 """
 
 import pytest
 
 from repro import telemetry
 from repro.errors import SolverTimeout, UnsatError
-from repro.solver import AssumptionStack
 from repro.solver import terms as T
 from repro.solver.backend import ReferenceBackend
 from repro.solver.budget import Budget, UnlimitedBudget
 from repro.solver.evaluator import tv_eval
+from repro.solver.model import Model
 from repro.solver.solver import Solver
 
 
@@ -54,10 +53,6 @@ def _long_chain():
             T.cmp("ult", T.var("x"), T.const(200), 64)]
 
 
-def _session():
-    return AssumptionStack().retained()
-
-
 class TestReferenceBackend:
     def test_complete_on_unsat(self):
         with pytest.raises(UnsatError):
@@ -65,47 +60,34 @@ class TestReferenceBackend:
 
     def test_model_satisfies(self):
         cs = _satisfiable()
-        model, _snapshot = ReferenceBackend().search(cs, Budget(100_000))
+        model = ReferenceBackend().search(cs, Budget(100_000))
         for c in cs:
             assert tv_eval(T.bool_term(c), model.assignment,
                            UnlimitedBudget()) == 1
 
-    def test_no_harvest_outside_a_session(self):
+    def test_returns_the_model_alone(self):
         backend = ReferenceBackend()
-        _model, snapshot = backend.search(_satisfiable(), Budget(100_000))
-        assert snapshot is None
+        model = backend.search(_satisfiable(), Budget(100_000))
+        assert isinstance(model, Model)
         with pytest.raises(UnsatError) as err:
             backend.search(_contradiction(), Budget(10_000))
-        assert err.value.snapshot is None
+        assert not hasattr(err.value, "snapshot")
 
-    def test_session_harvest_feeds_the_stack(self):
-        cs = _satisfiable()
-        _model, snapshot = ReferenceBackend().search(
-            cs, Budget(100_000), retained=_session())
-        env, env_deps, satisfied, learned, skipped = snapshot
-        # the harvest is exactly what the assumption stack absorbs
-        stack = AssumptionStack()
-        stack.align(cs)
-        stack.extend(cs, env, env_deps, satisfied, learned)
-        assert len(stack) == len(cs)
-        assert skipped == 0  # nothing was retained to skip by
-
-    def test_unsat_proof_carries_learned_conflicts(self):
+    def test_unsat_by_exhausting_every_value(self):
         # no square is 2 mod 256, and propagation cannot invert a*a:
-        # the DFS refutes every value, and the proof rides the exception
+        # the DFS refutes all 256 values, charging each one
         a = T.var("a")
         cs = [T.cmp("eq", T.binop("mul", a, a, 8), T.const(2), 8)]
-        with pytest.raises(UnsatError) as err:
-            ReferenceBackend().search(cs, Budget(1_000_000),
-                                      retained=_session())
-        _env, _deps, _satisfied, learned, _skipped = err.value.snapshot
-        assert learned["a"] == {value: 0 for value in range(256)}
+        budget = Budget(1_000_000)
+        with pytest.raises(UnsatError):
+            ReferenceBackend().search(cs, budget)
+        assert budget.spent > 256
 
-    def test_timeout_carries_harvest(self):
-        with pytest.raises(SolverTimeout) as err:
-            ReferenceBackend().search(_long_chain(), Budget(500),
-                                      retained=_session())
-        assert len(err.value.snapshot) == 5
+    def test_timeout_raises(self):
+        budget = Budget(500)
+        with pytest.raises(SolverTimeout):
+            ReferenceBackend().search(_long_chain(), budget)
+        assert budget.spent > budget.limit
 
 
 class TestSolverDispatch:
@@ -115,10 +97,9 @@ class TestSolverDispatch:
         seen = []
         original = ReferenceBackend.search
 
-        def wrapped(self, constraints, budget, hints=None, retained=None):
+        def wrapped(self, constraints, budget, hints=None):
             seen.append(len(constraints))
-            return original(self, constraints, budget, hints=hints,
-                            retained=retained)
+            return original(self, constraints, budget, hints=hints)
 
         monkeypatch.setattr(ReferenceBackend, "search", wrapped)
         Solver().solve(_satisfiable())

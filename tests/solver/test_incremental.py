@@ -1,21 +1,14 @@
-"""Assumption-stack incremental solving: alignment, retention, learning.
+"""The assumption stack's alignment: facts survive exactly as long as
+every constraint their derivation read.
 
-The stack's contract: solving a query sequence *with* retained state
-returns the same verdicts and models as solving every query from
-scratch (given the same cache configuration) — the retained unit
-assignments, satisfied constraints, and learned conflicts only remove
-provably-dead work.  Alignment is the implicit push/pop protocol: facts
-survive exactly as long as every constraint their derivation read.
+The solver no longer feeds or reads a stack; the module stays only for
+the layer benchmark's entry points, and these tests go with it.
 """
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro import telemetry
-from repro.errors import UnsatError
-from repro.solver import AssumptionStack, Retained, Solver, SolverCache
 from repro.solver import terms as T
+from repro.solver.incremental import AssumptionStack
 from repro.solver.model import input_var_name
 
 
@@ -23,13 +16,6 @@ from repro.solver.model import input_var_name
 def fresh_terms():
     with T.term_scope():
         yield
-
-
-@pytest.fixture
-def tel():
-    registry = telemetry.Telemetry()
-    with telemetry.scoped(registry):
-        yield registry
 
 
 def _v(i):
@@ -97,102 +83,3 @@ class TestStackAlignment:
         assert stack.retained().excluded == {"x": {5: 0}}
         assert stack.retained().env_deps == {"a": 0}
 
-
-class TestSolverLearning:
-    def test_unsat_proof_retains_conflicts(self, tel):
-        cache = SolverCache()
-        cache.assumptions = AssumptionStack()
-        solver = Solver(work_limit=200_000, cache=cache)
-        prefix = [T.cmp("ugt", _v(0), T.const(250, 8), 8)]
-        # v0 in 251..255, and v0+v1 == 0 with v1 < 250: only v1 in
-        # 1..5 could work, each refuted byte-by-byte -> conflicts learned
-        with pytest.raises(UnsatError):
-            solver.solve(prefix + [
-                _eq(T.binop("add", _v(0), _v(1), 8), 0),
-                T.cmp("ugt", _v(1), T.const(250, 8), 8)])
-        assert cache.assumptions.conflicts_learned > 0
-        counters = tel.snapshot()["counters"]
-        assert counters["solver.incremental.conflicts_learned"] > 0
-
-    def test_sibling_query_skips_learned_candidates(self, tel):
-        cache = SolverCache()
-        cache.assumptions = AssumptionStack()
-        solver = Solver(work_limit=200_000, cache=cache)
-        prefix = [T.cmp("ugt", _v(0), T.const(250, 8), 8)]
-        suffix = [_eq(T.binop("add", _v(0), _v(1), 8), 0),
-                  T.cmp("ugt", _v(1), T.const(250, 8), 8)]
-        with pytest.raises(UnsatError):
-            solver.solve(prefix + suffix)
-        # sibling: same prefix, different (still unsat) tail — the
-        # retained prefix conflicts prune its search
-        with pytest.raises(UnsatError):
-            solver.solve(prefix + suffix[:1] +
-                         [T.cmp("ugt", _v(1), T.const(251, 8), 8)])
-        counters = tel.snapshot()["counters"]
-        assert counters.get("solver.incremental.skipped_candidates", 0) > 0
-        assert counters["solver.incremental.queries"] == 2
-
-
-# -- the equivalence property -------------------------------------------
-
-_byte = st.integers(0, 255)
-
-
-@st.composite
-def query_sequences(draw):
-    """Short sequences of sibling queries over a shared prefix."""
-    v0, v1 = _v(0), _v(1)
-    prefix = [T.cmp(draw(st.sampled_from(["ugt", "ult", "ne"])),
-                    v0, T.const(draw(_byte), 8), 8)]
-    queries = []
-    for _ in range(draw(st.integers(1, 4))):
-        tail = []
-        for _ in range(draw(st.integers(0, 2))):
-            op = draw(st.sampled_from(["eq", "ne", "ult", "ugt"]))
-            shape = draw(st.integers(0, 1))
-            lhs = (v1 if shape == 0
-                   else T.binop(draw(st.sampled_from(["add", "xor"])),
-                                v0, v1, 8))
-            tail.append(T.cmp(op, lhs, T.const(draw(_byte), 8), 8))
-        queries.append(prefix + tail)
-    return queries
-
-
-def _run(queries, incremental):
-    cache = SolverCache()
-    if incremental:
-        cache.assumptions = AssumptionStack()
-    # two byte-wide vars are exhaustively searchable, so a generous
-    # limit keeps both legs definitive — learning only shifts *timeout*
-    # boundaries, which this property deliberately keeps unreachable
-    solver = Solver(work_limit=20_000_000, cache=cache)
-    out = []
-    for q in queries:
-        try:
-            out.append(("sat", solver.solve(q).assignment))
-        except UnsatError:
-            out.append(("unsat", None))
-    return out
-
-
-class TestEquivalence:
-    @settings(max_examples=40, deadline=None)
-    @given(query_sequences())
-    def test_incremental_matches_scratch(self, queries):
-        T.clear_term_cache()
-        assert _run(queries, True) == _run(queries, False)
-
-    def test_retained_seed_is_isolated_per_search(self):
-        # the Retained view aliases the stack's live conflict table;
-        # searches must treat it as read-only
-        stack = AssumptionStack()
-        stack.extend([_eq(_v(0), 1)], {}, {}, {}, learned={"x": {5: 0}})
-        retained = stack.retained()
-        assert isinstance(retained, Retained)
-        before = {k: dict(v) for k, v in stack.excluded.items()}
-        cache = SolverCache()
-        cache.assumptions = stack
-        solver = Solver(work_limit=50_000, cache=cache)
-        solver.solve([_eq(_v(0), 1), _eq(_v(1), 7)])
-        assert {k: dict(v) for k, v in stack.excluded.items()
-                if k in before} == before

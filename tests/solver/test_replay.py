@@ -238,9 +238,8 @@ def test_candidate_sources_are_the_buckets_rescanned():
     active = search._active_constraints()
     groups = search._word_groups(active)
     order = search._variable_order(active, groups)
-    search._pos = {name: i for i, name in enumerate(order)}
     buckets = search._bucket_constraints(active, order)
-    sources = search._candidate_sources(buckets)
+    sources = search._candidate_sources(buckets, order)
     assert order == ["a", "b", "c"]
     for depth, name in enumerate(order):
         assert sources[name] == [

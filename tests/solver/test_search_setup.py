@@ -138,10 +138,9 @@ class TestSetUpMatchesTheWalk:
                     assert node is expected[name][1]
                 order = search._variable_order(active, groups)
                 assert order == walked_variable_order(active, env, groups)
-                search._pos = {var: i for i, var in enumerate(order)}
                 buckets = search._bucket_constraints(active, order)
                 assert buckets == walked_buckets(active, order)
-                sources = search._candidate_sources(buckets)
+                sources = search._candidate_sources(buckets, order)
                 assert sources == {
                     name: [c for bucket in buckets for c in bucket
                            if name in _free(c)] for name in order}

@@ -22,7 +22,6 @@ from repro import telemetry
 from repro.core.reconstructor import _recovering_driver
 from repro.solver import terms as T
 from repro.solver.cache import SolverCache
-from repro.solver.incremental import AssumptionStack
 from repro.symex.engine import ShepherdedSymex
 from repro.symex.gaps import MAX_GAP_ATTEMPTS
 from repro.symex.ordering import ambiguous_groups, candidate_orders
@@ -34,7 +33,6 @@ logger = logging.getLogger(__name__)
 
 def reference_replay_with_gap_recovery(module, trace, failure,
                                        max_attempts=MAX_GAP_ATTEMPTS,
-                                       incremental=True,
                                        **engine_kwargs) -> SymexResult:
     """``replay_with_gap_recovery`` over the reference search."""
     if max_attempts < 1:
@@ -45,8 +43,6 @@ def reference_replay_with_gap_recovery(module, trace, failure,
     cache = engine_kwargs.pop("solver_cache", None)
     if cache is None:
         cache = SolverCache()
-    if incremental and cache.assumptions is None:
-        cache.assumptions = AssumptionStack()
     with T.term_scope(reuse_active=True):
         return reference_search_gap_decisions(module, trace, failure,
                                               max_attempts, cache,
@@ -62,11 +58,6 @@ def reference_search_gap_decisions(module, trace, failure, max_attempts,
     last: Optional[SymexResult] = None
     attempts = 0
     while attempts < max_attempts:
-        if cache.assumptions is not None:
-            # attempt boundary: the stack keeps the surviving
-            # common-prefix frames; the first query of this replay pops
-            # exactly the abandoned sibling's frames
-            cache.assumptions.mark_attempt()
         engine = ShepherdedSymex(module, trace, failure,
                                  gap_decisions=decisions,
                                  solver_cache=cache, **engine_kwargs)
@@ -191,7 +182,7 @@ def result_state(result, canon):
 
 
 def cache_state(cache, canon):
-    state = {
+    return {
         "feasible": [(canon.key(k), v) for k, v in cache._feasible.items()],
         "values": [(canon.key(k), list(v), v.complete, v.truncated_reason)
                    for k, v in cache._values.items()],
@@ -200,17 +191,6 @@ def cache_state(cache, canon):
         "keyed_models": [(canon.key(k), m)
                          for k, m in cache._keyed_models],
     }
-    stack = cache.assumptions
-    if stack is not None:
-        # attempts counts mark_attempt calls: skipped orders make none
-        counters = {k: v for k, v in stack.stats().items()
-                    if k != "attempts"}
-        state["assumptions"] = (
-            canon.terms(stack._terms), dict(stack.env),
-            {canon.term(t): dep for t, dep in stack.satisfied.items()},
-            {name: dict(values) for name, values in stack.excluded.items()},
-            counters)
-    return state
 
 
 class Lockstep:

@@ -339,11 +339,13 @@ class TestServe:
 
 class TestLoopFlags:
     """The reconstruction loop is the paper's sequential one: reproduce
-    and bench offer no pipelining, solver-portfolio, sharding or
-    simulated-wait knobs, while serve keeps its jittered fleet wait
-    (virtual seconds) but no bucket concurrency or wall-clock timeout."""
+    and bench offer no pipelining, solver-portfolio, sharding,
+    assumption-stack or simulated-wait knobs, while serve keeps its
+    jittered fleet wait (virtual seconds) but no bucket concurrency or
+    wall-clock timeout."""
 
     REMOVED = ["--pipeline", "--portfolio", "--steal", "--shards",
+               "--incremental", "--no-incremental", "--ab-incremental",
                "--reoccurrence-delay"]
 
     @staticmethod
